@@ -199,7 +199,7 @@ def cmd_detect(args) -> int:
 
     feats_train = downstream.extract_features(params, ckpt.config, train_n)
     feats_val = downstream.extract_features(params, ckpt.config, val_n)
-    gbdt = downstream.train_gbdt(feats_train, cfg.gbdt, cfg.seed)
+    gbdt = downstream.train_gbdt(feats_train, cfg.gbdt)
 
     X_val = np.stack([f.values for f in feats_val], axis=0)
     snip_scores = downstream.predict_proba_batch(gbdt, X_val)

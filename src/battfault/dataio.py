@@ -144,6 +144,8 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
         cur_vehicle = None
         cur_rows = []
         first_line = None
+        first_line_of = {}    # snippet_id -> line its rows start on
+        vehicle_label = {}    # vehicle_id -> (label, snippet_id that set it)
 
         def flush(line_no):
             if cur_id is None:
@@ -153,6 +155,11 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
             if cur_id not in meta_by_id:
                 raise ParseError(f"{data_path}:{first_line}: snippet {cur_id!r} missing from metadata file")
             label, meta = meta_by_id[cur_id]
+            v_label, v_sid = vehicle_label.setdefault(cur_vehicle, (label, cur_id))
+            if label != v_label:
+                raise ParseError(
+                    f"{data_path}:{first_line}: snippet {cur_id!r} has label {label} in the metadata "
+                    f"file but vehicle {cur_vehicle!r} has label {v_label} from snippet {v_sid!r}")
             channels = _resample(np.array(cur_rows, dtype=np.float64), target_len)
             snippets.append(ChargeSnippet(cur_id, cur_vehicle, channels, meta, label))
 
@@ -164,6 +171,11 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
             sid = row[0].strip()
             if sid != cur_id:
                 flush(line_no)
+                if sid in first_line_of:
+                    raise ParseError(
+                        f"{data_path}:{line_no}: rows of snippet {sid!r} are not contiguous "
+                        f"(its first block starts at line {first_line_of[sid]})")
+                first_line_of[sid] = line_no
                 cur_id, cur_vehicle, cur_rows, first_line = sid, row[1].strip(), [], line_no
             cur_rows.append([_parse_float(row[3 + d], data_path, line_no, channel_names[d])
                              for d in range(len(channel_names))])

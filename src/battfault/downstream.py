@@ -2,10 +2,13 @@
 
 Features are the encoder's summary vector concatenated with the snippet's
 z-scored static metadata. The classifier is boosted depth-limited regression
-trees on logistic loss: exhaustive split search over midpoints of sorted
+trees on logistic loss: exact greedy split search over midpoints of sorted
 distinct feature values, second-order leaf weights with L2 regularization.
-Deterministic throughout; ties break on lowest feature index, then lowest
-threshold.
+Each `train_gbdt` call sorts every feature column once (the pre-sorted column
+blocks of XGBoost's exact greedy algorithm, Chen & Guestrin 2016); a node
+filters its rows out of those blocks and scores every (feature, cut) pair in
+one array expression. Deterministic throughout; ties break on lowest feature
+index, then lowest threshold.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .dataio import FleetDataset
 from .model import ModelConfig, ModelParams, encode_batch
+from .numcore import NonFiniteError
 
 GBDT_FORMAT_VERSION = 1
 
@@ -104,49 +108,66 @@ def _leaf_weight(g_sum, h_sum, lam):
     return -g_sum / (h_sum + lam)
 
 
-def _best_split(X, g, h, idx, lam, min_child_weight):
+def _split_gain(gl, hl, g_tot, h_tot, lam, parent):
+    """Second-order gain of cutting a node after a prefix with sums (gl, hl)."""
+    return (gl * gl / (hl + lam)
+            + (g_tot - gl) ** 2 / (h_tot - hl + lam)
+            - parent)
+
+
+def _best_split(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight):
     """Exhaustive search over all features and midpoint thresholds.
 
-    Returns (gain, feature, threshold) of the best split, or None.
+    ``sorted_rows``/``sorted_values`` hold every feature column of the
+    training matrix sorted once, as (F, N) blocks; ties keep row order, so
+    the node's rows filtered out of them come out exactly as a stable argsort
+    of the node's own values would. Every (feature, cut) pair is scored at
+    once. Returns (gain, feature, threshold) of the best split, or None.
     Deterministic tie-break: lowest feature, then lowest threshold.
     """
     g_tot, h_tot = g[idx].sum(), h[idx].sum()
     parent = g_tot * g_tot / (h_tot + lam)
-    best = None
-    for f in range(X.shape[1]):
-        order = idx[np.argsort(X[idx, f], kind="stable")]
-        xs = X[order, f]
-        gl = np.cumsum(g[order])
-        hl = np.cumsum(h[order])
-        # candidate cuts sit between distinct consecutive values
-        cuts = np.nonzero(xs[1:] > xs[:-1])[0]
-        for c in cuts:
-            h_left, h_right = hl[c], h_tot - hl[c]
-            if h_left < min_child_weight or h_right < min_child_weight:
-                continue
-            g_left = gl[c]
-            gain = (g_left * g_left / (h_left + lam)
-                    + (g_tot - g_left) ** 2 / (h_tot - hl[c] + lam)
-                    - parent)
-            thr = 0.5 * (xs[c] + xs[c + 1])
-            cand = (-gain, f, thr)
-            if best is None or cand < best:
-                best = cand
-    if best is None or -best[0] <= 1e-12:
+    member = np.zeros(g.size, dtype=bool)
+    member[idx] = True
+    in_node = member[sorted_rows]
+    shape = (sorted_rows.shape[0], idx.size)
+    order = sorted_rows[in_node].reshape(shape)
+    xs = sorted_values[in_node].reshape(shape)
+    gl = np.cumsum(g[order], axis=1)[:, :-1]
+    hl = np.cumsum(h[order], axis=1)[:, :-1]
+    gain = _split_gain(gl, hl, g_tot, h_tot, lam, parent)
+    # candidate cuts sit between distinct consecutive values
+    valid = (xs[:, 1:] > xs[:, :-1]) & (hl >= min_child_weight) & (h_tot - hl >= min_child_weight)
+    gain[~valid] = -np.inf
+    top = gain.max()
+    if top == -np.inf:
         return None
-    return (-best[0], best[1], best[2])
+    # On arrays `** 2` is an exact square; on numpy scalars it is libm pow,
+    # which can be an ulp off. Mirror-image cuts (one row set split off at
+    # the low end of one feature and at the high end of another) tie to
+    # within that ulp. So every cut within 1e-12 of the top (relative to the
+    # node's gain scale, far more than the two forms can differ) is scored
+    # again as scalars, and the first best of those wins, as when each cut
+    # was scored on its own.
+    near = np.flatnonzero(gain >= top - 1e-12 * (abs(top) + parent))
+    exact = [_split_gain(gl.flat[k], hl.flat[k], g_tot, h_tot, lam, parent) for k in near]
+    best = int(np.argmax(exact))
+    if exact[best] <= 1e-12:
+        return None
+    f, c = np.unravel_index(near[best], gain.shape)
+    return exact[best], int(f), 0.5 * (xs[f, c] + xs[f, c + 1])
 
 
-def _grow_tree(X, g, h, idx, depth, cfg: GbdtConfig) -> TreeNode:
-    split = _best_split(X, g, h, idx, cfg.reg_lambda, cfg.min_child_weight) \
+def _grow_tree(X, sorted_cols, g, h, idx, depth, cfg: GbdtConfig) -> TreeNode:
+    split = _best_split(*sorted_cols, g, h, idx, cfg.reg_lambda, cfg.min_child_weight) \
         if depth < cfg.max_depth and idx.size > 1 else None
     if split is None:
         return TreeNode(weight=_leaf_weight(g[idx].sum(), h[idx].sum(), cfg.reg_lambda))
     _, f, thr = split
     go_left = X[idx, f] <= thr
     node = TreeNode(feature=f, threshold=thr)
-    node.left = _grow_tree(X, g, h, idx[go_left], depth + 1, cfg)
-    node.right = _grow_tree(X, g, h, idx[~go_left], depth + 1, cfg)
+    node.left = _grow_tree(X, sorted_cols, g, h, idx[go_left], depth + 1, cfg)
+    node.right = _grow_tree(X, sorted_cols, g, h, idx[~go_left], depth + 1, cfg)
     return node
 
 
@@ -170,10 +191,11 @@ def _logloss(y, p):
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
-def train_gbdt(features: list, cfg: GbdtConfig = GbdtConfig(), seed: int = 0) -> GbdtModel:
+def train_gbdt(features: list, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
     """Boost regression trees on logistic loss over fused features.
 
-    Training log-loss is asserted non-increasing round over round.
+    Training log-loss must not increase round over round; NonFiniteError
+    otherwise.
     """
     if not features:
         raise ValueError("no training features")
@@ -188,17 +210,21 @@ def train_gbdt(features: list, cfg: GbdtConfig = GbdtConfig(), seed: int = 0) ->
     base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
     score = np.full(y.shape, base_score)
     all_idx = np.arange(y.size)
+    sorted_rows = np.argsort(X, axis=0, kind="stable").T.copy()
+    sorted_cols = (sorted_rows, np.take_along_axis(X.T, sorted_rows, axis=1))
     trees = []
     prev_loss = _logloss(y, _sigmoid(score))
-    for _ in range(cfg.rounds):
+    for r in range(cfg.rounds):
         p = _sigmoid(score)
         g = p - y
         h = p * (1.0 - p)
-        root = _grow_tree(X, g, h, all_idx, 0, cfg)
+        root = _grow_tree(X, sorted_cols, g, h, all_idx, 0, cfg)
         trees.append(root)
         score = score + cfg.shrinkage * _tree_apply(root, X)
         loss = _logloss(y, _sigmoid(score))
-        assert loss <= prev_loss + 1e-12, f"logloss increased: {prev_loss} -> {loss}"
+        if not loss <= prev_loss + 1e-12:
+            raise NonFiniteError(f"GBDT round {r}: training log-loss increased "
+                                 f"from {prev_loss!r} to {loss!r}")
         prev_loss = loss
     return GbdtModel(base_score, trees, cfg.shrinkage, cfg.max_depth, cfg.rounds, X.shape[1])
 

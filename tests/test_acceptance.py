@@ -248,7 +248,7 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
         params = pretrain_run["params" if tag == "pretrained" else "random_params"]
         feats_train = downstream.extract_features(params, cfg, train_n)
         feats_val = downstream.extract_features(params, cfg, val_n)
-        gbdt = downstream.train_gbdt(feats_train, downstream.GbdtConfig(), seed=3)
+        gbdt = downstream.train_gbdt(feats_train, downstream.GbdtConfig())
         scores = downstream.predict_proba_batch(
             gbdt, np.stack([f.values for f in feats_val]))
         veh = evalkit.vehicle_scores(scores, [f.vehicle_id for f in feats_val], "mean")

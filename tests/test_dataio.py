@@ -116,6 +116,28 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError):
             load_csv(data, meta, 32)
 
+    def test_conflicting_vehicle_labels_rejected(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = meta.read_text().splitlines()
+        sid, label, rest = lines[2].split(",", 2)  # second snippet of the first vehicle
+        lines[2] = ",".join([sid, "1" if label == "0" else "0", rest])
+        meta.write_text("\n".join(lines) + "\n")
+        # its rows start after the header and the first snippet's 32 rows
+        with pytest.raises(ParseError, match=rf"snippets\.csv:34: snippet '{sid}' has label"):
+            load_csv(data, meta, 32)
+
+    def test_non_contiguous_snippet_rows_rejected(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        header, *rows = data.read_text().splitlines()
+        # the first snippet's last row moves behind the second snippet's rows
+        rows = rows[:31] + rows[32:64] + [rows[31]] + rows[64:]
+        data.write_text("\n".join([header, *rows]) + "\n")
+        sid = small_fleet.snippets[0].snippet_id
+        with pytest.raises(ParseError, match=rf"snippets\.csv:65: rows of snippet '{sid}' are not contiguous"):
+            load_csv(data, meta, 32)
+
 
 class TestNormalization:
     def test_train_stats_are_zero_mean_unit_std(self, small_fleet):

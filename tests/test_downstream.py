@@ -1,10 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from battfault import dataio, model
+from battfault import dataio, downstream, model
 from battfault.downstream import (
     FusedFeature,
     GbdtConfig,
+    GbdtModel,
+    TreeNode,
     extract_features,
     load_gbdt,
     predict_proba,
@@ -12,7 +19,7 @@ from battfault.downstream import (
     save_gbdt,
     train_gbdt,
 )
-from battfault.numcore import SeededRng
+from battfault.numcore import NonFiniteError, SeededRng
 
 
 def make_features(X, y):
@@ -70,6 +77,121 @@ class TestTrainGbdt:
             GbdtConfig(rounds=0)
         with pytest.raises(ValueError):
             GbdtConfig(shrinkage=0.0)
+
+    def test_loss_increase_raises(self, monkeypatch):
+        # every tree pushes all scores up by 50, away from the prior optimum
+        monkeypatch.setattr(downstream, "_tree_apply", lambda node, X: np.full(X.shape[0], 50.0))
+        X, y = blobs(n=10)
+        with pytest.raises(NonFiniteError,
+                           match=r"round 0: training log-loss increased from 0\.693\d+ to 2\.50\d+"):
+            train_gbdt(make_features(X, y), GbdtConfig(rounds=3))
+
+
+# ---------------------------------------------------------------------------
+# Reference trainer: the per-(feature, cut) split loop, the oracle that the
+# column-block search in train_gbdt must match byte for byte
+# ---------------------------------------------------------------------------
+
+
+def reference_best_split(X, g, h, idx, lam, min_child_weight):
+    g_tot, h_tot = g[idx].sum(), h[idx].sum()
+    parent = g_tot * g_tot / (h_tot + lam)
+    best = None
+    for f in range(X.shape[1]):
+        order = idx[np.argsort(X[idx, f], kind="stable")]
+        xs = X[order, f]
+        gl = np.cumsum(g[order])
+        hl = np.cumsum(h[order])
+        cuts = np.nonzero(xs[1:] > xs[:-1])[0]
+        for c in cuts:
+            h_left, h_right = hl[c], h_tot - hl[c]
+            if h_left < min_child_weight or h_right < min_child_weight:
+                continue
+            g_left = gl[c]
+            gain = (g_left * g_left / (h_left + lam)
+                    + (g_tot - g_left) ** 2 / (h_tot - hl[c] + lam)
+                    - parent)
+            thr = 0.5 * (xs[c] + xs[c + 1])
+            cand = (-gain, f, thr)
+            if best is None or cand < best:
+                best = cand
+    if best is None or -best[0] <= 1e-12:
+        return None
+    return (-best[0], best[1], best[2])
+
+
+def reference_grow_tree(X, g, h, idx, depth, cfg):
+    split = reference_best_split(X, g, h, idx, cfg.reg_lambda, cfg.min_child_weight) \
+        if depth < cfg.max_depth and idx.size > 1 else None
+    if split is None:
+        return TreeNode(weight=downstream._leaf_weight(g[idx].sum(), h[idx].sum(), cfg.reg_lambda))
+    _, f, thr = split
+    go_left = X[idx, f] <= thr
+    node = TreeNode(feature=f, threshold=thr)
+    node.left = reference_grow_tree(X, g, h, idx[go_left], depth + 1, cfg)
+    node.right = reference_grow_tree(X, g, h, idx[~go_left], depth + 1, cfg)
+    return node
+
+
+def reference_train_gbdt(X, y, cfg):
+    pos_rate = y.mean()
+    base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
+    score = np.full(y.shape, base_score)
+    trees = []
+    for _ in range(cfg.rounds):
+        p = downstream._sigmoid(score)
+        tree = reference_grow_tree(X, p - y, p * (1.0 - p), np.arange(y.size), 0, cfg)
+        trees.append(tree)
+        score = score + cfg.shrinkage * downstream._tree_apply(tree, X)
+    return GbdtModel(base_score, trees, cfg.shrinkage, cfg.max_depth, cfg.rounds, X.shape[1])
+
+
+@st.composite
+def split_search_cases(draw):
+    """Small training sets built to hit ties, constant and duplicated columns."""
+    n = draw(st.integers(2, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["normal", "rounded", "constant", "duplicate"]))
+        if kind == "duplicate" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+        elif kind == "constant":
+            cols.append(np.full(n, draw(st.sampled_from([-1.5, 0.0, 3.0]))))
+        elif kind == "rounded":
+            cols.append(np.round(rng.normal(size=n), draw(st.integers(0, 1))))
+        else:
+            cols.append(rng.normal(size=n))
+    y = (rng.random(n) < draw(st.floats(0.1, 0.9))).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    cfg = GbdtConfig(rounds=draw(st.integers(1, 6)), max_depth=draw(st.integers(1, 4)),
+                     min_child_weight=draw(st.sampled_from([1e-6, 0.05, 0.5, 2.0])))
+    return np.column_stack(cols), y, cfg
+
+
+def _saved_bytes(mdl):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "classifier.json"
+        save_gbdt(mdl, path)
+        return path.read_bytes()
+
+
+class TestSplitSearchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(split_search_cases())
+    # no valid cut anywhere: only constant columns, or children lighter than
+    # min_child_weight (each row's hessian is at most 0.25)
+    @example((np.full((12, 3), 2.0), np.arange(12) % 2.0, GbdtConfig(rounds=3)))
+    @example((np.arange(20.0).reshape(10, 2), np.arange(10) % 2.0,
+              GbdtConfig(rounds=3, min_child_weight=2.0)))
+    # a row set split off at the low end of one feature and the high end of
+    # another: mirror-image cuts whose gains tie to within an ulp
+    @example((np.column_stack([np.arange(6.0), -np.arange(6.0)]),
+              np.array([0.0, 1, 1, 1, 1, 1]), GbdtConfig(rounds=20, max_depth=1)))
+    def test_matches_reference_bytes(self, case):
+        X, y, cfg = case
+        feats = make_features(X, y)
+        assert _saved_bytes(train_gbdt(feats, cfg)) == _saved_bytes(reference_train_gbdt(X, y, cfg))
 
 
 class TestPredict:
