@@ -367,11 +367,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        msg = str(exc)
-        if "single-class" in msg or "both classes" in msg:
-            print(f"error: {msg}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

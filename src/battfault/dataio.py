@@ -168,7 +168,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                 continue
             if len(row) != 3 + len(channel_names):
                 raise ParseError(f"{data_path}:{line_no}: expected {3 + len(channel_names)} columns, got {len(row)}")
-            sid = row[0].strip()
+            sid, vid = row[0].strip(), row[1].strip()
             if sid != cur_id:
                 flush(line_no)
                 if sid in first_line_of:
@@ -176,7 +176,11 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                         f"{data_path}:{line_no}: rows of snippet {sid!r} are not contiguous "
                         f"(its first block starts at line {first_line_of[sid]})")
                 first_line_of[sid] = line_no
-                cur_id, cur_vehicle, cur_rows, first_line = sid, row[1].strip(), [], line_no
+                cur_id, cur_vehicle, cur_rows, first_line = sid, vid, [], line_no
+            elif vid != cur_vehicle:
+                raise ParseError(
+                    f"{data_path}:{line_no}: snippet {sid!r} row has vehicle {vid!r} "
+                    f"but its first row (line {first_line}) has vehicle {cur_vehicle!r}")
             cur_rows.append([_parse_float(row[3 + d], data_path, line_no, channel_names[d])
                              for d in range(len(channel_names))])
         flush(None)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import FleetDataset
+from .evalkit import SingleClassError
 from .model import ModelConfig, ModelParams, encode_batch
 from .numcore import NonFiniteError
 
@@ -73,6 +74,10 @@ class GbdtConfig:
             raise ValueError("rounds and max_depth must be positive")
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError("shrinkage must be in (0,1]")
+        if self.reg_lambda < 0.0:
+            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        if self.min_child_weight <= 0.0:
+            raise ValueError(f"min_child_weight must be > 0, got {self.min_child_weight}")
 
 
 @dataclass
@@ -205,7 +210,7 @@ def train_gbdt(features: list, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
         raise ValueError("non-finite values in training features")
     pos_rate = y.mean()
     if pos_rate == 0.0 or pos_rate == 1.0:
-        raise ValueError(f"single-class training set (positive rate {pos_rate}); need both classes")
+        raise SingleClassError(f"single-class training set (positive rate {pos_rate}); need both classes")
 
     base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
     score = np.full(y.shape, base_score)
@@ -229,15 +234,8 @@ def train_gbdt(features: list, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
     return GbdtModel(base_score, trees, cfg.shrinkage, cfg.max_depth, cfg.rounds, X.shape[1])
 
 
-def predict_proba(model: GbdtModel, feature: np.ndarray) -> float:
-    """Fault probability for one fused feature vector."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (model.n_features,):
-        raise ValueError(f"feature length {feature.shape} != expected ({model.n_features},)")
-    return float(predict_proba_batch(model, feature[None, :])[0])
-
-
 def predict_proba_batch(model: GbdtModel, X: np.ndarray) -> np.ndarray:
+    """Fault probability for each row of a fused feature matrix."""
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"feature matrix {X.shape} incompatible with {model.n_features} features")
     score = np.full(X.shape[0], model.base_score)

@@ -57,7 +57,6 @@ class EvaluationReport:
     cost_params: CostParams = field(default_factory=CostParams)
     config_echo: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
-    tsne_rows: list = field(default_factory=list)  # optional (x, y, vehicle_id, label)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +192,6 @@ def _conditional_probs(dists_row: np.ndarray, beta: float) -> np.ndarray:
     p = np.exp(-dists_row * beta)
     s = p.sum()
     return p / s if s > 0 else p
-
-
-def _row_perplexity(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    h = -(nz * np.log(nz)).sum()
-    return float(np.exp(h))
 
 
 def conditional_affinities(X: np.ndarray, perplexity: float, tol: float = 1e-5,
@@ -360,7 +353,7 @@ def write_tsne_outputs(rows: list, out_dir, stem: str = "tsne"):
 
 
 def emit_report(report: EvaluationReport, out_dir):
-    """Write report.json, roc.csv (+ cost column), figures, optional t-SNE files."""
+    """Write report.json, roc.csv (+ cost column) and the ROC figure."""
     import os
     os.makedirs(out_dir, exist_ok=True)
 
@@ -390,6 +383,3 @@ def emit_report(report: EvaluationReport, out_dir):
     }
     with open(os.path.join(out_dir, "report.json"), "w", newline="\n", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-    if report.tsne_rows:
-        write_tsne_outputs(report.tsne_rows, out_dir)

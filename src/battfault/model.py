@@ -6,8 +6,11 @@ post-norm (residual, then layer norm), feed-forward uses tanh-GELU, positions
 are learned absolute embeddings. Backward passes are hand-written per block;
 the architecture is static so no general autodiff tape is needed.
 
-All forward/backward internals are batched over a leading axis; the public
-single-snippet operations wrap a batch of one.
+The forward and backward passes are batched over a leading axis. Any one
+parameter array may also carry a leading P axis of variants; the forward then
+broadcasts to P outputs from the first stage that reads that array on, and
+the stages before it run once. This is how the gradient check runs P
+perturbed copies of the network through the same forward that training uses.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .numcore import (
     SeededRng,
     DimensionError,
     dropout_mask,
-    gelu,
     gelu_fwd,
     gelu_grad,
     layer_norm_bwd,
@@ -150,20 +152,27 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _embed_fwd(X: np.ndarray, params: ModelParams, cfg: ModelConfig,
+def _vec(w: np.ndarray) -> np.ndarray:
+    # lift a possibly P-stacked vector for broadcasting against (P, T, H)
+    return w if w.ndim == 1 else w[:, None, :]
+
+
+def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig,
                train_mode: bool = False, rng: SeededRng | None = None):
     """(B, M, D) -> (B, M+1, H) with cache. Row 0 is the summary position."""
-    a = params.arrays
-    B, M, D = X.shape
+    _, M, D = X.shape
     if D != cfg.D:
         raise DimensionError(f"input has D={D}, config has D={cfg.D}")
     if M + 1 > cfg.M_max:
         raise DimensionError(f"sequence length {M}+1 exceeds M_max={cfg.M_max}")
-    proj = X @ a["embed.W_e"] + a["embed.b_e"]
-    pre = np.empty((B, M + 1, cfg.H))
-    pre[:, 0, :] = a["embed.cls"] + a["embed.pos"][0]
-    pre[:, 1:, :] = proj + a["embed.pos"][1:M + 1]
-    normed, ln_cache = layer_norm_fwd(pre, a["embed.ln_g"], a["embed.ln_b"], LN_EPS)
+    pos = a["embed.pos"]
+    data = X @ a["embed.W_e"] + _vec(a["embed.b_e"]) + pos[..., 1:M + 1, :]
+    row0 = (a["embed.cls"] + pos[..., 0, :])[..., None, :]
+    # B rows, or P when the summary row alone is P-stacked
+    pre = np.empty(np.broadcast_shapes(data.shape[:1], row0.shape[:-2]) + (M + 1, cfg.H))
+    pre[:, :1, :] = row0
+    pre[:, 1:, :] = data
+    normed, ln_cache = layer_norm_fwd(pre, _vec(a["embed.ln_g"]), _vec(a["embed.ln_b"]), LN_EPS)
     if train_mode and cfg.dropout_rate > 0.0:
         mask = dropout_mask(normed.shape, cfg.dropout_rate, rng.spawn("embed_dropout"))
         out = normed * mask
@@ -180,20 +189,20 @@ def _outer_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig):
-    B, T, H = X.shape
     A, dh = cfg.A, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
 
     def heads(Z):
+        B, T, _ = Z.shape
         return Z.reshape(B, T, A, dh).transpose(0, 2, 1, 3)
 
-    Q = heads(X @ a[prefix + "Wq"] + a[prefix + "bq"])
-    K = heads(X @ a[prefix + "Wk"] + a[prefix + "bk"])
-    V = heads(X @ a[prefix + "Wv"] + a[prefix + "bv"])
+    Q = heads(X @ a[prefix + "Wq"] + _vec(a[prefix + "bq"]))
+    K = heads(X @ a[prefix + "Wk"] + _vec(a[prefix + "bk"]))
+    V = heads(X @ a[prefix + "Wv"] + _vec(a[prefix + "bv"]))
     scores = (Q @ K.transpose(0, 1, 3, 2)) * scale
     probs = softmax_rows(scores)
-    context = (probs @ V).transpose(0, 2, 1, 3).reshape(B, T, H)
-    out = context @ a[prefix + "Wo"] + a[prefix + "bo"]
+    context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, X.shape[1], cfg.H)
+    out = context @ a[prefix + "Wo"] + _vec(a[prefix + "bo"])
     return out, (X, Q, K, V, probs, context, scale)
 
 
@@ -224,28 +233,26 @@ def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConf
     return dX
 
 
-def _encoder_fwd(E: np.ndarray, params: ModelParams, cfg: ModelConfig):
+def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig):
     """(B, T, H) -> (B, T, H) through L post-norm layers, with per-layer caches."""
-    a = params.arrays
     X = E
     caches = []
     for i in range(cfg.L):
         p = f"layer{i}."
         attn_out, attn_cache = _attention_fwd(X, a, p, cfg)
         R1 = X + attn_out
-        X1, ln1_cache = layer_norm_fwd(R1, a[p + "ln1_g"], a[p + "ln1_b"], LN_EPS)
-        F1 = X1 @ a[p + "W1"] + a[p + "b1"]
+        X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]), LN_EPS)
+        F1 = X1 @ a[p + "W1"] + _vec(a[p + "b1"])
         G, tanh_term = gelu_fwd(F1)
-        F2 = G @ a[p + "W2"] + a[p + "b2"]
+        F2 = G @ a[p + "W2"] + _vec(a[p + "b2"])
         R2 = X1 + F2
-        X2, ln2_cache = layer_norm_fwd(R2, a[p + "ln2_g"], a[p + "ln2_b"], LN_EPS)
+        X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]), LN_EPS)
         caches.append((attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache))
         X = X2
     return X, caches
 
 
-def _encoder_bwd(dX: np.ndarray, caches, params: ModelParams, cfg: ModelConfig, grads: dict):
-    a = params.arrays
+def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict):
     for i in reversed(range(cfg.L)):
         p = f"layer{i}."
         attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache = caches[i]
@@ -271,46 +278,15 @@ def _encoder_bwd(dX: np.ndarray, caches, params: ModelParams, cfg: ModelConfig, 
     return dX
 
 
-def _head_fwd(Hs: np.ndarray, params: ModelParams):
+def _head_fwd(Hs: np.ndarray, a: dict):
     """Reconstruct data positions: (B, M+1, H) -> (B, M, D). Row 0 excluded."""
-    a = params.arrays
-    return Hs[:, 1:, :] @ a["head.W"] + a["head.b"]
-
-
-# ---------------------------------------------------------------------------
-# Public single-snippet operations
-# ---------------------------------------------------------------------------
-
-
-def embed(channels: np.ndarray, params: ModelParams, cfg: ModelConfig,
-          train_mode: bool = False, rng: SeededRng | None = None) -> np.ndarray:
-    """(M, D) channel matrix -> (M+1, H) embedded sequence."""
-    out, _ = _embed_fwd(channels[None, :, :], params, cfg, train_mode, rng)
-    return out[0]
-
-
-def encode(E: np.ndarray, params: ModelParams, cfg: ModelConfig,
-           train_mode: bool = False, rng: SeededRng | None = None) -> np.ndarray:
-    """(M+1, H) -> (M+1, H) through the transformer stack (dropout-free)."""
-    out, _ = _encoder_fwd(E[None, :, :], params, cfg)
-    return out[0]
-
-
-def reconstruct(Hs: np.ndarray, params: ModelParams) -> np.ndarray:
-    """(M+1, H) encoded sequence -> (M, D) reconstructed channels."""
-    return _head_fwd(Hs[None, :, :], params)[0]
-
-
-def cls_embedding(channels: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    """Whole-sequence summary vector: encoder output at position 0, eval mode."""
-    E = embed(channels, params, cfg, train_mode=False)
-    return encode(E, params, cfg)[0]
+    return Hs[:, 1:, :] @ a["head.W"] + _vec(a["head.b"])
 
 
 def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     """Eval-mode summary vectors for a batch: (B, M, D) -> (B, H)."""
-    E, _ = _embed_fwd(X, params, cfg, train_mode=False)
-    Hs, _ = _encoder_fwd(E, params, cfg)
+    E, _ = _embed_fwd(X, params.arrays, cfg, train_mode=False)
+    Hs, _ = _encoder_fwd(E, params.arrays, cfg)
     return Hs[:, 0, :]
 
 
@@ -330,9 +306,10 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     total_masked = masks.sum()
     if total_masked < 1:
         raise ValueError("mask selects no cells")
-    E, embed_cache = _embed_fwd(X_corrupt, params, cfg, train_mode, rng)
-    Hs, enc_caches = _encoder_fwd(E, params, cfg)
-    recon = _head_fwd(Hs, params)
+    a = params.arrays
+    E, embed_cache = _embed_fwd(X_corrupt, a, cfg, train_mode, rng)
+    Hs, enc_caches = _encoder_fwd(E, a, cfg)
+    recon = _head_fwd(Hs, a)
     diff = recon - X_target
     loss = float((masks * diff * diff).sum() / total_masked)
     return loss, (embed_cache, enc_caches, Hs, diff, masks, total_masked)
@@ -350,7 +327,7 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
     dHs = np.zeros_like(Hs)
     dHs[:, 1:, :] = drecon @ a["head.W"].T
 
-    dE = _encoder_bwd(dHs, enc_caches, params, cfg, grads)
+    dE = _encoder_bwd(dHs, enc_caches, a, cfg, grads)
 
     X, ln_cache, drop_mask = embed_cache
     if drop_mask is not None:
@@ -367,90 +344,26 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
     return grads
 
 
-def msm_loss_value(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
-                   X_target: np.ndarray, masks: np.ndarray) -> float:
-    """Deterministic (eval-mode) loss only; the finite-difference oracle target."""
-    loss, _ = msm_forward(params, cfg, X_corrupt, X_target, masks, train_mode=False)
-    return loss
-
-
 # ---------------------------------------------------------------------------
-# Batched perturbation evaluation for full-model gradient checking
+# Full-model gradient checking
 # ---------------------------------------------------------------------------
-#
-# Evaluating the loss once per perturbed scalar is Python-overhead bound, so
-# the checker stacks P perturbed copies of ONE weight array along a leading
-# axis and runs a single vectorized forward; all other arrays broadcast.
 
 
-def _vec(w: np.ndarray) -> np.ndarray:
-    # lift a possibly P-stacked vector for broadcasting against (P, T, H)
-    return w if w.ndim == 1 else w[:, None, :]
+@dataclass
+class GradCheckReport:
+    """Per-parameter relative errors from a central-difference gradient check."""
 
+    rel_error: dict = field(default_factory=dict)
+    failed: list = field(default_factory=list)
+    tol: float = 1e-4
 
-def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # one flat GEMM when the weight is shared across variants
-    if w.ndim == 2:
-        lead = x.shape[:-1]
-        return (x.reshape(-1, x.shape[-1]) @ w).reshape(lead + (w.shape[1],))
-    return np.matmul(x, w)
+    @property
+    def max_rel_error(self) -> float:
+        return max(self.rel_error.values()) if self.rel_error else 0.0
 
-
-def _loss_many(arrays: dict, cfg: ModelConfig, Xb: np.ndarray,
-               X_target: np.ndarray, mask: np.ndarray,
-               perturbed: str = "") -> np.ndarray:
-    """Eval-mode masked loss for P parameter variants differing in one array.
-
-    Xb is (P, M, D) (a broadcast view is fine). Stages upstream of the
-    perturbed array are identical across variants and computed with P=1.
-    """
-    a = arrays
-    P_full, M, _ = Xb.shape
-    T = M + 1
-    A, dh, H = cfg.A, cfg.head_dim, cfg.H
-    scale = 1.0 / np.sqrt(dh)
-
-    def ln(x, g, b):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        return _vec(g) * ((x - mu) / np.sqrt(var + LN_EPS)) + _vec(b)
-
-    pos = a["embed.pos"]
-    Xin = np.ascontiguousarray(Xb) if perturbed == "embed.W_e" else Xb[:1]
-    proj = _mm(Xin, a["embed.W_e"]) + _vec(a["embed.b_e"])
-    data = proj + (pos[1:M + 1] if pos.ndim == 2 else pos[:, 1:M + 1])
-    row0 = a["embed.cls"] + (pos[0] if pos.ndim == 2 else pos[:, 0])
-    row0 = np.atleast_2d(row0)[:, None, :]
-    q = max(data.shape[0], row0.shape[0])
-    pre = np.concatenate([np.broadcast_to(row0, (q, 1, H)),
-                          np.broadcast_to(data, (q, M, H))], axis=1)
-    X = ln(pre, a["embed.ln_g"], a["embed.ln_b"])
-    lifted = X.shape[0] == P_full and P_full > 1
-
-    for i in range(cfg.L):
-        p = f"layer{i}."
-        if not lifted and perturbed.startswith(p):
-            lifted = True  # this layer's weights vary; outputs fan out to P
-        P = P_full if lifted else 1
-
-        def heads(Z):
-            return np.broadcast_to(Z, (P, T, H)).reshape(P, T, A, dh).transpose(0, 2, 1, 3)
-
-        Q = heads(_mm(X, a[p + "Wq"]) + _vec(a[p + "bq"]))
-        K = heads(_mm(X, a[p + "Wk"]) + _vec(a[p + "bk"]))
-        V = heads(_mm(X, a[p + "Wv"]) + _vec(a[p + "bv"]))
-        probs = softmax_rows((Q @ K.transpose(0, 1, 3, 2)) * scale)
-        context = (probs @ V).transpose(0, 2, 1, 3).reshape(P, T, H)
-        attn = _mm(context, a[p + "Wo"]) + _vec(a[p + "bo"])
-        X1 = ln(X + attn, a[p + "ln1_g"], a[p + "ln1_b"])
-        F2 = _mm(gelu(_mm(X1, a[p + "W1"]) + _vec(a[p + "b1"])),
-                 a[p + "W2"]) + _vec(a[p + "b2"])
-        X = ln(X1 + F2, a[p + "ln2_g"], a[p + "ln2_b"])
-
-    recon = _mm(X[:, 1:, :], a["head.W"]) + _vec(a["head.b"])
-    diff = recon - X_target
-    losses = (mask * diff * diff).sum(axis=(1, 2)) / mask.sum()
-    return np.broadcast_to(losses, (P_full,)) if losses.shape[0] == 1 else losses
+    @property
+    def ok(self) -> bool:
+        return not self.failed
 
 
 def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
@@ -461,23 +374,24 @@ def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     Uses the 4th-order central stencil (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
     so one step size covers both high-curvature entries (truncation ~ h^4) and
     exactly-zero gradients (rounding noise ~ 1/h). Relative error per entry is
-    |a - n| / max(|a|, |n|, 1e-8); returns a numcore.GradCheckReport.
+    |a - n| / max(|a|, |n|, 1e-8). Evaluating the loss once per perturbed
+    scalar is Python-overhead bound, so P perturbed copies of one array are
+    stacked along a leading axis and run through the training forward at once.
     """
-    from .numcore import GradCheckReport
-
     if X_corrupt.ndim == 2:
         X_corrupt = X_corrupt[None]
         X_target = X_target[None]
         mask = mask[None]
-    loss, cache = msm_forward(params, cfg, X_corrupt, X_target, mask)
+    _, cache = msm_forward(params, cfg, X_corrupt, X_target, mask)
     analytic = msm_backward(cache, params, cfg)
 
     stencil = np.array([2.0, 1.0, -1.0, -2.0]) * step
     weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
     report = GradCheckReport(tol=tol)
     base_arrays = params.arrays
-    mask_b = mask[0]
+    X_in = X_corrupt[:1]
     target_b = X_target[0]
+    mask_b = mask[0]
 
     for name, base in base_arrays.items():
         grad_flat = analytic[name].reshape(-1)
@@ -491,8 +405,10 @@ def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
             stacked.reshape(P, -1)[np.arange(P), np.repeat(idx, 4)] += np.tile(stencil, m)
             arrays = dict(base_arrays)
             arrays[name] = stacked
-            Xb = np.broadcast_to(X_corrupt[0], (P,) + X_corrupt[0].shape)
-            losses = _loss_many(arrays, cfg, Xb, target_b, mask_b, perturbed=name)
+            E, _ = _embed_fwd(X_in, arrays, cfg)
+            Hs, _ = _encoder_fwd(E, arrays, cfg)
+            diff = _head_fwd(Hs, arrays) - target_b
+            losses = (mask_b * diff * diff).sum(axis=(1, 2)) / mask_b.sum()
             if not np.all(np.isfinite(losses)):
                 raise ValueError(f"non-finite loss while perturbing parameter {name!r}")
             numeric = (losses.reshape(m, 4) * weights).sum(axis=1)

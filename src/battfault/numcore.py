@@ -1,4 +1,4 @@
-"""Dense numerical core: float64 tensors, encoder building blocks, gradient checking.
+"""Dense numerical core: float64 tensors, seeded randomness, encoder building blocks.
 
 Tensors are plain ``numpy.ndarray`` of dtype float64 and are treated as
 immutable values by every public operation. All randomness flows through
@@ -9,7 +9,6 @@ seed plus named substreams, so any computation is reproducible from its seed.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,13 +22,6 @@ class DimensionError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """Raised when an operation produces or receives NaN/Inf values."""
-
-
-def assert_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
-    """Raise NonFiniteError unless every entry of ``x`` is finite."""
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"non-finite values in {context}")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -73,38 +65,15 @@ class SeededRng:
 
 
 # ---------------------------------------------------------------------------
-# Blocks (forward)
+# Blocks
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rank-2 matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit population variance, then affine."""
-    if eps <= 0:
-        # eps == 0 is allowed for exact hand checks on non-constant inputs
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != np.shape(gamma)[-1] or x.shape[-1] != np.shape(beta)[-1]:
-        raise DimensionError(f"layer_norm shape mismatch: x {x.shape}, gamma {np.shape(gamma)}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return gamma * xhat + beta
-
-
 def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-12):
-    """layer_norm that also returns the cache needed for the backward pass."""
+    """Normalize the last axis to zero mean / unit population variance, then affine.
+
+    Also returns the cache needed for the backward pass.
+    """
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -113,7 +82,7 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: floa
 
 
 def layer_norm_bwd(dy: np.ndarray, cache):
-    """Gradients of layer_norm: returns (dx, dgamma, dbeta)."""
+    """Gradients of layer_norm_fwd: returns (dx, dgamma, dbeta)."""
     xhat, inv_std, gamma = cache
     axes = tuple(range(dy.ndim - 1))
     dgamma = (dy * xhat).sum(axis=axes)
@@ -151,11 +120,6 @@ def gelu_fwd(x: np.ndarray):
     return 0.5 * x * (1.0 + t), t
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU activation, tanh approximation."""
-    return gelu_fwd(x)[0]
-
-
 def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """Elementwise derivative of the tanh-form GELU.
 
@@ -172,90 +136,3 @@ def dropout_mask(shape, rate: float, rng: SeededRng) -> np.ndarray:
     """Inverted-dropout multiplier: entries are 0 or 1/(1-rate)."""
     keep = rng.uniform(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
-
-
-def dropout(x: np.ndarray, rate: float, train_mode: bool, rng: SeededRng | None = None) -> np.ndarray:
-    """Inverted dropout. Identity when train_mode is off or rate == 0."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    x = np.asarray(x, dtype=np.float64)
-    if not train_mode or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in train mode requires an rng")
-    return x * dropout_mask(x.shape, rate, rng)
-
-
-# ---------------------------------------------------------------------------
-# Parameters and gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Parameter:
-    """A named learnable array with a same-shaped gradient buffer."""
-
-    name: str
-    value: np.ndarray
-    grad: np.ndarray = None
-
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise DimensionError(
-                f"parameter {self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
-            )
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter relative errors from a central-difference gradient check."""
-
-    rel_error: dict = field(default_factory=dict)
-    failed: list = field(default_factory=list)
-    tol: float = 1e-4
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.rel_error.values()) if self.rel_error else 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-
-def finite_diff_check(loss_fn, params: dict, analytic_grads: dict,
-                      step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients to central finite differences.
-
-    ``loss_fn`` maps the (mutable-in-place) param dict to a scalar and must be
-    deterministic; ``analytic_grads`` holds one array per param name. Relative
-    error per entry is |a - n| / max(|a|, |n|, 1e-8); a parameter fails when
-    its max relative error exceeds ``tol``.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    report = GradCheckReport(tol=tol)
-    for name, value in params.items():
-        grad = np.asarray(analytic_grads[name], dtype=np.float64)
-        flat = value.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = loss_fn(params)
-            flat[i] = orig - step
-            lm = loss_fn(params)
-            flat[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise NonFiniteError(f"non-finite loss while perturbing parameter {name!r}")
-            numeric = (lp - lm) / (2.0 * step)
-            analytic = grad.reshape(-1)[i]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-        report.rel_error[name] = worst
-        if worst > tol:
-            report.failed.append(name)
-    return report

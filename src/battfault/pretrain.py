@@ -248,8 +248,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
             b_rng = ep_rng.spawn("batch", b_start)
             masks = np.stack([sample_mask(M, D, pcfg.mask_rate, b_rng.spawn("mask", int(i)))
                               for i in idx], axis=0)
-            corrupted = batch * (1.0 - masks)
-            loss, cache = msm_forward(params, cfg, corrupted, batch, masks,
+            loss, cache = msm_forward(params, cfg, corrupt(batch, masks), batch, masks,
                                       train_mode=True, rng=b_rng.spawn("dropout"))
             if not np.isfinite(loss):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {b_start}")
@@ -260,7 +259,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
         train_loss = total_se / total_cells
 
         if val_masks is not None:
-            val_loss, _ = msm_forward(params, cfg, X_val * (1.0 - val_masks), X_val,
+            val_loss, _ = msm_forward(params, cfg, corrupt(X_val, val_masks), X_val,
                                       val_masks, train_mode=False)
         else:
             val_loss = float("nan")

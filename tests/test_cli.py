@@ -120,6 +120,17 @@ class TestDetect:
                      "--out", str(tmp_path / "o")]) == 2
         assert "K=1" in capsys.readouterr().err
 
+    def test_invalid_gbdt_config_exits_2(self, workspace, tmp_path, capsys):
+        bad = dict(TINY_CONFIG)
+        bad["gbdt"] = dict(TINY_CONFIG["gbdt"], reg_lambda=-0.5, min_child_weight=0.0)
+        cfg4 = tmp_path / "cfg4.json"
+        cfg4.write_text(json.dumps(bad))
+        assert main(["detect", "--config", str(cfg4), "--data", str(workspace["data"]),
+                     "--checkpoint", str(workspace["run"] / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config section 'gbdt'" in err and "reg_lambda" in err
+
     def test_single_class_data_exits_5(self, workspace, tmp_path):
         one_class = dict(TINY_CONFIG)
         one_class["generator"] = dict(TINY_CONFIG["generator"], fault_fraction=0.011)

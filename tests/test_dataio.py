@@ -138,6 +138,20 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=rf"snippets\.csv:65: rows of snippet '{sid}' are not contiguous"):
             load_csv(data, meta, 32)
 
+    def test_snippet_rows_naming_another_vehicle_rejected(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = data.read_text().splitlines()
+        first, other = small_fleet.snippets[0], small_fleet.snippets[-1]
+        assert first.vehicle_id != other.vehicle_id
+        cols = lines[4].split(",")  # the first snippet's fourth row
+        cols[1] = other.vehicle_id
+        lines[4] = ",".join(cols)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"snippets\.csv:5: snippet '{first.snippet_id}' row "
+                                             rf"has vehicle '{other.vehicle_id}'"):
+            load_csv(data, meta, 32)
+
 
 class TestNormalization:
     def test_train_stats_are_zero_mean_unit_std(self, small_fleet):

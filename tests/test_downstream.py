@@ -14,11 +14,11 @@ from battfault.downstream import (
     TreeNode,
     extract_features,
     load_gbdt,
-    predict_proba,
     predict_proba_batch,
     save_gbdt,
     train_gbdt,
 )
+from battfault.evalkit import SingleClassError
 from battfault.numcore import NonFiniteError, SeededRng
 
 
@@ -58,6 +58,21 @@ class TestTrainGbdt:
         X, _ = blobs(n=10)
         with pytest.raises(ValueError, match="single-class"):
             train_gbdt(make_features(X, np.ones(len(X))))
+
+    def test_single_class_is_typed(self):
+        X, _ = blobs(n=10)
+        with pytest.raises(SingleClassError):
+            train_gbdt(make_features(X, np.zeros(len(X))))
+
+    def test_negative_reg_lambda_rejected(self):
+        with pytest.raises(ValueError, match="reg_lambda"):
+            GbdtConfig(reg_lambda=-0.5)
+        GbdtConfig(reg_lambda=0.0)
+
+    def test_non_positive_min_child_weight_rejected(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="min_child_weight"):
+                GbdtConfig(min_child_weight=bad)
 
     def test_deterministic(self):
         X, y = blobs(seed=5)
@@ -192,15 +207,6 @@ class TestSplitSearchOracle:
         X, y, cfg = case
         feats = make_features(X, y)
         assert _saved_bytes(train_gbdt(feats, cfg)) == _saved_bytes(reference_train_gbdt(X, y, cfg))
-
-
-class TestPredict:
-    def test_single_matches_batch(self):
-        X, y = blobs(n=20, seed=9)
-        mdl = train_gbdt(make_features(X, y), GbdtConfig(rounds=10))
-        batch = predict_proba_batch(mdl, X)
-        for i in range(len(X)):
-            assert predict_proba(mdl, X[i]) == pytest.approx(batch[i], abs=1e-15)
 
 
 class TestSaveLoad:

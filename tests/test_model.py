@@ -4,16 +4,15 @@ import pytest
 from battfault import model
 from battfault.model import (
     ModelConfig,
-    cls_embedding,
-    embed,
-    encode,
+    ModelParams,
+    _embed_fwd,
+    _encoder_fwd,
+    _head_fwd,
     encode_batch,
     init_params,
     msm_backward,
     msm_forward,
-    msm_loss_value,
     param_shapes,
-    reconstruct,
 )
 from battfault.numcore import DimensionError, SeededRng
 
@@ -62,47 +61,48 @@ class TestConfig:
 class TestForwardShapes:
     def test_embed_prepends_cls(self, tiny):
         cfg, params = tiny
-        x = SeededRng(2).normal((8, cfg.D))
-        E = embed(x, params, cfg)
-        assert E.shape == (9, cfg.H)
+        X = SeededRng(2).normal((1, 8, cfg.D))
+        E, _ = _embed_fwd(X, params.arrays, cfg)
+        assert E.shape == (1, 9, cfg.H)
 
     def test_encode_and_reconstruct(self, tiny):
         cfg, params = tiny
-        x = SeededRng(3).normal((8, cfg.D))
-        Hs = encode(embed(x, params, cfg), params, cfg)
-        assert Hs.shape == (9, cfg.H)
-        recon = reconstruct(Hs, params)
-        assert recon.shape == (8, cfg.D)
+        X = SeededRng(3).normal((1, 8, cfg.D))
+        E, _ = _embed_fwd(X, params.arrays, cfg)
+        Hs, _ = _encoder_fwd(E, params.arrays, cfg)
+        assert Hs.shape == (1, 9, cfg.H)
+        recon = _head_fwd(Hs, params.arrays)
+        assert recon.shape == (1, 8, cfg.D)
 
     def test_sequence_too_long_rejected(self, tiny):
         cfg, params = tiny
-        x = SeededRng(4).normal((cfg.M_max, cfg.D))  # M_max rows + CLS overflows
+        X = SeededRng(4).normal((1, cfg.M_max, cfg.D))  # M_max rows + CLS overflows
         with pytest.raises(DimensionError):
-            embed(x, params, cfg)
+            _embed_fwd(X, params.arrays, cfg)
 
     def test_encode_batch_matches_single(self, tiny):
         cfg, params = tiny
         X = SeededRng(5).normal((4, 8, cfg.D))
         batched = encode_batch(X, params, cfg)
         for b in range(4):
-            np.testing.assert_allclose(batched[b], cls_embedding(X[b], params, cfg),
+            np.testing.assert_allclose(batched[b], encode_batch(X[b:b + 1], params, cfg)[0],
                                        atol=1e-12)
 
     def test_eval_mode_deterministic(self, tiny):
         cfg, params = tiny
-        x = SeededRng(6).normal((8, cfg.D))
-        np.testing.assert_array_equal(cls_embedding(x, params, cfg),
-                                      cls_embedding(x, params, cfg))
+        X = SeededRng(6).normal((1, 8, cfg.D))
+        np.testing.assert_array_equal(encode_batch(X, params, cfg),
+                                      encode_batch(X, params, cfg))
 
 
 class TestMsmLoss:
     def test_matches_naive_double_loop(self, tiny):
         cfg, params = tiny
         Xc, X, mask = random_instance(cfg, 7)
-        loss = msm_loss_value(params, cfg, Xc, X, mask)
-        E, _ = model._embed_fwd(Xc, params, cfg, False, None)
-        Hs, _ = model._encoder_fwd(E, params, cfg)
-        recon = model._head_fwd(Hs, params)[0]
+        loss = msm_forward(params, cfg, Xc, X, mask)[0]
+        E, _ = _embed_fwd(Xc, params.arrays, cfg)
+        Hs, _ = _encoder_fwd(E, params.arrays, cfg)
+        recon = _head_fwd(Hs, params.arrays)[0]
         total, count = 0.0, 0
         M, D = mask.shape[1:]
         for t in range(M):
@@ -115,9 +115,9 @@ class TestMsmLoss:
     def test_unmasked_cells_do_not_contribute(self, tiny):
         cfg, params = tiny
         Xc, X, mask = random_instance(cfg, 8)
-        base = msm_loss_value(params, cfg, Xc, X, mask)
+        base = msm_forward(params, cfg, Xc, X, mask)[0]
         X2 = X + 100.0 * (1 - mask)  # perturb targets only where unmasked
-        assert msm_loss_value(params, cfg, Xc, X2, mask) == base
+        assert msm_forward(params, cfg, Xc, X2, mask)[0] == base
 
     def test_empty_mask_rejected(self, tiny):
         cfg, params = tiny
@@ -132,7 +132,7 @@ class TestMsmLoss:
         batch_loss, _ = msm_forward(params, cfg, Xc, X, mask)
         se = 0.0
         for b in range(3):
-            lb = msm_loss_value(params, cfg, Xc[b:b + 1], X[b:b + 1], mask[b:b + 1])
+            lb = msm_forward(params, cfg, Xc[b:b + 1], X[b:b + 1], mask[b:b + 1])[0]
             se += lb * mask[b].sum()
         assert abs(batch_loss - se / mask.sum()) < 1e-12
 
@@ -163,6 +163,46 @@ class TestBackward:
         Xc, X, mask = random_instance(cfg, 13)
         report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
         assert report.ok, report.failed
+
+
+# the gradient check stacks variants of one array; a representative spread
+# over every stage, vectors and matrices, the positional table and the head
+STACKED = ["embed.pos", "embed.cls", "embed.W_e", "embed.ln_g", "layer0.Wq",
+           "layer0.bk", "layer1.ln1_b", "layer1.W2", "head.W", "head.b"]
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("name", STACKED)
+    def test_stacked_losses_match_per_variant_forward(self, tiny, name):
+        cfg, params = tiny
+        Xc, X, mask = random_instance(cfg, 14)
+        base = params.arrays[name]
+        P = 3
+        stacked = base + 1e-2 * SeededRng(15, (name,)).normal((P,) + base.shape)
+        a = dict(params.arrays, **{name: stacked})
+        E, _ = _embed_fwd(Xc, a, cfg)
+        Hs, _ = _encoder_fwd(E, a, cfg)
+        diff = _head_fwd(Hs, a) - X[0]
+        losses = (mask[0] * diff * diff).sum(axis=(1, 2)) / mask[0].sum()
+        assert losses.shape == (P,)
+        for p in range(P):
+            variant = ModelParams(cfg, dict(params.arrays, **{name: stacked[p]}))
+            expected = msm_forward(variant, cfg, Xc, X, mask)[0]
+            assert losses[p] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_gate_catches_a_wrong_gradient(self, tiny, monkeypatch):
+        cfg, params = tiny
+        Xc, X, mask = random_instance(cfg, 13)
+        backward = model.msm_backward
+
+        def scaled(cache, params, cfg):
+            grads = backward(cache, params, cfg)
+            grads["layer1.W2"] = grads["layer1.W2"] * 1.01
+            return grads
+
+        monkeypatch.setattr(model, "msm_backward", scaled)
+        report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
+        assert report.failed == ["layer1.W2"]
 
 
 class TestParamCount:

@@ -1,23 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from battfault.model import ModelConfig, _embed_fwd, init_params
 from battfault.numcore import (
-    DimensionError,
-    NonFiniteError,
     SeededRng,
-    assert_finite,
-    dropout,
-    finite_diff_check,
-    gelu,
+    dropout_mask,
     gelu_fwd,
     gelu_grad,
-    layer_norm,
     layer_norm_bwd,
     layer_norm_fwd,
-    matmul,
     softmax_bwd,
     softmax_rows,
 )
@@ -55,24 +51,10 @@ class TestSeededRng:
         np.testing.assert_array_equal(a, b)
 
 
-class TestBasics:
-    def test_assert_finite_raises(self):
-        with pytest.raises(NonFiniteError, match="logits"):
-            assert_finite(np.array([1.0, np.nan]), "logits")
-
-    def test_matmul_checks_rank(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
-
-    def test_matmul_checks_inner_dim(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-
-
 class TestLayerNorm:
     def test_unit_stats(self):
         x = SeededRng(0).normal((5, 16)) * 3 + 2
-        y = layer_norm(x, np.ones(16), np.zeros(16))
+        y, _ = layer_norm_fwd(x, np.ones(16), np.zeros(16))
         np.testing.assert_allclose(y.mean(axis=-1), 0, atol=1e-12)
         np.testing.assert_allclose(y.std(axis=-1), 1, atol=1e-6)
 
@@ -81,8 +63,8 @@ class TestLayerNorm:
     def test_shift_invariant(self, x):
         H = x.shape[-1]
         g, b = np.ones(H), np.zeros(H)
-        shifted = layer_norm(x + 17.0, g, b)
-        np.testing.assert_allclose(shifted, layer_norm(x, g, b), atol=1e-6)
+        shifted, _ = layer_norm_fwd(x + 17.0, g, b)
+        np.testing.assert_allclose(shifted, layer_norm_fwd(x, g, b)[0], atol=1e-6)
 
     def test_backward_matches_finite_differences(self):
         rng = SeededRng(1)
@@ -141,60 +123,44 @@ class TestSoftmax:
 
 class TestGelu:
     def test_known_values(self):
-        np.testing.assert_allclose(gelu(np.array(0.0)), 0.0, atol=1e-15)
+        np.testing.assert_allclose(gelu_fwd(np.array(0.0))[0], 0.0, atol=1e-15)
         # tanh-form GELU at x=1 (BERT convention)
-        np.testing.assert_allclose(gelu(np.array(1.0)), 0.841192, atol=1e-5)
+        np.testing.assert_allclose(gelu_fwd(np.array(1.0))[0], 0.841192, atol=1e-5)
 
     def test_fwd_returns_reusable_tanh_term(self):
         x = SeededRng(5).normal(64)
         y, t = gelu_fwd(x)
-        np.testing.assert_array_equal(y, gelu(x))
+        np.testing.assert_array_equal(y, 0.5 * x * (1.0 + t))
         np.testing.assert_array_equal(gelu_grad(x, t), gelu_grad(x))
 
     def test_grad_matches_finite_differences(self):
         x = np.linspace(-4, 4, 101)
         h = 1e-6
-        num = (gelu(x + h) - gelu(x - h)) / (2 * h)
+        num = (gelu_fwd(x + h)[0] - gelu_fwd(x - h)[0]) / (2 * h)
         np.testing.assert_allclose(gelu_grad(x), num, atol=1e-8)
 
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        x = SeededRng(6).normal((4, 4))
-        np.testing.assert_array_equal(dropout(x, 0.5, train_mode=False), x)
+        # dropout is drawn in train mode only: an eval-mode embedding equals a
+        # train-mode one with the rate set to zero
+        cfg = ModelConfig(D=3, H=8, L=1, A=2, FF=8, M_max=5, dropout_rate=0.5)
+        a = init_params(cfg, SeededRng(6, ("init",))).arrays
+        X = SeededRng(6).normal((2, 4, 3))
+        out, (_, _, mask) = _embed_fwd(X, a, cfg, train_mode=False, rng=SeededRng(0))
+        off, _ = _embed_fwd(X, a, dataclasses.replace(cfg, dropout_rate=0.0),
+                            train_mode=True, rng=SeededRng(0))
+        assert mask is None
+        np.testing.assert_array_equal(out, off)
 
     def test_inverted_scaling_preserves_mean(self):
-        x = np.ones((200, 200))
-        y = dropout(x, 0.3, train_mode=True, rng=SeededRng(7))
+        y = dropout_mask((200, 200), 0.3, SeededRng(7))
         kept = y[y != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
         np.testing.assert_allclose(y.mean(), 1.0, atol=0.01)
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            dropout(np.ones(3), 1.0, train_mode=True, rng=SeededRng(0))
-
-
-class TestFiniteDiffCheck:
-    def test_quadratic_passes(self):
-        # loss = sum(w^2) + sum(v^2); analytic gradient 2w, 2v
-        params = {"w": np.array([1.0, -2.0, 3.0]), "v": np.array([[0.5, 4.0]])}
-
-        def loss(p):
-            return float(sum((arr ** 2).sum() for arr in p.values()))
-
-        grads = {k: 2 * v for k, v in params.items()}
-        report = finite_diff_check(loss, params, grads, step=1e-5, tol=1e-6)
-        assert report.ok
-        assert report.failed == []
-
-    def test_wrong_gradient_fails(self):
-        params = {"w": np.array([1.0, 2.0])}
-
-        def loss(p):
-            return float((p["w"] ** 2).sum())
-
-        report = finite_diff_check(loss, params, {"w": 3 * params["w"]},
-                                   step=1e-5, tol=1e-6)
-        assert not report.ok
-        assert "w" in report.failed
+        # the rate reaches dropout_mask only through a validated ModelConfig
+        for rate in (1.0, -0.1):
+            with pytest.raises(ValueError, match="dropout_rate"):
+                ModelConfig(dropout_rate=rate)
