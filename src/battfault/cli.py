@@ -4,7 +4,8 @@ Every command is a pure function of (config file, flags, input files, seed);
 re-running with identical inputs produces byte-identical output files.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numerical
-failure, 5 data inadequacy (e.g. a split missing a label class).
+failure, 5 data inadequacy (e.g. a split missing a label class); EXIT_CODES
+maps each failure to its code.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ import numpy as np
 from . import dataio, downstream, evalkit, model, pretrain
 from .numcore import NonFiniteError, SeededRng
 
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_NUMERIC = 4
-EXIT_DATA = 5
+# A failed command exits with the code of the first row its exception matches.
+# ConfigError, ParseError and CheckpointError are ValueErrors; SingleClassError
+# is one too, so its row comes first.
+EXIT_CODES = (
+    (OSError, 3),
+    (NonFiniteError, 4),
+    (evalkit.SingleClassError, 5),
+    (ValueError, 2),
+)
 
 
 class ConfigError(ValueError):
@@ -34,12 +40,22 @@ class ConfigError(ValueError):
 class EvalConfig:
     split_ratio: float = 0.8
     aggregator: str = "mean"
-    fault_rate: float = 0.00038
-    fault_cost_cny: float = 5_000_000.0
-    inspection_cost_cny: float = 8_000.0
+    fault_rate: float = evalkit.CostParams.p
+    fault_cost_cny: float = evalkit.CostParams.c_f
+    inspection_cost_cny: float = evalkit.CostParams.c_r
     tsne_perplexity: float = 12.0
     tsne_iterations: int = 500
     tsne_max_points: int = 600
+
+    def __post_init__(self):
+        if self.aggregator not in evalkit.AGGREGATORS:
+            raise ValueError(f"aggregator must be one of {sorted(evalkit.AGGREGATORS)}, "
+                             f"got {self.aggregator!r}")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split_ratio must be in (0,1), got {self.split_ratio}")
+        if self.tsne_perplexity <= 0 or self.tsne_iterations < 1 or self.tsne_max_points < 1:
+            raise ValueError("tsne_perplexity, tsne_iterations and tsne_max_points must be positive")
+        self.cost_params()  # checks fault_rate and the two costs
 
     def cost_params(self) -> evalkit.CostParams:
         return evalkit.CostParams(self.fault_rate, self.fault_cost_cny, self.inspection_cost_cny)
@@ -93,10 +109,12 @@ def load_config(path=None, seed_override=None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config key {unknown[0]!r}")
     kwargs = {}
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
-    if "seq_len" in raw:
-        kwargs["seq_len"] = int(raw["seq_len"])
+    for key in ("seed", "seq_len"):
+        if key in raw:
+            try:
+                kwargs[key] = int(raw[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"config key {key!r} must be an integer, got {raw[key]!r}") from None
     for section, cls in _SECTIONS.items():
         if section in raw:
             if not isinstance(raw[section], dict):
@@ -105,6 +123,8 @@ def load_config(path=None, seed_override=None) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed_override))
+    if cfg.seq_len < 2:
+        raise ConfigError(f"config key 'seq_len' must be >= 2, got {cfg.seq_len}")
     if cfg.model.M_max < cfg.seq_len + 1:
         raise ConfigError(f"model.M_max={cfg.model.M_max} must be >= seq_len+1={cfg.seq_len + 1}")
     return cfg
@@ -119,24 +139,6 @@ def _load_dataset(cfg: RunConfig, data_dir):
     data_path = os.path.join(data_dir, "snippets.csv")
     meta_path = os.path.join(data_dir, "meta.csv")
     return dataio.load_csv(data_path, meta_path, cfg.seq_len)
-
-
-def _write_loss_history(history, path):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, tr, va in history:
-            fh.write(f"{epoch},{repr(tr)},{repr(va)}\n")
-
-
-def _write_norm_stats(stats: dataio.NormStats, path):
-    doc = {
-        "mean": [float(x) for x in stats.mean],
-        "std": [float(x) for x in stats.std],
-        "meta_mean": [float(x) for x in stats.meta_mean],
-        "meta_std": [float(x) for x in stats.meta_std],
-    }
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def cmd_synth(args) -> int:
@@ -176,13 +178,17 @@ def cmd_pretrain(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     pretrain.save_checkpoint(ckpt, os.path.join(args.out, "checkpoint.json"))
-    _write_loss_history(history, os.path.join(args.out, "loss_history.csv"))
-    _write_norm_stats(stats, os.path.join(args.out, "norm_stats.json"))
+    dataio.write_text(os.path.join(args.out, "loss_history.csv"), "epoch,train_loss,val_loss\n" + "".join(
+        f"{epoch},{tr!r},{va!r}\n" for epoch, tr, va in history))
+    dataio.write_text(os.path.join(args.out, "norm_stats.json"), dataio.json_text(
+        {k: v.tolist() for k, v in dataclasses.asdict(stats).items()}))
     print(f"final train loss {history[-1][1]:.6f}, val loss {history[-1][2]:.6f}")
     return 0
 
 
 def cmd_detect(args) -> int:
+    if not args.checkpoint:
+        raise ConfigError("detect requires --checkpoint")
     cfg = load_config(args.config, args.seed)
     ds = _load_dataset(cfg, args.data)
     ckpt = pretrain.load_checkpoint(args.checkpoint)
@@ -239,6 +245,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_tsne(args) -> int:
+    if not args.raw and not args.checkpoint:
+        raise ConfigError("tsne requires --checkpoint unless --raw")
     cfg = load_config(args.config, args.seed)
     ds = _load_dataset(cfg, args.data)
     stats = dataio.fit_norm(ds)
@@ -276,15 +284,8 @@ def cmd_tsne(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    params = evalkit.CostParams(
-        p=args.p if args.p is not None else 0.00038,
-        c_f=args.c_f if args.c_f is not None else 5_000_000.0,
-        c_r=args.c_r if args.c_r is not None else 8_000.0,
-    )
-    if not (0.0 <= args.q_tp <= 1.0 and 0.0 <= args.q_fp <= 1.0):
-        raise ConfigError(f"rates must be in [0,1], got q_tp={args.q_tp}, q_fp={args.q_fp}")
-    cost = evalkit.expected_cost(params, args.q_tp, args.q_fp)
-    print(repr(cost))
+    params = evalkit.CostParams(args.p, args.c_f, args.c_r)
+    print(repr(evalkit.expected_cost(params, args.q_tp, args.q_fp)))
     return 0
 
 
@@ -331,45 +332,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="expected direct cost at an operating point")
     p.add_argument("--q-tp", type=float, required=True, dest="q_tp")
     p.add_argument("--q-fp", type=float, required=True, dest="q_fp")
-    p.add_argument("--p", type=float, default=None, help="fault rate override")
-    p.add_argument("--c-f", type=float, default=None, dest="c_f", help="fault cost override")
-    p.add_argument("--c-r", type=float, default=None, dest="c_r", help="inspection cost override")
+    p.add_argument("--p", type=float, default=evalkit.CostParams.p, help="fault rate")
+    p.add_argument("--c-f", type=float, default=evalkit.CostParams.c_f, dest="c_f",
+                   help="direct cost of a missed fault (CNY)")
+    p.add_argument("--c-r", type=float, default=evalkit.CostParams.c_r, dest="c_r",
+                   help="inspection cost (CNY)")
     p.set_defaults(fn=cmd_cost)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "detect" and not args.checkpoint:
-        print("error: detect requires --checkpoint", file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "command", None) == "tsne" and not args.raw and not args.checkpoint:
-        print("error: tsne requires --checkpoint unless --raw", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.fn(args)
-    except (ConfigError, pretrain.CheckpointError) as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except dataio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except evalkit.SingleClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -4,11 +4,16 @@ CSV formats (UTF-8, '.' decimals, LF or CRLF):
   snippets: snippet_id,vehicle_id,step,voltage,current,temperature[,extra...]
             rows of one snippet contiguous and sorted by the 0-based step.
   metadata: snippet_id,label,mileage_km,cycle_count  with label in {0,1}.
+
+Every file the package writes goes through write_text (UTF-8, LF line ends),
+and every JSON document through json_text (the one canonical form).
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +26,17 @@ META_NAMES = ["mileage_km", "cycle_count"]
 
 class ParseError(ValueError):
     """Malformed input file; message carries file/line context."""
+
+
+def write_text(path, text: str):
+    """Write text to path as UTF-8 with LF line ends."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def json_text(doc) -> str:
+    """Canonical JSON text: sorted keys, one-space indent, a final newline."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -92,9 +108,12 @@ class SplitSpec:
 
 def _parse_float(cell: str, path, line_no: int, col: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(f"{path}:{line_no}: non-numeric value {cell!r} in column {col!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{line_no}: non-finite value {cell!r} in column {col!r}")
+    return value
 
 
 def _resample(channels: np.ndarray, target_len: int) -> np.ndarray:
@@ -177,10 +196,19 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                         f"(its first block starts at line {first_line_of[sid]})")
                 first_line_of[sid] = line_no
                 cur_id, cur_vehicle, cur_rows, first_line = sid, vid, [], line_no
+                prev_step = None
             elif vid != cur_vehicle:
                 raise ParseError(
                     f"{data_path}:{line_no}: snippet {sid!r} row has vehicle {vid!r} "
                     f"but its first row (line {first_line}) has vehicle {cur_vehicle!r}")
+            try:
+                step = int(row[2])
+            except ValueError:
+                raise ParseError(f"{data_path}:{line_no}: step {row[2]!r} is not an integer") from None
+            if prev_step is not None and step <= prev_step:
+                raise ParseError(f"{data_path}:{line_no}: snippet {sid!r} step {step} "
+                                 f"does not follow its previous step {prev_step}")
+            prev_step = step
             cur_rows.append([_parse_float(row[3 + d], data_path, line_no, channel_names[d])
                              for d in range(len(channel_names))])
         flush(None)
@@ -406,14 +434,9 @@ def merge_fleets(a: FleetDataset, b: FleetDataset) -> FleetDataset:
 
 def write_csv(ds: FleetDataset, data_path, meta_path):
     """Write a dataset in the ingestion CSV formats (deterministic bytes)."""
-    with open(data_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("snippet_id,vehicle_id,step," + ",".join(ds.channel_names) + "\n")
-        for s in ds.snippets:
-            for step in range(s.channels.shape[0]):
-                vals = ",".join(repr(float(x)) for x in s.channels[step])
-                fh.write(f"{s.snippet_id},{s.vehicle_id},{step},{vals}\n")
-    with open(meta_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("snippet_id,label,mileage_km,cycle_count\n")
-        for s in ds.snippets:
-            vals = ",".join(repr(float(x)) for x in s.meta)
-            fh.write(f"{s.snippet_id},{s.label},{vals}\n")
+    write_text(data_path, "snippet_id,vehicle_id,step," + ",".join(ds.channel_names) + "\n" + "".join(
+        f"{s.snippet_id},{s.vehicle_id},{step}," + ",".join(map(repr, row)) + "\n"
+        for s in ds.snippets for step, row in enumerate(s.channels.tolist())))
+    write_text(meta_path, "snippet_id,label,mileage_km,cycle_count\n" + "".join(
+        f"{s.snippet_id},{s.label}," + ",".join(map(repr, s.meta.tolist())) + "\n"
+        for s in ds.snippets))

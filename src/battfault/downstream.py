@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FleetDataset
+from .dataio import FleetDataset, json_text, write_text
 from .evalkit import SingleClassError
 from .model import ModelConfig, ModelParams, encode_batch
 from .numcore import NonFiniteError
@@ -264,15 +264,13 @@ def _node_from_dict(d: dict) -> TreeNode:
 
 
 def save_gbdt(model: GbdtModel, path):
-    doc = {
+    write_text(path, json_text({
         "format_version": GBDT_FORMAT_VERSION,
         "base_score": model.base_score,
         "config": {"shrinkage": model.shrinkage, "max_depth": model.max_depth,
                    "rounds": model.rounds, "n_features": model.n_features},
         "trees": [_node_to_dict(t) for t in model.trees],
-    }
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    }))
 
 
 def load_gbdt(path) -> GbdtModel:

@@ -10,11 +10,12 @@ inspection).
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .dataio import json_text, write_text
 from .numcore import SeededRng
 
 
@@ -154,9 +155,12 @@ def min_expected_cost(scores, labels, params: CostParams = CostParams()):
     return float(cost), pt.threshold, pt
 
 
+AGGREGATORS = {"mean": np.mean, "max": np.max}
+
+
 def vehicle_scores(scores, vehicle_ids, aggregator: str = "mean") -> dict:
     """Aggregate snippet scores to one score per vehicle (mean or max)."""
-    if aggregator not in ("mean", "max"):
+    if aggregator not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {aggregator!r}")
     groups = {}
     for s, v in zip(scores, vehicle_ids):
@@ -164,7 +168,7 @@ def vehicle_scores(scores, vehicle_ids, aggregator: str = "mean") -> dict:
     for v, g in groups.items():
         if not g:
             raise ValueError(f"empty score group for vehicle {v}")
-    agg = np.mean if aggregator == "mean" else np.max
+    agg = AGGREGATORS[aggregator]
     return {v: float(agg(g)) for v, g in groups.items()}
 
 
@@ -342,44 +346,20 @@ def scatter_svg(rows: list, width: int = 480, height: int = 480) -> str:
 
 def write_tsne_outputs(rows: list, out_dir, stem: str = "tsne"):
     """Write tsne CSV + scatter SVG for rows of (x, y, vehicle_id, label)."""
-    import os
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
-    with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("x,y,vehicle_id,label\n")
-        for x, y, vid, label in rows:
-            fh.write(f"{_fmt(x)},{_fmt(y)},{vid},{int(label)}\n")
-    with open(os.path.join(out_dir, f"{stem}.svg"), "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(scatter_svg(rows))
+    write_text(os.path.join(out_dir, f"{stem}.csv"), "x,y,vehicle_id,label\n" + "".join(
+        f"{_fmt(x)},{_fmt(y)},{vid},{int(label)}\n" for x, y, vid, label in rows))
+    write_text(os.path.join(out_dir, f"{stem}.svg"), scatter_svg(rows))
 
 
 def emit_report(report: EvaluationReport, out_dir):
     """Write report.json, roc.csv (+ cost column) and the ROC figure."""
-    import os
     os.makedirs(out_dir, exist_ok=True)
-
-    with open(os.path.join(out_dir, "roc.csv"), "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("threshold,q_tp,q_fp,expected_cost_cny\n")
-        for pt in report.roc_points:
-            cost = expected_cost(report.cost_params, pt.q_tp, pt.q_fp)
-            fh.write(f"{_fmt(pt.threshold)},{_fmt(pt.q_tp)},{_fmt(pt.q_fp)},{_fmt(cost)}\n")
-
-    with open(os.path.join(out_dir, "roc.svg"), "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(roc_svg(report.roc_points))
-
-    doc = {
-        "snippet_auroc": report.snippet_auroc,
-        "vehicle_auroc": report.vehicle_auroc,
-        "min_expected_cost": report.min_expected_cost,
-        "min_cost_threshold": report.min_cost_threshold,
-        "min_cost_point": asdict(report.min_cost_point),
-        "min_cost_convention": "minimum of the expected cost over all ROC operating points",
-        "n_pos_vehicles": report.n_pos_vehicles,
-        "n_neg_vehicles": report.n_neg_vehicles,
-        "n_pos_snippets": report.n_pos_snippets,
-        "n_neg_snippets": report.n_neg_snippets,
-        "cost_params": asdict(report.cost_params),
-        "config_echo": report.config_echo,
-        "seeds": report.seeds,
-    }
-    with open(os.path.join(out_dir, "report.json"), "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_text(os.path.join(out_dir, "roc.csv"), "threshold,q_tp,q_fp,expected_cost_cny\n" + "".join(
+        f"{_fmt(pt.threshold)},{_fmt(pt.q_tp)},{_fmt(pt.q_fp)},"
+        f"{_fmt(expected_cost(report.cost_params, pt.q_tp, pt.q_fp))}\n"
+        for pt in report.roc_points))
+    write_text(os.path.join(out_dir, "roc.svg"), roc_svg(report.roc_points))
+    doc = asdict(report)
+    del doc["roc_points"]
+    doc["min_cost_convention"] = "minimum of the expected cost over all ROC operating points"
+    write_text(os.path.join(out_dir, "report.json"), json_text(doc))

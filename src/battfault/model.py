@@ -369,7 +369,7 @@ class GradCheckReport:
 def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
                    X_target: np.ndarray, mask: np.ndarray,
                    step: float = 5e-4, tol: float = 1e-4, chunk: int = 192):
-    """Check analytic gradients of the masked loss against central differences.
+    """Check analytic gradients of the masked loss on one (M, D) snippet.
 
     Uses the 4th-order central stencil (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
     so one step size covers both high-curvature entries (truncation ~ h^4) and
@@ -378,20 +378,16 @@ def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     scalar is Python-overhead bound, so P perturbed copies of one array are
     stacked along a leading axis and run through the training forward at once.
     """
-    if X_corrupt.ndim == 2:
-        X_corrupt = X_corrupt[None]
-        X_target = X_target[None]
-        mask = mask[None]
-    _, cache = msm_forward(params, cfg, X_corrupt, X_target, mask)
+    if not X_corrupt.ndim == X_target.ndim == mask.ndim == 2:
+        raise ValueError(f"gradient check takes one (M, D) snippet, got input of shape {X_corrupt.shape}")
+    X_in = X_corrupt[None]
+    _, cache = msm_forward(params, cfg, X_in, X_target[None], mask[None])
     analytic = msm_backward(cache, params, cfg)
 
     stencil = np.array([2.0, 1.0, -1.0, -2.0]) * step
     weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
     report = GradCheckReport(tol=tol)
     base_arrays = params.arrays
-    X_in = X_corrupt[:1]
-    target_b = X_target[0]
-    mask_b = mask[0]
 
     for name, base in base_arrays.items():
         grad_flat = analytic[name].reshape(-1)
@@ -407,8 +403,8 @@ def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
             arrays[name] = stacked
             E, _ = _embed_fwd(X_in, arrays, cfg)
             Hs, _ = _encoder_fwd(E, arrays, cfg)
-            diff = _head_fwd(Hs, arrays) - target_b
-            losses = (mask_b * diff * diff).sum(axis=(1, 2)) / mask_b.sum()
+            diff = _head_fwd(Hs, arrays) - X_target
+            losses = (mask * diff * diff).sum(axis=(1, 2)) / mask.sum()
             if not np.all(np.isfinite(losses)):
                 raise ValueError(f"non-finite loss while perturbing parameter {name!r}")
             numeric = (losses.reshape(m, 4) * weights).sum(axis=1)

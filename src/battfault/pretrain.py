@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dataio import FleetDataset
+from .dataio import FleetDataset, json_text, write_text
 from .model import ModelConfig, ModelParams, init_params, msm_backward, msm_forward, param_shapes
 from .numcore import NonFiniteError, SeededRng
 
@@ -141,7 +141,7 @@ class Checkpoint:
 
 def checkpoint_document(ckpt: Checkpoint) -> str:
     """Serialize to the canonical JSON text form (shortest round-trip decimals)."""
-    doc = {
+    return json_text({
         "format_version": ckpt.format_version,
         "config": asdict(ckpt.config),
         "provenance": ckpt.provenance,
@@ -149,16 +149,15 @@ def checkpoint_document(ckpt: Checkpoint) -> str:
             name: {"shape": list(arr.shape), "data": [float(x) for x in arr.reshape(-1)]}
             for name, arr in ckpt.tensors.items()
         },
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    })
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(checkpoint_document(ckpt))
+    write_text(path, checkpoint_document(ckpt))
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed document raises CheckpointError naming path."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -167,22 +166,31 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CheckpointError(f"malformed checkpoint {path}: missing format_version")
     if doc["format_version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {doc['format_version']} (expected {CHECKPOINT_VERSION})")
+        raise CheckpointError(f"unsupported checkpoint version {doc['format_version']} "
+                              f"in {path} (expected {CHECKPOINT_VERSION})")
     try:
+        if not isinstance(doc.get("config"), dict) or not isinstance(doc.get("tensors"), dict):
+            raise ValueError("'config' and 'tensors' must be objects")
         cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
                              for k, v in doc["config"].items()})
+        shapes = param_shapes(cfg)
+        if set(doc["tensors"]) != set(shapes):
+            raise ValueError(f"missing tensors {sorted(set(shapes) - set(doc['tensors']))}, "
+                             f"unexpected tensors {sorted(set(doc['tensors']) - set(shapes))}")
         tensors = {}
         for name, spec in doc["tensors"].items():
-            shape = tuple(int(s) for s in spec["shape"])
+            shape = tuple(spec["shape"])
             data = np.array(spec["data"], dtype=np.float64)
-            if data.size != int(np.prod(shape)):
-                raise CheckpointError(
-                    f"tensor {name}: {data.size} values for shape {shape}")
+            if shape != shapes[name] or data.shape != (int(np.prod(shape)),):
+                raise ValueError(f"tensor {name}: {data.size} values for shape {shape}, "
+                                 f"expected shape {shapes[name]}")
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"tensor {name}: non-finite values")
             tensors[name] = data.reshape(shape)
-    except (KeyError, TypeError) as exc:
+        provenance = dict(doc.get("provenance", {}))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
-    return Checkpoint(cfg, tensors, dict(doc.get("provenance", {})), doc["format_version"])
+    return Checkpoint(cfg, tensors, provenance, doc["format_version"])
 
 
 @dataclass

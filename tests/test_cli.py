@@ -58,6 +58,23 @@ class TestSynth:
         bad.write_text("{")
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"seed": None}, "'seed'"),
+        ({"seed": [1]}, "'seed'"),
+        ({"seq_len": "long"}, "'seq_len'"),
+        ({"seq_len": 1}, "'seq_len'"),
+        ({"eval": {"aggregator": "median"}}, "aggregator"),
+        ({"eval": {"split_ratio": 1.0}}, "split_ratio"),
+        ({"eval": {"tsne_iterations": 0}}, "tsne_iterations"),
+        ({"eval": {"tsne_perplexity": "x"}}, "'eval'"),
+        ({"eval": {"fault_rate": 2.0}}, "fault rate"),
+    ])
+    def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestPretrain:
     def test_artifacts_exist(self, workspace):
@@ -84,6 +101,19 @@ class TestPretrain:
         assert "copied embed.W_e" in text
 
 
+# each one breaks a copy of a valid checkpoint document in one way
+CHECKPOINT_DEFECTS = {
+    "config_not_object": lambda doc: doc.update(config=[]),
+    "tensors_not_object": lambda doc: doc.update(tensors="none"),
+    "invalid_model_config": lambda doc: doc["config"].update(A=5),
+    "non_numeric_data": lambda doc: doc["tensors"]["head.b"].update(data=["a", "b", "c"]),
+    "missing_tensor": lambda doc: doc["tensors"].pop("head.b"),
+    "extra_tensor": lambda doc: doc["tensors"].update(extra={"shape": [1], "data": [0.0]}),
+    "wrong_shape": lambda doc: doc["tensors"]["head.b"].update(shape=[1, 3]),
+    "nan_value": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, float("nan")),
+}
+
+
 class TestDetect:
     def test_report_written(self, workspace, tmp_path):
         out = tmp_path / "detect"
@@ -100,6 +130,17 @@ class TestDetect:
         assert roc[0] == "threshold,q_tp,q_fp,expected_cost_cny"
         assert (out / "roc.svg").exists()
         assert (out / "classifier.json").exists()
+
+    @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+    def test_malformed_checkpoint_exits_2_naming_it(self, workspace, tmp_path, capsys, defect):
+        doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+        CHECKPOINT_DEFECTS[defect](doc)
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["detect", "--config", str(workspace["config"]),
+                     "--data", str(workspace["data"]), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_requires_checkpoint_flag(self, workspace, tmp_path):
         assert main(["detect", "--config", str(workspace["config"]),

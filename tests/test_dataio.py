@@ -152,6 +152,43 @@ class TestCsvRoundTrip:
                                              rf"has vehicle '{other.vehicle_id}'"):
             load_csv(data, meta, 32)
 
+    def test_steps_out_of_order_rejected(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        header, *rows = data.read_text().splitlines()
+        sid = small_fleet.snippets[0].snippet_id
+        # the first snippet's rows reversed: steps 31..0
+        data.write_text("\n".join([header, *rows[:32][::-1], *rows[32:]]) + "\n")
+        with pytest.raises(ParseError, match=rf"snippets\.csv:3: snippet '{sid}' step 30 "
+                                             r"does not follow its previous step 31"):
+            load_csv(data, meta, 32)
+        cols = rows[2].split(",")
+        cols[2] = "2.5"
+        rows[2] = ",".join(cols)
+        data.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ParseError, match=r"snippets\.csv:4: step '2\.5' is not an integer"):
+            load_csv(data, meta, 32)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_line_and_column(self, small_fleet, tmp_path, cell):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = data.read_text().splitlines()
+        cols = lines[6].split(",")
+        cols[4] = cell  # the current channel
+        lines[6] = ",".join(cols)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"snippets\.csv:7: non-finite value '{cell}' "
+                                             r"in column 'current'"):
+            load_csv(data, meta, 32)
+        lines = meta.read_text().splitlines()
+        cols = lines[3].split(",")
+        cols[2] = cell
+        lines[3] = ",".join(cols)
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"meta\.csv:4: non-finite value .* in column 'mileage_km'"):
+            load_csv(data, meta, 32)
+
 
 class TestNormalization:
     def test_train_stats_are_zero_mean_unit_std(self, small_fleet):

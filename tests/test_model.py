@@ -164,6 +164,14 @@ class TestBackward:
         report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
         assert report.ok, report.failed
 
+    def test_gradient_check_rejects_a_batch(self, tiny):
+        # the gate perturbs one snippet, so a batch would compare its
+        # one-snippet differences against the batch gradient
+        cfg, params = tiny
+        Xc, X, mask = random_instance(cfg, 13, B=2)
+        with pytest.raises(ValueError, match=r"one \(M, D\) snippet"):
+            model.msm_grad_check(params, cfg, Xc, X, mask)
+
 
 # the gradient check stacks variants of one array; a representative spread
 # over every stage, vectors and matrices, the positional table and the head
