@@ -111,10 +111,12 @@ def load_config(path=None, seed_override=None) -> RunConfig:
     kwargs = {}
     for key in ("seed", "seq_len"):
         if key in raw:
-            try:
-                kwargs[key] = int(raw[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key!r} must be an integer, got {raw[key]!r}") from None
+            value = raw[key]
+            # a JSON bool is a Python int, and int() would truncate 1.7 to 1
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+            kwargs[key] = int(value)
     for section, cls in _SECTIONS.items():
         if section in raw:
             if not isinstance(raw[section], dict):
@@ -123,6 +125,8 @@ def load_config(path=None, seed_override=None) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed_override))
+    if cfg.seed < 0:
+        raise ConfigError(f"config key 'seed' must be >= 0, got {cfg.seed}")
     if cfg.seq_len < 2:
         raise ConfigError(f"config key 'seq_len' must be >= 2, got {cfg.seq_len}")
     if cfg.model.M_max < cfg.seq_len + 1:

@@ -345,13 +345,21 @@ class FleetConfig:
     voltage_offset: float = 0.0
     temp_offset: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_vehicles < 1 or self.snippets_per_vehicle < 1 or self.seq_len < 2:
             raise ValueError("n_vehicles, snippets_per_vehicle, seq_len must be positive")
         if not 0.0 <= self.fault_fraction <= 1.0:
             raise ValueError(f"fault_fraction must be in [0,1], got {self.fault_fraction}")
         if self.noise_std < 0 or self.jitter < 0:
             raise ValueError("noise_std and jitter must be nonnegative")
+        for name in ("mileage_range", "cycle_range"):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and math.isfinite(v) for v in bounds)
+                    and bounds[0] <= bounds[1]):
+                raise ValueError(f"{name} must be two finite numbers [lo, hi] with lo <= hi, "
+                                 f"got {bounds!r}")
 
 
 CHANNEL_NAMES = ("voltage", "current", "temperature")
@@ -391,7 +399,6 @@ def _synth_snippet(cfg: FleetConfig, rng: SeededRng, resistance: float, faulty: 
 
 def synth_fleet(cfg: FleetConfig, seed: int, id_prefix: str = "ev") -> FleetDataset:
     """Generate a deterministic synthetic EV fleet with injected fault signatures."""
-    cfg.validate()
     rng = SeededRng(seed, ("synth_fleet",))
 
     n_fault = int(round(cfg.fault_fraction * cfg.n_vehicles))

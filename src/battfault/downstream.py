@@ -14,6 +14,7 @@ index, then lowest threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ from .model import ModelConfig, ModelParams, encode_batch
 from .numcore import NonFiniteError
 
 GBDT_FORMAT_VERSION = 1
+
+
+class ClassifierError(ValueError):
+    """Malformed classifier document; the message names the file."""
 
 
 @dataclass(frozen=True)
@@ -256,11 +261,27 @@ def _node_to_dict(node: TreeNode) -> dict:
             "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
 
 
-def _node_from_dict(d: dict) -> TreeNode:
+def _finite(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _node_from_dict(d: dict, n_features: int) -> TreeNode:
     if "weight" in d:
-        return TreeNode(weight=float(d["weight"]))
-    return TreeNode(feature=int(d["feature"]), threshold=float(d["threshold"]),
-                    left=_node_from_dict(d["left"]), right=_node_from_dict(d["right"]))
+        return TreeNode(weight=_finite(d["weight"], "weight"))
+    feature = d["feature"]
+    if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < n_features:
+        raise ValueError(f"split feature {feature!r} outside [0, {n_features})")
+    return TreeNode(feature=feature, threshold=_finite(d["threshold"], "threshold"),
+                    left=_node_from_dict(d["left"], n_features),
+                    right=_node_from_dict(d["right"], n_features))
 
 
 def save_gbdt(model: GbdtModel, path):
@@ -274,11 +295,26 @@ def save_gbdt(model: GbdtModel, path):
 
 
 def load_gbdt(path) -> GbdtModel:
+    """Read a classifier; any malformed document raises ClassifierError naming path."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != GBDT_FORMAT_VERSION:
-        raise ValueError(f"unsupported classifier format version {doc.get('format_version')}")
-    c = doc["config"]
-    return GbdtModel(float(doc["base_score"]), [_node_from_dict(t) for t in doc["trees"]],
-                     float(c["shrinkage"]), int(c["max_depth"]), int(c["rounds"]),
-                     int(c["n_features"]))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ClassifierError(f"malformed classifier {path}: {exc}") from None
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        if doc.get("format_version") != GBDT_FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {doc.get('format_version')!r} "
+                             f"(expected {GBDT_FORMAT_VERSION})")
+        c = doc["config"]
+        n_features = _positive_int(c["n_features"], "n_features")
+        return GbdtModel(_finite(doc["base_score"], "base_score"),
+                         [_node_from_dict(t, n_features) for t in doc["trees"]],
+                         _finite(c["shrinkage"], "shrinkage"),
+                         _positive_int(c["max_depth"], "max_depth"),
+                         _positive_int(c["rounds"], "rounds"), n_features)
+    except KeyError as exc:
+        raise ClassifierError(f"malformed classifier {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ClassifierError(f"malformed classifier {path}: {exc}") from None

@@ -188,7 +188,9 @@ def _outer_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X.reshape(B * T, -1).T @ Y.reshape(B * T, -1)
 
 
-def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig):
+def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
+                   summary_only: bool = False):
+    """Multi-head self-attention over (B, T, H); ``summary_only`` queries from row 0 alone."""
     A, dh = cfg.A, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
 
@@ -196,12 +198,13 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig):
         B, T, _ = Z.shape
         return Z.reshape(B, T, A, dh).transpose(0, 2, 1, 3)
 
-    Q = heads(X @ a[prefix + "Wq"] + _vec(a[prefix + "bq"]))
+    Xq = X[:, :1] if summary_only else X
+    Q = heads(Xq @ a[prefix + "Wq"] + _vec(a[prefix + "bq"]))
     K = heads(X @ a[prefix + "Wk"] + _vec(a[prefix + "bk"]))
     V = heads(X @ a[prefix + "Wv"] + _vec(a[prefix + "bv"]))
     scores = (Q @ K.transpose(0, 1, 3, 2)) * scale
     probs = softmax_rows(scores)
-    context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, X.shape[1], cfg.H)
+    context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, Xq.shape[1], cfg.H)
     out = context @ a[prefix + "Wo"] + _vec(a[prefix + "bo"])
     return out, (X, Q, K, V, probs, context, scale)
 
@@ -233,14 +236,21 @@ def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConf
     return dX
 
 
-def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig):
-    """(B, T, H) -> (B, T, H) through L post-norm layers, with per-layer caches."""
+def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, summary_only: bool = False):
+    """(B, T, H) -> (B, T, H) through L post-norm layers, with per-layer caches.
+
+    With ``summary_only`` the last layer computes row 0 alone: its queries
+    come from the summary row, its keys and values from every row, and the
+    output is (B, 1, H). Eval encoding reads nothing else; the backward pass
+    needs the full-row caches.
+    """
     X = E
     caches = []
     for i in range(cfg.L):
         p = f"layer{i}."
-        attn_out, attn_cache = _attention_fwd(X, a, p, cfg)
-        R1 = X + attn_out
+        one_row = summary_only and i == cfg.L - 1
+        attn_out, attn_cache = _attention_fwd(X, a, p, cfg, summary_only=one_row)
+        R1 = (X[:, :1] if one_row else X) + attn_out
         X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]), LN_EPS)
         F1 = X1 @ a[p + "W1"] + _vec(a[p + "b1"])
         G, tanh_term = gelu_fwd(F1)
@@ -286,7 +296,7 @@ def _head_fwd(Hs: np.ndarray, a: dict):
 def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     """Eval-mode summary vectors for a batch: (B, M, D) -> (B, H)."""
     E, _ = _embed_fwd(X, params.arrays, cfg, train_mode=False)
-    Hs, _ = _encoder_fwd(E, params.arrays, cfg)
+    Hs, _ = _encoder_fwd(E, params.arrays, cfg, summary_only=True)
     return Hs[:, 0, :]
 
 

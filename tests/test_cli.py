@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from battfault.cli import main
+from battfault.cli import load_config, main
 
 TINY_CONFIG = {
     "seed": 5,
@@ -68,12 +68,31 @@ class TestSynth:
         ({"eval": {"tsne_iterations": 0}}, "tsne_iterations"),
         ({"eval": {"tsne_perplexity": "x"}}, "'eval'"),
         ({"eval": {"fault_rate": 2.0}}, "fault rate"),
+        # not truncated to 1
+        ({"seed": 1.7}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"seed": -1}, "'seed'"),
+        ({"seq_len": 16.5}, "'seq_len'"),
+        ({"seq_len": False}, "'seq_len'"),
+        # not an unpack error that names neither the key nor the section
+        ({"generator": {"mileage_range": [1]}}, "'generator': mileage_range"),
+        ({"generator": {"mileage_range": [2.0, 1.0]}}, "'generator': mileage_range"),
+        ({"generator": {"cycle_range": [0.0, float("inf")]}}, "'generator': cycle_range"),
+        ({"generator": {"cycle_range": [1, "x"]}}, "'generator': cycle_range"),
+        ({"generator": {"cycle_range": [True, 2]}}, "'generator': cycle_range"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_integral_float_seed_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7.0, "seq_len": 16.0}))
+        loaded = load_config(cfg)
+        assert (loaded.seed, loaded.seq_len) == (7, 16)
+        assert type(loaded.seed) is int and type(loaded.seq_len) is int
 
 
 class TestPretrain:

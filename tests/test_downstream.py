@@ -1,3 +1,5 @@
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from battfault import dataio, downstream, model
 from battfault.downstream import (
+    ClassifierError,
     FusedFeature,
     GbdtConfig,
     GbdtModel,
@@ -226,6 +229,49 @@ class TestSaveLoad:
         save_gbdt(mdl, p1)
         save_gbdt(load_gbdt(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _first_split(doc):
+    return next(t for t in doc["trees"] if "feature" in t)
+
+
+# each defect edits the document save_gbdt wrote (None: replace the text)
+MALFORMED_CLASSIFIERS = {
+    "invalid_json": (None, "malformed classifier"),
+    "not_an_object": (lambda doc: [doc], "not a JSON object"),
+    "wrong_version": (lambda doc: doc.update(format_version=2), "format version"),
+    "missing_key": (lambda doc: doc["config"].pop("n_features"), "missing key 'n_features'"),
+    "missing_node_key": (lambda doc: _first_split(doc).pop("threshold"), "missing key 'threshold'"),
+    "non_numeric_base_score": (lambda doc: doc.update(base_score="0.1"), "'base_score'"),
+    "non_numeric_max_depth": (lambda doc: doc["config"].update(max_depth=3.5), "'max_depth'"),
+    "non_numeric_weight": (lambda doc: doc["trees"][0]["left"].update(weight=None), "'weight'"),
+    "non_finite_threshold": (lambda doc: _first_split(doc).update(threshold=float("nan")),
+                             "'threshold'"),
+    "non_finite_shrinkage": (lambda doc: doc["config"].update(shrinkage=float("inf")),
+                             "'shrinkage'"),
+    "feature_too_large": (lambda doc: _first_split(doc).update(feature=4), "split feature 4"),
+    "feature_negative": (lambda doc: _first_split(doc).update(feature=-1), "split feature -1"),
+    "trees_not_a_list": (lambda doc: doc.update(trees=7), "malformed classifier"),
+}
+
+
+class TestLoadMalformed:
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_CLASSIFIERS))
+    def test_raises_naming_the_file(self, tmp_path, defect):
+        X, y = blobs(n=25, seed=11)
+        path = tmp_path / "gbdt.json"
+        save_gbdt(train_gbdt(make_features(X, y), GbdtConfig(rounds=3)), path)
+        edit, message = MALFORMED_CLASSIFIERS[defect]
+        if edit is None:
+            path.write_text(path.read_text()[:-5])
+        else:
+            doc = json.loads(path.read_text())
+            edited = edit(doc)
+            path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
+        with pytest.raises(ClassifierError, match=re.escape(str(path))) as info:
+            load_gbdt(path)
+        assert isinstance(info.value, ValueError)
+        assert message in str(info.value)
 
 
 @pytest.fixture(scope="module")

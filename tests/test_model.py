@@ -94,6 +94,23 @@ class TestForwardShapes:
         np.testing.assert_array_equal(encode_batch(X, params, cfg),
                                       encode_batch(X, params, cfg))
 
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("B", [1, 32])
+    def test_encode_batch_matches_full_forward_row0(self, L, B):
+        # encode_batch runs the last layer on the summary row alone; the
+        # weights are scaled up from the init so that attention is far from
+        # uniform and a query taken from the wrong row shows
+        cfg = ModelConfig(D=3, H=16, L=L, A=2, FF=32, M_max=17, dropout_rate=0.1, K=2)
+        init = init_params(cfg, SeededRng(21, ("init",))).arrays
+        params = ModelParams(cfg, {k: v + 0.3 * SeededRng(22, (k,)).normal(v.shape)
+                                   for k, v in init.items()})
+        X = SeededRng(23).normal((B, 16, cfg.D))
+        E, _ = _embed_fwd(X, params.arrays, cfg)
+        full = _encoder_fwd(E, params.arrays, cfg)[0][:, 0, :]
+        summary = encode_batch(X, params, cfg)
+        assert summary.shape == (B, cfg.H)
+        np.testing.assert_allclose(summary, full, rtol=1e-12, atol=0)
+
 
 class TestMsmLoss:
     def test_matches_naive_double_loop(self, tiny):

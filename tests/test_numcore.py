@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from battfault.model import ModelConfig, _embed_fwd, init_params
 from battfault.numcore import (
+    GELU_CUBIC,
+    SQRT_2_OVER_PI,
     SeededRng,
     dropout_mask,
     gelu_fwd,
@@ -102,6 +104,14 @@ class TestSoftmax:
         x = SeededRng(2).normal((4, 6))
         np.testing.assert_allclose(softmax_rows(x), softmax_rows(x + 100.0), atol=1e-12)
 
+    def test_input_left_unchanged(self):
+        # exp and the divide run in place, in a buffer of softmax_rows' own
+        x = SeededRng(2).normal((2, 3, 4, 5))
+        before = x.copy()
+        p = softmax_rows(x)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(p, x)
+
     def test_backward_matches_finite_differences(self):
         rng = SeededRng(4)
         x = rng.spawn("x").normal((2, 5))
@@ -131,13 +141,33 @@ class TestGelu:
         x = SeededRng(5).normal(64)
         y, t = gelu_fwd(x)
         np.testing.assert_array_equal(y, 0.5 * x * (1.0 + t))
-        np.testing.assert_array_equal(gelu_grad(x, t), gelu_grad(x))
+        np.testing.assert_allclose(t, np.tanh(SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)),
+                                   rtol=1e-15, atol=0)
 
     def test_grad_matches_finite_differences(self):
         x = np.linspace(-4, 4, 101)
         h = 1e-6
         num = (gelu_fwd(x + h)[0] - gelu_fwd(x - h)[0]) / (2 * h)
-        np.testing.assert_allclose(gelu_grad(x), num, atol=1e-8)
+        np.testing.assert_allclose(gelu_grad(x, gelu_fwd(x)[1]), num, atol=1e-8)
+
+    @pytest.mark.parametrize("x", [
+        np.array(1.0),
+        np.array(-3.7),
+        np.linspace(-10.0, 10.0, 200_001),
+        SeededRng(8).normal((4, 9, 16)) * 3.0,
+    ], ids=["0-d", "0-d-negative", "ramp", "3-d"])
+    def test_matches_pow_cube_formula(self, x):
+        # the cube is x * x * x rather than x ** 3 (libm pow); both round
+        # differently in the last ulp only
+        u = SQRT_2_OVER_PI * (x + GELU_CUBIC * x ** 3)
+        t_ref = np.tanh(u)
+        y, t = gelu_fwd(x)
+        assert np.shape(y) == np.shape(t) == x.shape
+        np.testing.assert_allclose(t, t_ref, rtol=1e-15, atol=0)
+        # where tanh nears -1, 1 + t is a multiple of 2**-53, so y is only
+        # close to 1e-15 relative away from zero; the absolute floor covers
+        # that tail (|x| <= 10)
+        np.testing.assert_allclose(y, 0.5 * x * (1.0 + t_ref), rtol=1e-15, atol=1e-15)
 
 
 class TestDropout:
