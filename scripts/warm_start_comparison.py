@@ -16,7 +16,7 @@ from battfault.numcore import SeededRng
 
 
 def prepare(fleet_seed, split_seed, n_vehicles=16):
-    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=n_vehicles), fleet_seed)
+    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=n_vehicles), fleet_seed, 128)
     train, val, _ = dataio.vehicle_split(fleet, 0.8, split_seed)
     stats = dataio.fit_norm(train)
     return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
@@ -36,15 +36,15 @@ def main():
     print(f"pretraining on corpus A for {args.epochs} epochs ...")
     params_a = model.init_params(cfg, SeededRng(1, ("init",)))
     ckpt_a, _ = pretrain.run_pretrain(train_a, val_a, params_a, cfg,
-                                      pretrain.PretrainConfig(epochs=args.epochs, seed=1))
+                                      pretrain.PretrainConfig(epochs=args.epochs), seed=1)
 
-    pcfg_b = pretrain.PretrainConfig(epochs=args.transfer_epochs, seed=3)
+    pcfg_b = pretrain.PretrainConfig(epochs=args.transfer_epochs)
     cold = model.init_params(cfg, SeededRng(2, ("init",)))
     warm, report = pretrain.transfer_init(ckpt_a, cfg, SeededRng(2, ("init",)))
     print(f"transfer: {len(report.copied)} arrays copied, {len(report.fresh)} fresh")
 
-    _, hist_cold = pretrain.run_pretrain(train_b, val_b, cold, cfg, pcfg_b)
-    _, hist_warm = pretrain.run_pretrain(train_b, val_b, warm, cfg, pcfg_b)
+    _, hist_cold = pretrain.run_pretrain(train_b, val_b, cold, cfg, pcfg_b, seed=3)
+    _, hist_warm = pretrain.run_pretrain(train_b, val_b, warm, cfg, pcfg_b, seed=3)
 
     print()
     print("epoch  cold train  warm train  cold val  warm val")

@@ -71,26 +71,13 @@ class RunConfig:
     gbdt: downstream.GbdtConfig = dataclasses.field(default_factory=downstream.GbdtConfig)
     eval: EvalConfig = dataclasses.field(default_factory=EvalConfig)
 
-
-_SECTIONS = {
-    "generator": dataio.FleetConfig,
-    "model": model.ModelConfig,
-    "pretrain": pretrain.PretrainConfig,
-    "gbdt": downstream.GbdtConfig,
-    "eval": EvalConfig,
-}
-
-
-def _build_section(cls, values: dict, section: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(values) - names)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in config section {section!r}")
-    coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
-    try:
-        return cls(**coerced)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid config section {section!r}: {exc}") from None
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"'seed' must be >= 0, got {self.seed}")
+        if self.seq_len < 2:
+            raise ValueError(f"'seq_len' must be >= 2, got {self.seq_len}")
+        if self.model.M_max < self.seq_len + 1:
+            raise ValueError(f"model.M_max={self.model.M_max} must be >= seq_len+1={self.seq_len + 1}")
 
 
 def load_config(path=None, seed_override=None) -> RunConfig:
@@ -102,36 +89,11 @@ def load_config(path=None, seed_override=None) -> RunConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path} must contain a JSON object")
-    top_names = {"seed", "seq_len"} | set(_SECTIONS)
-    unknown = sorted(set(raw) - top_names)
-    if unknown:
-        raise ConfigError(f"unknown top-level config key {unknown[0]!r}")
-    kwargs = {}
-    for key in ("seed", "seq_len"):
-        if key in raw:
-            value = raw[key]
-            # a JSON bool is a Python int, and int() would truncate 1.7 to 1
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-            kwargs[key] = int(value)
-    for section, cls in _SECTIONS.items():
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            kwargs[section] = _build_section(cls, raw[section], section)
-    cfg = RunConfig(**kwargs)
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed_override))
-    if cfg.seed < 0:
-        raise ConfigError(f"config key 'seed' must be >= 0, got {cfg.seed}")
-    if cfg.seq_len < 2:
-        raise ConfigError(f"config key 'seq_len' must be >= 2, got {cfg.seq_len}")
-    if cfg.model.M_max < cfg.seq_len + 1:
-        raise ConfigError(f"model.M_max={cfg.model.M_max} must be >= seq_len+1={cfg.seq_len + 1}")
-    return cfg
+    try:
+        cfg = dataio.read_value(raw, RunConfig, "config")
+        return cfg if seed_override is None else dataclasses.replace(cfg, seed=int(seed_override))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +109,7 @@ def _load_dataset(cfg: RunConfig, data_dir):
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
-    gen = dataclasses.replace(cfg.generator, seq_len=cfg.seq_len)
-    ds = dataio.synth_fleet(gen, cfg.seed)
+    ds = dataio.synth_fleet(cfg.generator, cfg.seed, cfg.seq_len)
     os.makedirs(args.out, exist_ok=True)
     dataio.write_csv(ds, os.path.join(args.out, "snippets.csv"), os.path.join(args.out, "meta.csv"))
     vehicles = ds.vehicle_ids()
@@ -177,8 +138,8 @@ def cmd_pretrain(args) -> int:
     else:
         params = model.init_params(cfg.model, rng)
 
-    pcfg = dataclasses.replace(cfg.pretrain, seed=cfg.seed)
-    ckpt, history = pretrain.run_pretrain(train_n, val_n, params, cfg.model, pcfg, log=print)
+    ckpt, history = pretrain.run_pretrain(train_n, val_n, params, cfg.model, cfg.pretrain,
+                                          seed=cfg.seed, log=print)
 
     os.makedirs(args.out, exist_ok=True)
     pretrain.save_checkpoint(ckpt, os.path.join(args.out, "checkpoint.json"))

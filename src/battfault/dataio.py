@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+import sys
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -37,6 +39,48 @@ def write_text(path, text: str):
 def json_text(doc) -> str:
     """Canonical JSON text: sorted keys, one-space indent, a final newline."""
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def read_value(value, kind, name: str, key_name: str = "{} key {!r}"):
+    """Read a value decoded from JSON as ``kind``: the one type rule of every document.
+
+    Booleans are never numbers. ``int`` takes integral numbers (7.0 reads as
+    7). ``float`` takes finite numbers and keeps them as given, so a document
+    read and written again keeps its bytes. ``tuple[float, float]`` takes a
+    list of that length and ``str`` a string. A dataclass takes an object,
+    reads each key by its field's annotation, rejects unknown keys and is then
+    built, so its ``__post_init__`` range checks run. Anything else is a
+    ValueError naming ``name``; ``key_name`` names a dataclass's keys, as
+    ``config key 'seed'`` at the top and ``config section 'model': L`` below.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    # False for NaN, for the infinities and for integers past the float range
+    if kind is float and number and abs(value) <= sys.float_info.max:
+        return value
+    if kind is str and isinstance(value, str):
+        return value
+    kinds = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple and isinstance(value, list) and len(value) == len(kinds):
+        return tuple(read_value(v, k, f"{name}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
+    if is_dataclass(kind) and isinstance(value, dict):
+        hints = typing.get_type_hints(kind)
+        unknown = sorted(set(value) - {f.name for f in fields(kind)})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {name}")
+        read = {}
+        for key, item in value.items():
+            section = is_dataclass(hints[key])
+            child = f"{name} section {key!r}" if section else key_name.format(name, key)
+            read[key] = read_value(item, hints[key], child, "{}: {}")
+        try:
+            return kind(**read)
+        except ValueError as exc:
+            raise ValueError(f"invalid {name}: {exc}") from None
+    expected = {int: "an integer", float: "a finite number", str: "a string"}.get(
+        kind, f"a list of {len(kinds)} values" if kinds else "an object")
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -319,7 +363,6 @@ class FleetConfig:
     n_vehicles: int = 40
     fault_fraction: float = 0.15
     snippets_per_vehicle: int = 4
-    seq_len: int = 128
     # healthy cell baseline
     v_start: float = 3.2          # open-circuit voltage at start of charge (V)
     v_max: float = 4.2            # CV-phase terminal voltage (V)
@@ -338,35 +381,31 @@ class FleetConfig:
     dip_len: int = 6              # dip duration (steps)
     dips_per_snippet: int = 2
     # metadata ranges
-    mileage_range: tuple = (20_000.0, 120_000.0)
-    cycle_range: tuple = (100.0, 900.0)
+    mileage_range: tuple[float, float] = (20_000.0, 120_000.0)
+    cycle_range: tuple[float, float] = (100.0, 900.0)
     fault_meta_bias: float = 0.35  # faulty vehicles biased toward the top of the ranges
     # subfleet offsets (distribution-shift experiments)
     voltage_offset: float = 0.0
     temp_offset: float = 0.0
 
     def __post_init__(self):
-        if self.n_vehicles < 1 or self.snippets_per_vehicle < 1 or self.seq_len < 2:
-            raise ValueError("n_vehicles, snippets_per_vehicle, seq_len must be positive")
+        if self.n_vehicles < 1 or self.snippets_per_vehicle < 1:
+            raise ValueError("n_vehicles and snippets_per_vehicle must be positive")
         if not 0.0 <= self.fault_fraction <= 1.0:
             raise ValueError(f"fault_fraction must be in [0,1], got {self.fault_fraction}")
         if self.noise_std < 0 or self.jitter < 0:
             raise ValueError("noise_std and jitter must be nonnegative")
         for name in ("mileage_range", "cycle_range"):
-            bounds = getattr(self, name)
-            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                            and math.isfinite(v) for v in bounds)
-                    and bounds[0] <= bounds[1]):
-                raise ValueError(f"{name} must be two finite numbers [lo, hi] with lo <= hi, "
-                                 f"got {bounds!r}")
+            lo, hi = getattr(self, name)
+            if not lo <= hi:
+                raise ValueError(f"{name} must be [lo, hi] with lo <= hi, got {[lo, hi]!r}")
 
 
 CHANNEL_NAMES = ("voltage", "current", "temperature")
 
 
-def _synth_snippet(cfg: FleetConfig, rng: SeededRng, resistance: float, faulty: bool) -> np.ndarray:
-    m = cfg.seq_len
+def _synth_snippet(cfg: FleetConfig, m: int, rng: SeededRng, resistance: float,
+                   faulty: bool) -> np.ndarray:
     t = np.arange(m, dtype=np.float64)
     tau_v = cfg.tau_voltage * (1.0 + cfg.jitter * rng.normal(()))
     v_oc = cfg.v_start + (cfg.v_max - cfg.v_start) * (1.0 - np.exp(-t / max(tau_v, 1.0)))
@@ -397,8 +436,10 @@ def _synth_snippet(cfg: FleetConfig, rng: SeededRng, resistance: float, faulty: 
     return np.column_stack([voltage, current, temp])
 
 
-def synth_fleet(cfg: FleetConfig, seed: int, id_prefix: str = "ev") -> FleetDataset:
-    """Generate a deterministic synthetic EV fleet with injected fault signatures."""
+def synth_fleet(cfg: FleetConfig, seed: int, seq_len: int, id_prefix: str = "ev") -> FleetDataset:
+    """Generate a deterministic synthetic EV fleet of seq_len-step snippets with injected faults."""
+    if seq_len < 2:
+        raise ValueError(f"seq_len must be >= 2, got {seq_len}")
     rng = SeededRng(seed, ("synth_fleet",))
 
     n_fault = int(round(cfg.fault_fraction * cfg.n_vehicles))
@@ -421,7 +462,7 @@ def synth_fleet(cfg: FleetConfig, seed: int, id_prefix: str = "ev") -> FleetData
         meta = np.array([mileage, cycles])
         vid = f"{id_prefix}{vi:04d}"
         for si in range(cfg.snippets_per_vehicle):
-            channels = _synth_snippet(cfg, v_rng.spawn("snippet", si), resistance, faulty)
+            channels = _synth_snippet(cfg, seq_len, v_rng.spawn("snippet", si), resistance, faulty)
             snippets.append(ChargeSnippet(f"{vid}_s{si:03d}", vid, channels, meta, int(faulty)))
 
     return FleetDataset(tuple(snippets), CHANNEL_NAMES, tuple(META_NAMES))

@@ -14,12 +14,11 @@ index, then lowest threshold.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FleetDataset, json_text, write_text
+from .dataio import FleetDataset, json_text, read_value, write_text
 from .evalkit import SingleClassError
 from .model import ModelConfig, ModelParams, encode_batch
 from .numcore import NonFiniteError
@@ -243,7 +242,7 @@ def predict_proba_batch(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     """Fault probability for each row of a fused feature matrix."""
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"feature matrix {X.shape} incompatible with {model.n_features} features")
-    score = np.full(X.shape[0], model.base_score)
+    score = np.full(X.shape[0], model.base_score, dtype=np.float64)
     for tree in model.trees:
         score += model.shrinkage * _tree_apply(tree, X)
     return _sigmoid(score)
@@ -261,25 +260,17 @@ def _node_to_dict(node: TreeNode) -> dict:
             "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
 
 
-def _finite(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
-    return value
+def _read(d: dict, key: str, kind):
+    return read_value(d[key], kind, repr(key))
 
 
 def _node_from_dict(d: dict, n_features: int) -> TreeNode:
     if "weight" in d:
-        return TreeNode(weight=_finite(d["weight"], "weight"))
-    feature = d["feature"]
-    if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < n_features:
+        return TreeNode(weight=_read(d, "weight", float))
+    feature = _read(d, "feature", int)
+    if not 0 <= feature < n_features:
         raise ValueError(f"split feature {feature!r} outside [0, {n_features})")
-    return TreeNode(feature=feature, threshold=_finite(d["threshold"], "threshold"),
+    return TreeNode(feature=feature, threshold=_read(d, "threshold", float),
                     left=_node_from_dict(d["left"], n_features),
                     right=_node_from_dict(d["right"], n_features))
 
@@ -308,12 +299,13 @@ def load_gbdt(path) -> GbdtModel:
             raise ValueError(f"unsupported format version {doc.get('format_version')!r} "
                              f"(expected {GBDT_FORMAT_VERSION})")
         c = doc["config"]
-        n_features = _positive_int(c["n_features"], "n_features")
-        return GbdtModel(_finite(doc["base_score"], "base_score"),
+        n_features, max_depth, rounds = (_read(c, k, int) for k in ("n_features", "max_depth", "rounds"))
+        if min(n_features, max_depth, rounds) < 1:
+            raise ValueError(f"n_features, max_depth and rounds must be positive, got "
+                             f"{n_features}, {max_depth} and {rounds}")
+        return GbdtModel(_read(doc, "base_score", float),
                          [_node_from_dict(t, n_features) for t in doc["trees"]],
-                         _finite(c["shrinkage"], "shrinkage"),
-                         _positive_int(c["max_depth"], "max_depth"),
-                         _positive_int(c["rounds"], "rounds"), n_features)
+                         _read(c, "shrinkage", float), max_depth, rounds, n_features)
     except KeyError as exc:
         raise ClassifierError(f"malformed classifier {path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -49,6 +49,8 @@ class ModelConfig:
     K: int = 2           # static metadata dimension
 
     def __post_init__(self):
+        if min(self.D, self.H, self.A) < 1 or self.L < 0 or self.K < 0:
+            raise ValueError("invalid dimension in config")
         if self.H % self.A != 0:
             raise ValueError(f"H={self.H} not divisible by A={self.A}")
         if self.FF < self.H:
@@ -57,8 +59,6 @@ class ModelConfig:
             raise ValueError("M_max must be >= 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0,1)")
-        if min(self.D, self.H, self.A) < 1 or self.L < 0 or self.K < 0:
-            raise ValueError("invalid dimension in config")
 
     @property
     def head_dim(self) -> int:
@@ -384,15 +384,22 @@ def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     Uses the 4th-order central stencil (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
     so one step size covers both high-curvature entries (truncation ~ h^4) and
     exactly-zero gradients (rounding noise ~ 1/h). Relative error per entry is
-    |a - n| / max(|a|, |n|, 1e-8). Evaluating the loss once per perturbed
-    scalar is Python-overhead bound, so P perturbed copies of one array are
-    stacked along a leading axis and run through the training forward at once.
+    |a - n| / max(|a|, |n|, floor), with the floor from the stencil's rounding
+    bound (Nocedal & Wright, Numerical Optimization, 2nd ed., 8.1): each loss
+    is off by about eps*|loss0| and the weights sum to 1.5/h in absolute
+    value, so rounding alone moves n by up to kappa*eps*|loss0|/h (kappa = 8
+    also covers the forward's own rounding), and floor = kappa*eps*|loss0| /
+    (h*tol) scores any such error under tol. Evaluating the loss once per
+    perturbed scalar is Python-overhead bound, so P perturbed copies of one
+    array are stacked along a leading axis and run through the training
+    forward at once.
     """
     if not X_corrupt.ndim == X_target.ndim == mask.ndim == 2:
         raise ValueError(f"gradient check takes one (M, D) snippet, got input of shape {X_corrupt.shape}")
     X_in = X_corrupt[None]
-    _, cache = msm_forward(params, cfg, X_in, X_target[None], mask[None])
+    loss0, cache = msm_forward(params, cfg, X_in, X_target[None], mask[None])
     analytic = msm_backward(cache, params, cfg)
+    floor = 8.0 * np.finfo(np.float64).eps * abs(loss0) / (step * tol)
 
     stencil = np.array([2.0, 1.0, -1.0, -2.0]) * step
     weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
@@ -419,7 +426,7 @@ def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
                 raise ValueError(f"non-finite loss while perturbing parameter {name!r}")
             numeric = (losses.reshape(m, 4) * weights).sum(axis=1)
             a_vals = grad_flat[idx]
-            denom = np.maximum(np.maximum(np.abs(a_vals), np.abs(numeric)), 1e-8)
+            denom = np.maximum(np.maximum(np.abs(a_vals), np.abs(numeric)), floor)
             worst = max(worst, float((np.abs(a_vals - numeric) / denom).max()))
         report.rel_error[name] = worst
         if worst > tol:

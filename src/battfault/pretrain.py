@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dataio import FleetDataset, json_text, write_text
+from .dataio import FleetDataset, json_text, read_value, write_text
 from .model import ModelConfig, ModelParams, init_params, msm_backward, msm_forward, param_shapes
 from .numcore import NonFiniteError, SeededRng
 
@@ -31,7 +31,6 @@ class PretrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     clip_norm: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.mask_rate < 1.0:
@@ -169,10 +168,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unsupported checkpoint version {doc['format_version']} "
                               f"in {path} (expected {CHECKPOINT_VERSION})")
     try:
-        if not isinstance(doc.get("config"), dict) or not isinstance(doc.get("tensors"), dict):
-            raise ValueError("'config' and 'tensors' must be objects")
-        cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
-                             for k, v in doc["config"].items()})
+        cfg = read_value(doc.get("config"), ModelConfig, "config")
+        if not isinstance(doc.get("tensors"), dict):
+            raise ValueError("'tensors' must be an object")
         shapes = param_shapes(cfg)
         if set(doc["tensors"]) != set(shapes):
             raise ValueError(f"missing tensors {sorted(set(shapes) - set(doc['tensors']))}, "
@@ -226,7 +224,7 @@ def _stack_channels(ds: FleetDataset) -> np.ndarray:
 
 
 def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
-                 cfg: ModelConfig, pcfg: PretrainConfig, log=None):
+                 cfg: ModelConfig, pcfg: PretrainConfig, *, seed: int, log=None):
     """Train in place with masked signal modeling; returns (Checkpoint, history).
 
     Per epoch: seeded shuffle, fresh masks per snippet per batch, forward on
@@ -237,11 +235,11 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     X_train = _stack_channels(train)
     X_val = _stack_channels(val)
     n, M, D = X_train.shape
-    rng = SeededRng(pcfg.seed, ("pretrain",))
+    rng = SeededRng(seed, ("pretrain",))
     opt = Adam(params, pcfg)
 
     val_masks = np.stack(
-        [sample_mask(M, D, pcfg.mask_rate, _validation_mask_rng(s.snippet_id, pcfg.seed))
+        [sample_mask(M, D, pcfg.mask_rate, _validation_mask_rng(s.snippet_id, seed))
          for s in val.snippets], axis=0) if len(val) else None
 
     history = []
@@ -279,7 +277,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
         "epochs": pcfg.epochs,
         "final_train_loss": history[-1][1],
         "final_val_loss": history[-1][2],
-        "seed": pcfg.seed,
+        "seed": seed,
         "mask_rate": pcfg.mask_rate,
         "train_snippets": n,
     }

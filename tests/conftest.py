@@ -21,7 +21,7 @@ INIT_SEED = 1
 @pytest.fixture(scope="session")
 def default_fleet():
     """Default synthetic benchmark: 40 vehicles, M=128, D=3, normalized splits."""
-    fleet = dataio.synth_fleet(dataio.FleetConfig(), FLEET_SEED)
+    fleet = dataio.synth_fleet(dataio.FleetConfig(), FLEET_SEED, 128)
     train, val, spec = dataio.vehicle_split(fleet, 0.8, SPLIT_SEED)
     stats = dataio.fit_norm(train)
     return {
@@ -45,7 +45,7 @@ def pretrain_run(default_fleet):
     random_params = params.copy()
     t0 = time.monotonic()
     ckpt, history = run_pretrain(default_fleet["train"], default_fleet["val"],
-                                 params, cfg, PretrainConfig(epochs=20, seed=INIT_SEED))
+                                 params, cfg, PretrainConfig(epochs=20), seed=INIT_SEED)
     elapsed = time.monotonic() - t0
     return {
         "cfg": cfg,

@@ -173,19 +173,19 @@ def test_06_pretraining_learns(pretrain_run):
 
 def test_07_warm_start_advantage(pretrain_run):
     # disjoint corpus: different generator seed, so no snippet is shared
-    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=16), 77)
+    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=16), 77, 128)
     train, val, _ = dataio.vehicle_split(fleet, 0.8, 88)
     stats = dataio.fit_norm(train)
     train_n, val_n = dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
 
     cfg = pretrain_run["cfg"]
-    pcfg = pretrain.PretrainConfig(epochs=1, seed=3)
+    pcfg = pretrain.PretrainConfig(epochs=1)
     cold = model.init_params(cfg, SeededRng(2, ("init",)))
     warm, transfer = pretrain.transfer_init(pretrain_run["checkpoint"], cfg,
                                             SeededRng(2, ("init",)))
     assert transfer.fresh == []
-    _, hist_cold = pretrain.run_pretrain(train_n, val_n, cold, cfg, pcfg)
-    _, hist_warm = pretrain.run_pretrain(train_n, val_n, warm, cfg, pcfg)
+    _, hist_cold = pretrain.run_pretrain(train_n, val_n, cold, cfg, pcfg, seed=3)
+    _, hist_warm = pretrain.run_pretrain(train_n, val_n, warm, cfg, pcfg, seed=3)
 
     assert hist_warm[0][1] < hist_cold[0][1]
     _ok("7 warm-start-advantage",
@@ -200,9 +200,9 @@ def test_07_warm_start_advantage(pretrain_run):
 def test_08_representation_alignment(tmp_path):
     base = dataio.FleetConfig(n_vehicles=12, snippets_per_vehicle=4)
     sub_a = dataio.synth_fleet(
-        dataclasses.replace(base, voltage_offset=0.02, temp_offset=0.5), 21, id_prefix="a")
+        dataclasses.replace(base, voltage_offset=0.02, temp_offset=0.5), 21, 128, id_prefix="a")
     sub_b = dataio.synth_fleet(
-        dataclasses.replace(base, voltage_offset=-0.02, temp_offset=-0.5), 22, id_prefix="b")
+        dataclasses.replace(base, voltage_offset=-0.02, temp_offset=-0.5), 22, 128, id_prefix="b")
     fleet = dataio.merge_fleets(sub_a, sub_b)
     train, val, _ = dataio.vehicle_split(fleet, 0.8, 8)
     stats = dataio.fit_norm(train)
@@ -210,7 +210,7 @@ def test_08_representation_alignment(tmp_path):
     cfg = model.ModelConfig.desk_default()
     params = model.init_params(cfg, SeededRng(1, ("init",)))
     pretrain.run_pretrain(dataio.apply_norm(train, stats), dataio.apply_norm(val, stats),
-                          params, cfg, pretrain.PretrainConfig(epochs=6, seed=1))
+                          params, cfg, pretrain.PretrainConfig(epochs=6), seed=1)
 
     fleet_n = dataio.apply_norm(fleet, stats)
     groups = [s.vehicle_id[0] for s in fleet_n.snippets]  # subfleet prefix a/b
@@ -280,8 +280,7 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
 TINY_CONFIG = {
     "seed": 5,
     "seq_len": 16,
-    "generator": {"n_vehicles": 8, "snippets_per_vehicle": 2, "seq_len": 16,
-                  "fault_fraction": 0.25},
+    "generator": {"n_vehicles": 8, "snippets_per_vehicle": 2, "fault_fraction": 0.25},
     "model": {"D": 3, "H": 16, "L": 1, "A": 2, "FF": 32, "M_max": 17, "K": 2},
     "pretrain": {"epochs": 2, "batch_size": 4},
     "gbdt": {"rounds": 10},

@@ -9,8 +9,7 @@ from battfault.cli import load_config, main
 TINY_CONFIG = {
     "seed": 5,
     "seq_len": 16,
-    "generator": {"n_vehicles": 8, "snippets_per_vehicle": 2, "seq_len": 16,
-                  "fault_fraction": 0.25},
+    "generator": {"n_vehicles": 8, "snippets_per_vehicle": 2, "fault_fraction": 0.25},
     "model": {"D": 3, "H": 16, "L": 1, "A": 2, "FF": 32, "M_max": 17, "K": 2},
     "pretrain": {"epochs": 2, "batch_size": 4},
     "gbdt": {"rounds": 10},
@@ -80,6 +79,28 @@ class TestSynth:
         ({"generator": {"cycle_range": [0.0, float("inf")]}}, "'generator': cycle_range"),
         ({"generator": {"cycle_range": [1, "x"]}}, "'generator': cycle_range"),
         ({"generator": {"cycle_range": [True, 2]}}, "'generator': cycle_range"),
+        # every field reads by its annotation: no traceback, nothing accepted
+        # that a later stage truncates or fails on without naming the key
+        ({"model": {"L": 1.5}}, "'model': L"),
+        ({"model": {"H": 16.5}}, "'model': H"),
+        ({"pretrain": {"epochs": 1.5}}, "'pretrain': epochs"),
+        ({"pretrain": {"batch_size": 2.5}}, "'pretrain': batch_size"),
+        ({"generator": {"n_vehicles": 8.5}}, "'generator': n_vehicles"),
+        ({"gbdt": {"max_depth": 2.5}}, "'gbdt': max_depth"),
+        ({"model": {"L": True}}, "'model': L"),
+        ({"generator": {"dips_per_snippet": 1.5}}, "'generator': dips_per_snippet"),
+        ({"eval": {"tsne_iterations": 10.5}}, "'eval': tsne_iterations"),
+        ({"generator": {"noise_std": float("nan")}}, "'generator': noise_std"),
+        ({"generator": {"noise_std": float("inf")}}, "'generator': noise_std"),
+        ({"pretrain": {"learning_rate": float("nan")}}, "'pretrain': learning_rate"),
+        ({"pretrain": {"learning_rate": float("inf")}}, "'pretrain': learning_rate"),
+        ({"gbdt": {"reg_lambda": float("nan")}}, "'gbdt': reg_lambda"),
+        ({"gbdt": {"reg_lambda": float("inf")}}, "'gbdt': reg_lambda"),
+        # the top-level seed and seq_len are the only ones
+        ({"generator": {"seq_len": 64}}, "unknown key 'seq_len' in config section 'generator'"),
+        ({"pretrain": {"seed": 5}}, "unknown key 'seed' in config section 'pretrain'"),
+        # H % A is checked after A >= 1, not as a division by zero
+        ({"model": {"A": 0}}, "'model'"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -130,6 +151,8 @@ CHECKPOINT_DEFECTS = {
     "extra_tensor": lambda doc: doc["tensors"].update(extra={"shape": [1], "data": [0.0]}),
     "wrong_shape": lambda doc: doc["tensors"]["head.b"].update(shape=[1, 3]),
     "nan_value": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, float("nan")),
+    "layers_true": lambda doc: doc["config"].update(L=True),
+    "hidden_not_integral": lambda doc: doc["config"].update(H=16.5),
 }
 
 

@@ -20,12 +20,12 @@ from battfault.dataio import (
 
 @pytest.fixture(scope="module")
 def small_fleet():
-    return synth_fleet(FleetConfig(n_vehicles=8, snippets_per_vehicle=3, seq_len=32), 11)
+    return synth_fleet(FleetConfig(n_vehicles=8, snippets_per_vehicle=3), 11, 32)
 
 
 class TestSynth:
     def test_deterministic(self, small_fleet):
-        again = synth_fleet(FleetConfig(n_vehicles=8, snippets_per_vehicle=3, seq_len=32), 11)
+        again = synth_fleet(FleetConfig(n_vehicles=8, snippets_per_vehicle=3), 11, 32)
         for a, b in zip(small_fleet.snippets, again.snippets):
             assert a.snippet_id == b.snippet_id
             np.testing.assert_array_equal(a.channels, b.channels)
@@ -41,7 +41,7 @@ class TestSynth:
     def test_fault_count_is_rounded_fraction(self):
         for n, frac in ((40, 0.15), (10, 0.25), (7, 0.3)):
             ds = synth_fleet(FleetConfig(n_vehicles=n, fault_fraction=frac,
-                                         snippets_per_vehicle=1, seq_len=16), 5)
+                                         snippets_per_vehicle=1), 5, 16)
             faulty = sum(ds.vehicle_label(v) for v in ds.vehicle_ids())
             assert faulty == round(frac * n)
 
@@ -51,16 +51,16 @@ class TestSynth:
             assert len(labels) == 1
 
     def test_offsets_shift_channels(self):
-        base = FleetConfig(n_vehicles=2, snippets_per_vehicle=1, seq_len=16)
-        a = synth_fleet(base, 3)
-        b = synth_fleet(dataclasses.replace(base, voltage_offset=0.5), 3)
+        base = FleetConfig(n_vehicles=2, snippets_per_vehicle=1)
+        a = synth_fleet(base, 3, 16)
+        b = synth_fleet(dataclasses.replace(base, voltage_offset=0.5), 3, 16)
         for sa, sb in zip(a.snippets, b.snippets):
             np.testing.assert_allclose(sb.channels[:, 0] - sa.channels[:, 0], 0.5, atol=1e-9)
             np.testing.assert_array_equal(sa.channels[:, 1:], sb.channels[:, 1:])
 
     def test_merge_disjoint(self, small_fleet):
-        other = synth_fleet(FleetConfig(n_vehicles=3, snippets_per_vehicle=2, seq_len=32),
-                            99, id_prefix="xx")
+        other = synth_fleet(FleetConfig(n_vehicles=3, snippets_per_vehicle=2),
+                            99, 32, id_prefix="xx")
         merged = merge_fleets(small_fleet, other)
         assert len(merged) == len(small_fleet) + len(other)
         assert len(merged.vehicle_ids()) == 11
@@ -202,8 +202,8 @@ class TestNormalization:
 
     def test_apply_norm_uses_given_stats(self, small_fleet):
         stats = fit_norm(small_fleet)
-        other = synth_fleet(FleetConfig(n_vehicles=2, snippets_per_vehicle=1, seq_len=32),
-                            77, id_prefix="zz")
+        other = synth_fleet(FleetConfig(n_vehicles=2, snippets_per_vehicle=1),
+                            77, 32, id_prefix="zz")
         normed = apply_norm(other, stats)
         expected = (other.snippets[0].channels - stats.mean) / stats.std
         np.testing.assert_allclose(normed.snippets[0].channels, expected, atol=1e-12)
@@ -225,7 +225,7 @@ class TestVehicleSplit:
 
     def test_label_stratified_when_possible(self):
         ds = synth_fleet(FleetConfig(n_vehicles=20, fault_fraction=0.2,
-                                     snippets_per_vehicle=1, seq_len=16), 9)
+                                     snippets_per_vehicle=1), 9, 16)
         _, val, spec = vehicle_split(ds, 0.8, 2)
         val_labels = {val.vehicle_label(v) for v in spec.val_vehicle_ids}
         assert val_labels == {0, 1}
@@ -233,7 +233,7 @@ class TestVehicleSplit:
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_split_deterministic_per_seed(self, seed):
-        ds = synth_fleet(FleetConfig(n_vehicles=10, snippets_per_vehicle=1, seq_len=16), 1)
+        ds = synth_fleet(FleetConfig(n_vehicles=10, snippets_per_vehicle=1), 1, 16)
         _, _, a = vehicle_split(ds, 0.7, seed)
         _, _, b = vehicle_split(ds, 0.7, seed)
         assert a.train_vehicle_ids == b.train_vehicle_ids

@@ -230,6 +230,19 @@ class TestSaveLoad:
         save_gbdt(load_gbdt(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_integral_numbers_read_by_the_document_rule(self, tmp_path):
+        # an integer base score is kept as given and still predicts
+        X, y = blobs(n=25, seed=11)
+        path = tmp_path / "gbdt.json"
+        save_gbdt(train_gbdt(make_features(X, y), GbdtConfig(rounds=3)), path)
+        doc = json.loads(path.read_text())
+        doc["base_score"] = 0
+        doc["config"]["max_depth"] = 3.0
+        path.write_text(json.dumps(doc))
+        back = load_gbdt(path)
+        assert back.base_score == 0 and back.max_depth == 3 and type(back.max_depth) is int
+        assert np.all(np.isfinite(predict_proba_batch(back, X)))
+
 
 def _first_split(doc):
     return next(t for t in doc["trees"] if "feature" in t)
@@ -279,7 +292,7 @@ def setup():
     cfg = model.ModelConfig(D=3, H=16, L=1, A=2, FF=32, M_max=17, K=2)
     params = model.init_params(cfg, SeededRng(1, ("init",)))
     fleet = dataio.synth_fleet(
-        dataio.FleetConfig(n_vehicles=4, snippets_per_vehicle=2, seq_len=16), 13)
+        dataio.FleetConfig(n_vehicles=4, snippets_per_vehicle=2), 13, 16)
     stats = dataio.fit_norm(fleet)
     return cfg, params, dataio.apply_norm(fleet, stats)
 

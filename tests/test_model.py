@@ -15,6 +15,7 @@ from battfault.model import (
     param_shapes,
 )
 from battfault.numcore import DimensionError, SeededRng
+from battfault.pretrain import corrupt, sample_mask
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,43 @@ class TestStackedForward:
         monkeypatch.setattr(model, "msm_backward", scaled)
         report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
         assert report.failed == ["layer1.W2"]
+
+    # one entry off: the largest of a large-gradient array by 0.1%, and the
+    # median-sized entry (rank 8 of 16 by magnitude) of a bias by 1%
+    @pytest.mark.parametrize("name, rank, factor", [("layer1.W2", -1, 1.001),
+                                                    ("layer0.bq", 8, 1.01)])
+    def test_gate_catches_one_wrong_entry(self, tiny, monkeypatch, name, rank, factor):
+        cfg, params = tiny
+        Xc, X, mask = random_instance(cfg, 13)
+        backward = model.msm_backward
+
+        def one_entry_off(cache, params, cfg):
+            grads = backward(cache, params, cfg)
+            flat = grads[name].reshape(-1)
+            flat[np.argsort(np.abs(flat))[rank]] *= factor
+            return grads
+
+        monkeypatch.setattr(model, "msm_backward", one_entry_off)
+        report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
+        assert report.failed == [name]
+
+
+SWEEP = ModelConfig(D=3, H=16, L=1, A=2, FF=16, M_max=9)
+
+
+def test_gate_passes_the_true_gradient_over_40_seeds():
+    # the criterion-1 set-up at a small width: rounding noise in the finite
+    # differences of tiny gradient entries must not read as a failure
+    failures = {}
+    for seed in range(2000, 2040):
+        params = init_params(SWEEP, SeededRng(seed, ("gradcheck",)))
+        rng = SeededRng(seed + 1, ("gradcheck-data",))
+        X = rng.spawn("x").normal((8, SWEEP.D))
+        mask = sample_mask(8, SWEEP.D, 0.25, rng.spawn("mask"))
+        report = model.msm_grad_check(params, SWEEP, corrupt(X, mask), X, mask)
+        if not report.ok:
+            failures[seed] = {name: report.rel_error[name] for name in report.failed}
+    assert not failures
 
 
 class TestParamCount:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ TINY = ModelConfig(D=3, H=16, L=1, A=2, FF=32, M_max=17, dropout_rate=0.1, K=2)
 
 def tiny_splits(seed=31):
     fleet = dataio.synth_fleet(
-        dataio.FleetConfig(n_vehicles=6, snippets_per_vehicle=2, seq_len=16), seed)
+        dataio.FleetConfig(n_vehicles=6, snippets_per_vehicle=2), seed, 16)
     train, val, _ = dataio.vehicle_split(fleet, 0.7, seed)
     stats = dataio.fit_norm(train)
     return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
@@ -107,6 +108,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_integral_float_dimension_reads_as_int(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_checkpoint(self.make(), path)
+        doc = json.loads(path.read_text())
+        doc["config"]["H"] = 16.0
+        path.write_text(json.dumps(doc))
+        back = load_checkpoint(path)
+        assert back.config.H == 16 and type(back.config.H) is int
+
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -146,11 +156,11 @@ class TestTransferInit:
 class TestRunPretrain:
     def test_deterministic_history(self):
         train, val = tiny_splits()
-        pcfg = PretrainConfig(epochs=2, batch_size=4, seed=9)
+        pcfg = PretrainConfig(epochs=2, batch_size=4)
         hists = []
         for _ in range(2):
             params = init_params(TINY, SeededRng(9, ("init",)))
-            _, hist = run_pretrain(train, val, params, TINY, pcfg)
+            _, hist = run_pretrain(train, val, params, TINY, pcfg, seed=9)
             hists.append(hist)
         assert hists[0] == hists[1]
 
@@ -158,7 +168,7 @@ class TestRunPretrain:
         train, val = tiny_splits()
         params = init_params(TINY, SeededRng(9, ("init",)))
         ckpt, hist = run_pretrain(train, val, params, TINY,
-                                  PretrainConfig(epochs=3, batch_size=4, seed=9))
+                                  PretrainConfig(epochs=3, batch_size=4), seed=9)
         assert [row[0] for row in hist] == [1, 2, 3]
         for _, tr, va in hist:
             assert np.isfinite(tr) and np.isfinite(va)
@@ -169,5 +179,5 @@ class TestRunPretrain:
         train, val = tiny_splits()
         params = init_params(TINY, SeededRng(9, ("init",)))
         _, hist = run_pretrain(train, val, params, TINY,
-                               PretrainConfig(epochs=6, batch_size=4, seed=9))
+                               PretrainConfig(epochs=6, batch_size=4), seed=9)
         assert hist[-1][1] < hist[0][1]
