@@ -17,7 +17,7 @@ from battfault.numcore import SeededRng
 
 def prepare(fleet_seed, split_seed, n_vehicles=16):
     fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=n_vehicles), fleet_seed, 128)
-    train, val, _ = dataio.vehicle_split(fleet, 0.8, split_seed)
+    train, val = dataio.vehicle_split(fleet, 0.8, split_seed)
     stats = dataio.fit_norm(train)
     return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
 

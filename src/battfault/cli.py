@@ -91,9 +91,12 @@ def load_config(path=None, seed_override=None) -> RunConfig:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     try:
         cfg = dataio.read_value(raw, RunConfig, "config")
+    except ValueError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
+    try:
         return cfg if seed_override is None else dataclasses.replace(cfg, seed=int(seed_override))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"--seed: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -107,25 +110,27 @@ def _load_dataset(cfg: RunConfig, data_dir):
     return dataio.load_csv(data_path, meta_path, cfg.seq_len)
 
 
+def _load_split(cfg: RunConfig, data_dir):
+    """(train, val, stats): the vehicle split, both sides normalized with train statistics."""
+    train, val = dataio.vehicle_split(_load_dataset(cfg, data_dir), cfg.eval.split_ratio, cfg.seed)
+    stats = dataio.fit_norm(train)
+    return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats), stats
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
     ds = dataio.synth_fleet(cfg.generator, cfg.seed, cfg.seq_len)
     os.makedirs(args.out, exist_ok=True)
     dataio.write_csv(ds, os.path.join(args.out, "snippets.csv"), os.path.join(args.out, "meta.csv"))
-    vehicles = ds.vehicle_ids()
-    n_fault = sum(ds.vehicle_label(v) for v in vehicles)
+    vehicles = ds.vehicle_labels()
     print(f"wrote {len(ds)} snippets from {len(vehicles)} vehicles "
-          f"({n_fault} faulty) to {args.out}")
+          f"({sum(vehicles.values())} faulty) to {args.out}")
     return 0
 
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.seed)
-    ds = _load_dataset(cfg, args.data)
-    train, val, _ = dataio.vehicle_split(ds, cfg.eval.split_ratio, cfg.seed)
-    stats = dataio.fit_norm(train)
-    train_n = dataio.apply_norm(train, stats)
-    val_n = dataio.apply_norm(val, stats)
+    train_n, val_n, stats = _load_split(cfg, args.data)
 
     rng = SeededRng(cfg.seed, ("init",))
     if args.init_from:
@@ -155,32 +160,25 @@ def cmd_detect(args) -> int:
     if not args.checkpoint:
         raise ConfigError("detect requires --checkpoint")
     cfg = load_config(args.config, args.seed)
-    ds = _load_dataset(cfg, args.data)
+    train_n, val_n, _ = _load_split(cfg, args.data)
     ckpt = pretrain.load_checkpoint(args.checkpoint)
-    if ckpt.config.D != len(ds.channel_names) or ckpt.config.K != len(ds.meta_names):
+    if ckpt.config.D != len(val_n.channel_names) or ckpt.config.K != len(val_n.meta_names):
         raise ConfigError(
             f"checkpoint dims (D={ckpt.config.D}, K={ckpt.config.K}) incompatible with data "
-            f"(D={len(ds.channel_names)}, K={len(ds.meta_names)})")
+            f"(D={len(val_n.channel_names)}, K={len(val_n.meta_names)})")
     params = ckpt.to_params()
 
-    train, val, _ = dataio.vehicle_split(ds, cfg.eval.split_ratio, cfg.seed)
-    stats = dataio.fit_norm(train)
-    train_n = dataio.apply_norm(train, stats)
-    val_n = dataio.apply_norm(val, stats)
-
-    feats_train = downstream.extract_features(params, ckpt.config, train_n)
-    feats_val = downstream.extract_features(params, ckpt.config, val_n)
-    gbdt = downstream.train_gbdt(feats_train, cfg.gbdt)
-
-    X_val = np.stack([f.values for f in feats_val], axis=0)
+    gbdt = downstream.train_gbdt(downstream.extract_features(params, ckpt.config, train_n),
+                                 train_n.labels, cfg.gbdt)
+    X_val = downstream.extract_features(params, ckpt.config, val_n)
     snip_scores = downstream.predict_proba_batch(gbdt, X_val)
-    snip_labels = np.array([f.label for f in feats_val])
+    snip_labels = val_n.labels
 
-    veh = evalkit.vehicle_scores(snip_scores, [f.vehicle_id for f in feats_val],
-                                 cfg.eval.aggregator)
+    veh = evalkit.vehicle_scores(snip_scores, val_n.vehicle_ids, cfg.eval.aggregator)
     veh_ids = sorted(veh)
     veh_scores = np.array([veh[v] for v in veh_ids])
-    veh_labels = np.array([val_n.vehicle_label(v) for v in veh_ids])
+    labels_of = val_n.vehicle_labels()
+    veh_labels = np.array([labels_of[v] for v in veh_ids])
 
     cost_params = cfg.eval.cost_params()
     points = evalkit.roc_points(veh_scores, veh_labels)
@@ -221,27 +219,22 @@ def cmd_tsne(args) -> int:
     limit = cfg.eval.tsne_max_points
     if n > limit and not args.subsample:
         raise ConfigError(f"{n} snippets exceeds t-SNE bound {limit}; pass --subsample N")
-    snippets = list(ds_n.snippets)
     if args.subsample and n > args.subsample:
         keep = SeededRng(cfg.seed, ("tsne_subsample",)).choice(n, size=args.subsample)
-        snippets = [snippets[i] for i in sorted(int(i) for i in keep)]
+        ds_n = ds_n.take(np.sort(keep))
 
     if args.raw:
-        X = np.stack([s.channels.reshape(-1) for s in snippets], axis=0)
+        X = ds_n.channels.reshape(len(ds_n), -1)
         mode = "raw"
     else:
         ckpt = pretrain.load_checkpoint(args.checkpoint)
-        params = ckpt.to_params()
-        sub = dataio.FleetDataset(tuple(snippets), ds_n.channel_names, ds_n.meta_names)
-        feats = downstream.extract_features(params, ckpt.config, sub)
-        X = np.stack([f.values[:ckpt.config.H] for f in feats], axis=0)
+        X = downstream.extract_features(ckpt.to_params(), ckpt.config, ds_n)[:, :ckpt.config.H]
         mode = "embedding"
 
     coords, kl = evalkit.tsne(X, cfg.eval.tsne_perplexity, cfg.eval.tsne_iterations, cfg.seed)
-    groups = [s.vehicle_id for s in snippets]
-    score = evalkit.mixing_score(X, groups)
-    rows = [(float(c[0]), float(c[1]), s.vehicle_id, s.label)
-            for c, s in zip(coords, snippets)]
+    score = evalkit.mixing_score(X, ds_n.vehicle_ids)
+    rows = [(float(c[0]), float(c[1]), vid, label)
+            for c, vid, label in zip(coords, ds_n.vehicle_ids, ds_n.labels.tolist())]
     os.makedirs(args.out, exist_ok=True)
     evalkit.write_tsne_outputs(rows, args.out, stem=f"tsne_{mode}")
     print(f"mode={mode} points={len(rows)} mixing_score={score:.4f} final_kl={kl[-1]:.4f}")

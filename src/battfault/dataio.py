@@ -1,4 +1,9 @@
-"""Charge-snippet data model, CSV ingestion, normalization, splits, and synthesis.
+"""A fleet as arrays: CSV ingestion, normalization, vehicle splits, and synthesis.
+
+FleetDataset holds one row per charge snippet: channels (N, M, D), metadata
+(N, K), labels (N,), and each row's snippet and vehicle id. load_csv and
+synth_fleet stack the snippets once; every later stage, down to the
+classifier's feature matrix, works on these arrays and selects rows with take.
 
 CSV formats (UTF-8, '.' decimals, LF or CRLF):
   snippets: snippet_id,vehicle_id,step,voltage,current,temperature[,extra...]
@@ -84,49 +89,48 @@ def read_value(value, kind, name: str, key_name: str = "{} key {!r}"):
 
 
 @dataclass(frozen=True)
-class ChargeSnippet:
-    """One charging cycle: an M x D channel matrix plus vehicle-level context."""
-
-    snippet_id: str
-    vehicle_id: str
-    channels: np.ndarray  # (M, D) float64
-    meta: np.ndarray      # (K,) float64
-    label: int            # 0 normal, 1 fault, inherited from the vehicle
-
-
-@dataclass(frozen=True)
 class FleetDataset:
-    snippets: tuple
+    """A fleet as arrays, one row per charge snippet.
+
+    ``channels`` is (N, M, D) and ``meta`` (N, K), both float64; ``labels``
+    (N,) holds each snippet's vehicle label, 0 normal and 1 fault.
+    ``snippet_ids`` and ``vehicle_ids`` name each row.
+    """
+
+    channels: np.ndarray
+    meta: np.ndarray
+    labels: np.ndarray
+    snippet_ids: tuple
+    vehicle_ids: tuple
     channel_names: tuple
     meta_names: tuple
 
     def __post_init__(self):
-        ids = [s.snippet_id for s in self.snippets]
-        if len(set(ids)) != len(ids):
+        n, d, k = len(self.snippet_ids), len(self.channel_names), len(self.meta_names)
+        if (self.channels.ndim != 3 or self.channels.shape[::2] != (n, d) or self.meta.shape != (n, k)
+                or self.labels.shape != (n,) or len(self.vehicle_ids) != n):
+            raise ValueError(f"channels {self.channels.shape}, meta {self.meta.shape}, labels "
+                             f"{self.labels.shape} and {len(self.vehicle_ids)} vehicle ids do not "
+                             f"match {n} snippets of {d} channels and {k} metadata fields")
+        if len(set(self.snippet_ids)) != n:
             raise ValueError("duplicate snippet_id in dataset")
-        for s in self.snippets:
-            if s.channels.shape[1] != len(self.channel_names):
-                raise ValueError(f"snippet {s.snippet_id}: channel count mismatch")
-            if s.meta.shape[0] != len(self.meta_names):
-                raise ValueError(f"snippet {s.snippet_id}: meta length mismatch")
-            if not np.all(np.isfinite(s.channels)) or not np.all(np.isfinite(s.meta)):
-                raise ValueError(f"snippet {s.snippet_id}: non-finite values")
+        finite = np.isfinite(self.channels).all(axis=(1, 2)) & np.isfinite(self.meta).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"snippet {self.snippet_ids[np.argmin(finite)]}: non-finite values")
 
     def __len__(self):
-        return len(self.snippets)
+        return len(self.snippet_ids)
 
-    def vehicle_ids(self):
-        seen = []
-        for s in self.snippets:
-            if s.vehicle_id not in seen:
-                seen.append(s.vehicle_id)
-        return seen
+    def take(self, rows) -> "FleetDataset":
+        """The rows at the integer indices ``rows``, in that order."""
+        return replace(self, channels=self.channels[rows], meta=self.meta[rows],
+                       labels=self.labels[rows],
+                       snippet_ids=tuple(self.snippet_ids[i] for i in rows),
+                       vehicle_ids=tuple(self.vehicle_ids[i] for i in rows))
 
-    def vehicle_label(self, vehicle_id: str) -> int:
-        for s in self.snippets:
-            if s.vehicle_id == vehicle_id:
-                return s.label
-        raise KeyError(vehicle_id)
+    def vehicle_labels(self) -> dict:
+        """Each vehicle's label, in order of the vehicle's first row."""
+        return dict(zip(self.vehicle_ids, self.labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -137,17 +141,18 @@ class NormStats:
     meta_std: np.ndarray
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_vehicle_ids: frozenset
-    val_vehicle_ids: frozenset
-    seed: int
-    ratio: float
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
+
+
+def _stack_snippets(snippets: list, channel_names, m: int) -> FleetDataset:
+    """The fleet of (snippet_id, vehicle_id, channels (m, D), meta (K,), label) tuples."""
+    sids, vids, channels, meta, labels = zip(*snippets) if snippets else ((),) * 5
+    return FleetDataset(np.array(channels, dtype=np.float64).reshape(-1, m, len(channel_names)),
+                        np.array(meta, dtype=np.float64).reshape(-1, len(META_NAMES)),
+                        np.array(labels, dtype=np.int64), sids, vids,
+                        tuple(channel_names), tuple(META_NAMES))
 
 
 def _parse_float(cell: str, path, line_no: int, col: str) -> float:
@@ -190,8 +195,11 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
             label = row[1].strip()
             if label not in ("0", "1"):
                 raise ParseError(f"{meta_path}:{line_no}: label must be 0 or 1, got {label!r}")
+            if sid in meta_by_id:
+                raise ParseError(f"{meta_path}:{line_no}: snippet {sid!r} is already listed "
+                                 f"on line {meta_by_id[sid][2]}")
             meta = [_parse_float(row[i], meta_path, line_no, META_NAMES[i - 2]) for i in (2, 3)]
-            meta_by_id[sid] = (int(label), np.array(meta, dtype=np.float64))
+            meta_by_id[sid] = (int(label), meta, line_no)
 
     snippets = []
     with open(data_path, newline="", encoding="utf-8") as fh:
@@ -217,14 +225,14 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                 raise ParseError(f"{data_path}:{first_line}: snippet {cur_id!r} has fewer than 2 rows")
             if cur_id not in meta_by_id:
                 raise ParseError(f"{data_path}:{first_line}: snippet {cur_id!r} missing from metadata file")
-            label, meta = meta_by_id[cur_id]
+            label, meta, _ = meta_by_id[cur_id]
             v_label, v_sid = vehicle_label.setdefault(cur_vehicle, (label, cur_id))
             if label != v_label:
                 raise ParseError(
                     f"{data_path}:{first_line}: snippet {cur_id!r} has label {label} in the metadata "
                     f"file but vehicle {cur_vehicle!r} has label {v_label} from snippet {v_sid!r}")
             channels = _resample(np.array(cur_rows, dtype=np.float64), target_len)
-            snippets.append(ChargeSnippet(cur_id, cur_vehicle, channels, meta, label))
+            snippets.append((cur_id, cur_vehicle, channels, meta, label))
 
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -257,7 +265,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                              for d in range(len(channel_names))])
         flush(None)
 
-    return FleetDataset(tuple(snippets), tuple(channel_names), tuple(META_NAMES))
+    return _stack_snippets(snippets, channel_names, target_len)
 
 
 # ---------------------------------------------------------------------------
@@ -272,28 +280,22 @@ def fit_norm(train: FleetDataset) -> NormStats:
     """
     if len(train) == 0:
         raise ValueError("cannot fit normalization on an empty dataset")
-    pooled = np.concatenate([s.channels for s in train.snippets], axis=0)
-    metas = np.stack([s.meta for s in train.snippets], axis=0)
+    pooled = train.channels.reshape(-1, train.channels.shape[2])
     mean = pooled.mean(axis=0)
     std = np.maximum(pooled.std(axis=0), STD_FLOOR)
-    meta_mean = metas.mean(axis=0)
-    meta_std = np.maximum(metas.std(axis=0), STD_FLOOR)
+    meta_mean = train.meta.mean(axis=0)
+    meta_std = np.maximum(train.meta.std(axis=0), STD_FLOOR)
     return NormStats(mean, std, meta_mean, meta_std)
 
 
 def apply_norm(ds: FleetDataset, stats: NormStats) -> FleetDataset:
     """Z-score channels and metadata with previously fit statistics."""
-    if len(ds) and ds.snippets[0].channels.shape[1] != stats.mean.shape[0]:
-        raise ValueError(f"channel count {ds.snippets[0].channels.shape[1]} != stats D {stats.mean.shape[0]}")
-    if len(ds) and ds.snippets[0].meta.shape[0] != stats.meta_mean.shape[0]:
-        raise ValueError(f"meta length {ds.snippets[0].meta.shape[0]} != stats K {stats.meta_mean.shape[0]}")
-    out = tuple(
-        replace(s,
-                channels=(s.channels - stats.mean) / stats.std,
-                meta=(s.meta - stats.meta_mean) / stats.meta_std)
-        for s in ds.snippets
-    )
-    return FleetDataset(out, ds.channel_names, ds.meta_names)
+    if ds.channels.shape[2] != stats.mean.shape[0]:
+        raise ValueError(f"channel count {ds.channels.shape[2]} != stats D {stats.mean.shape[0]}")
+    if ds.meta.shape[1] != stats.meta_mean.shape[0]:
+        raise ValueError(f"meta length {ds.meta.shape[1]} != stats K {stats.meta_mean.shape[0]}")
+    return replace(ds, channels=(ds.channels - stats.mean) / stats.std,
+                   meta=(ds.meta - stats.meta_mean) / stats.meta_std)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +304,23 @@ def apply_norm(ds: FleetDataset, stats: NormStats) -> FleetDataset:
 
 
 def vehicle_split(ds: FleetDataset, ratio: float, seed: int):
-    """Split by vehicle, stratified by label, so no vehicle straddles train/val."""
+    """Split by vehicle, stratified by label, so no vehicle straddles train/val.
+
+    Returns (train, val), each keeping the rows' order in ``ds``.
+    """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0,1)")
-    vehicles = ds.vehicle_ids()
+    vehicles = ds.vehicle_labels()
     if len(vehicles) < 2:
         raise ValueError("need at least 2 vehicles to split")
 
     rng = SeededRng(seed, ("vehicle_split",))
     by_label = {}
-    for v in vehicles:
-        by_label.setdefault(ds.vehicle_label(v), []).append(v)
+    for v, label in vehicles.items():
+        by_label.setdefault(label, []).append(v)
 
     total_train = int(round(ratio * len(vehicles)))
-    train_ids, val_ids = set(), set()
+    train_ids = set()
     # allocate per label group, keeping at least one vehicle of each group in
     # val (and train) whenever the group is large enough
     groups = sorted(by_label.items())
@@ -338,17 +343,12 @@ def vehicle_split(ds: FleetDataset, ratio: float, seed: int):
         order = rng.spawn(label).permutation(len(group))
         shuffled = [group[i] for i in order]
         train_ids.update(shuffled[:alloc[label]])
-        val_ids.update(shuffled[alloc[label]:])
 
-    if not train_ids or not val_ids:
+    if not 0 < len(train_ids) < len(vehicles):
         raise ValueError(f"split ratio {ratio} leaves an empty side for {len(vehicles)} vehicles")
 
-    train = FleetDataset(tuple(s for s in ds.snippets if s.vehicle_id in train_ids),
-                         ds.channel_names, ds.meta_names)
-    val = FleetDataset(tuple(s for s in ds.snippets if s.vehicle_id in val_ids),
-                       ds.channel_names, ds.meta_names)
-    spec = SplitSpec(frozenset(train_ids), frozenset(val_ids), seed, ratio)
-    return train, val, spec
+    in_train = np.array([v in train_ids for v in ds.vehicle_ids])
+    return ds.take(np.flatnonzero(in_train)), ds.take(np.flatnonzero(~in_train))
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +459,22 @@ def synth_fleet(cfg: FleetConfig, seed: int, seq_len: int, id_prefix: str = "ev"
         bias = cfg.fault_meta_bias if faulty else 0.0
         mileage = mi_lo + (mi_hi - mi_lo) * min(v_rng.uniform(()) * (1 - bias) + bias, 1.0)
         cycles = cy_lo + (cy_hi - cy_lo) * min(v_rng.uniform(()) * (1 - bias) + bias, 1.0)
-        meta = np.array([mileage, cycles])
+        meta = [mileage, cycles]
         vid = f"{id_prefix}{vi:04d}"
         for si in range(cfg.snippets_per_vehicle):
             channels = _synth_snippet(cfg, seq_len, v_rng.spawn("snippet", si), resistance, faulty)
-            snippets.append(ChargeSnippet(f"{vid}_s{si:03d}", vid, channels, meta, int(faulty)))
+            snippets.append((f"{vid}_s{si:03d}", vid, channels, meta, int(faulty)))
 
-    return FleetDataset(tuple(snippets), CHANNEL_NAMES, tuple(META_NAMES))
+    return _stack_snippets(snippets, CHANNEL_NAMES, seq_len)
 
 
 def merge_fleets(a: FleetDataset, b: FleetDataset) -> FleetDataset:
     """Concatenate two fleets sharing the same channel/meta layout."""
     if a.channel_names != b.channel_names or a.meta_names != b.meta_names:
         raise ValueError("fleets have different channel or meta layouts")
-    return FleetDataset(a.snippets + b.snippets, a.channel_names, a.meta_names)
+    return FleetDataset(np.concatenate([a.channels, b.channels]), np.concatenate([a.meta, b.meta]),
+                        np.concatenate([a.labels, b.labels]), a.snippet_ids + b.snippet_ids,
+                        a.vehicle_ids + b.vehicle_ids, a.channel_names, a.meta_names)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +485,9 @@ def merge_fleets(a: FleetDataset, b: FleetDataset) -> FleetDataset:
 def write_csv(ds: FleetDataset, data_path, meta_path):
     """Write a dataset in the ingestion CSV formats (deterministic bytes)."""
     write_text(data_path, "snippet_id,vehicle_id,step," + ",".join(ds.channel_names) + "\n" + "".join(
-        f"{s.snippet_id},{s.vehicle_id},{step}," + ",".join(map(repr, row)) + "\n"
-        for s in ds.snippets for step, row in enumerate(s.channels.tolist())))
+        f"{sid},{vid},{step}," + ",".join(map(repr, row)) + "\n"
+        for sid, vid, rows in zip(ds.snippet_ids, ds.vehicle_ids, ds.channels.tolist())
+        for step, row in enumerate(rows)))
     write_text(meta_path, "snippet_id,label,mileage_km,cycle_count\n" + "".join(
-        f"{s.snippet_id},{s.label}," + ",".join(map(repr, s.meta.tolist())) + "\n"
-        for s in ds.snippets))
+        f"{sid},{label}," + ",".join(map(repr, meta)) + "\n"
+        for sid, label, meta in zip(ds.snippet_ids, ds.labels.tolist(), ds.meta.tolist())))

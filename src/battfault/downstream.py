@@ -1,7 +1,9 @@
 """Frozen-encoder feature extraction and a gradient-boosted tree classifier.
 
-Features are the encoder's summary vector concatenated with the snippet's
-z-scored static metadata. The classifier is boosted depth-limited regression
+extract_features turns a FleetDataset into one (N, H+K) matrix: row i is the
+encoder's summary vector of the dataset's row i followed by its z-scored
+static metadata. train_gbdt(X, labels, cfg) fits on such a matrix and the
+dataset's labels. The classifier is boosted depth-limited regression
 trees on logistic loss: exact greedy split search over midpoints of sorted
 distinct feature values, second-order leaf weights with L2 regularization.
 Each `train_gbdt` call sorts every feature column once (the pre-sorted column
@@ -30,34 +32,24 @@ class ClassifierError(ValueError):
     """Malformed classifier document; the message names the file."""
 
 
-@dataclass(frozen=True)
-class FusedFeature:
-    values: np.ndarray  # (H+K,)
-    snippet_id: str
-    vehicle_id: str
-    label: int
-
-
 def extract_features(params: ModelParams, cfg: ModelConfig, ds: FleetDataset,
-                     batch_size: int = 32) -> list:
-    """Per snippet: eval-mode summary vector concatenated with its metadata.
+                     batch_size: int = 32) -> np.ndarray:
+    """(N, H+K) matrix: each snippet's eval-mode summary vector, then its metadata.
 
     The dataset must already be normalized with statistics fit on the
     training split.
     """
-    if len(ds) and ds.snippets[0].meta.shape[0] != cfg.K:
-        raise ValueError(f"metadata length {ds.snippets[0].meta.shape[0]} != cfg.K {cfg.K}")
-    out = []
+    if ds.meta.shape[1] != cfg.K:
+        raise ValueError(f"metadata length {ds.meta.shape[1]} != cfg.K {cfg.K}")
+    X = np.empty((len(ds), cfg.H + cfg.K))
+    X[:, cfg.H:] = ds.meta
     for start in range(0, len(ds), batch_size):
-        chunk = ds.snippets[start:start + batch_size]
-        X = np.stack([s.channels for s in chunk], axis=0)
-        vecs = encode_batch(X, params, cfg)
-        for s, v in zip(chunk, vecs):
-            fused = np.concatenate([v, s.meta]) if cfg.K else v.copy()
-            if not np.all(np.isfinite(fused)):
-                raise ValueError(f"non-finite feature for snippet {s.snippet_id}")
-            out.append(FusedFeature(fused, s.snippet_id, s.vehicle_id, s.label))
-    return out
+        X[start:start + batch_size, :cfg.H] = encode_batch(
+            ds.channels[start:start + batch_size], params, cfg)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite feature for snippet {ds.snippet_ids[np.argmin(finite)]}")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +192,18 @@ def _logloss(y, p):
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
-def train_gbdt(features: list, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
-    """Boost regression trees on logistic loss over fused features.
+def train_gbdt(X: np.ndarray, labels, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
+    """Boost regression trees on logistic loss over the rows of a feature matrix.
 
-    Training log-loss must not increase round over round; NonFiniteError
-    otherwise.
+    ``labels`` holds each row's 0/1 label. Training log-loss must not increase
+    round over round; NonFiniteError otherwise.
     """
-    if not features:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if X.ndim != 2 or y.shape != (len(X),):
+        raise ValueError(f"feature matrix {X.shape} does not match {y.shape} labels")
+    if not len(X):
         raise ValueError("no training features")
-    X = np.stack([f.values for f in features], axis=0)
-    y = np.array([f.label for f in features], dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values in training features")
     pos_rate = y.mean()

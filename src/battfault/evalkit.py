@@ -165,9 +165,6 @@ def vehicle_scores(scores, vehicle_ids, aggregator: str = "mean") -> dict:
     groups = {}
     for s, v in zip(scores, vehicle_ids):
         groups.setdefault(v, []).append(float(s))
-    for v, g in groups.items():
-        if not g:
-            raise ValueError(f"empty score group for vehicle {v}")
     agg = AGGREGATORS[aggregator]
     return {v: float(agg(g)) for v, g in groups.items()}
 

@@ -178,6 +178,8 @@ def load_checkpoint(path) -> Checkpoint:
         tensors = {}
         for name, spec in doc["tensors"].items():
             shape = tuple(spec["shape"])
+            if not isinstance(spec["data"], list) or not set(map(type, spec["data"])) <= {int, float}:
+                raise ValueError(f"tensor {name}: data must be a list of numbers")
             data = np.array(spec["data"], dtype=np.float64)
             if shape != shapes[name] or data.shape != (int(np.prod(shape)),):
                 raise ValueError(f"tensor {name}: {data.size} values for shape {shape}, "
@@ -186,7 +188,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"tensor {name}: non-finite values")
             tensors[name] = data.reshape(shape)
         provenance = dict(doc.get("provenance", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer past the float range in tensor data
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
     return Checkpoint(cfg, tensors, provenance, doc["format_version"])
 
@@ -219,10 +222,6 @@ def transfer_init(source: Checkpoint, target_cfg: ModelConfig, rng: SeededRng):
 # ---------------------------------------------------------------------------
 
 
-def _stack_channels(ds: FleetDataset) -> np.ndarray:
-    return np.stack([s.channels for s in ds.snippets], axis=0)
-
-
 def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
                  cfg: ModelConfig, pcfg: PretrainConfig, *, seed: int, log=None):
     """Train in place with masked signal modeling; returns (Checkpoint, history).
@@ -232,15 +231,14 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     uses a fixed, snippet-keyed mask set and eval-mode forward so the val loss
     is comparable across epochs. History rows are (epoch, train_loss, val_loss).
     """
-    X_train = _stack_channels(train)
-    X_val = _stack_channels(val)
+    X_train, X_val = train.channels, val.channels
     n, M, D = X_train.shape
     rng = SeededRng(seed, ("pretrain",))
     opt = Adam(params, pcfg)
 
     val_masks = np.stack(
-        [sample_mask(M, D, pcfg.mask_rate, _validation_mask_rng(s.snippet_id, seed))
-         for s in val.snippets], axis=0) if len(val) else None
+        [sample_mask(M, D, pcfg.mask_rate, _validation_mask_rng(sid, seed))
+         for sid in val.snippet_ids], axis=0) if len(val) else None
 
     history = []
     for epoch in range(1, pcfg.epochs + 1):

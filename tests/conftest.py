@@ -22,13 +22,12 @@ INIT_SEED = 1
 def default_fleet():
     """Default synthetic benchmark: 40 vehicles, M=128, D=3, normalized splits."""
     fleet = dataio.synth_fleet(dataio.FleetConfig(), FLEET_SEED, 128)
-    train, val, spec = dataio.vehicle_split(fleet, 0.8, SPLIT_SEED)
+    train, val = dataio.vehicle_split(fleet, 0.8, SPLIT_SEED)
     stats = dataio.fit_norm(train)
     return {
         "fleet": fleet,
         "train": dataio.apply_norm(train, stats),
         "val": dataio.apply_norm(val, stats),
-        "spec": spec,
         "stats": stats,
     }
 

@@ -174,7 +174,7 @@ def test_06_pretraining_learns(pretrain_run):
 def test_07_warm_start_advantage(pretrain_run):
     # disjoint corpus: different generator seed, so no snippet is shared
     fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=16), 77, 128)
-    train, val, _ = dataio.vehicle_split(fleet, 0.8, 88)
+    train, val = dataio.vehicle_split(fleet, 0.8, 88)
     stats = dataio.fit_norm(train)
     train_n, val_n = dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
 
@@ -204,7 +204,7 @@ def test_08_representation_alignment(tmp_path):
     sub_b = dataio.synth_fleet(
         dataclasses.replace(base, voltage_offset=-0.02, temp_offset=-0.5), 22, 128, id_prefix="b")
     fleet = dataio.merge_fleets(sub_a, sub_b)
-    train, val, _ = dataio.vehicle_split(fleet, 0.8, 8)
+    train, val = dataio.vehicle_split(fleet, 0.8, 8)
     stats = dataio.fit_norm(train)
 
     cfg = model.ModelConfig.desk_default()
@@ -213,10 +213,9 @@ def test_08_representation_alignment(tmp_path):
                           params, cfg, pretrain.PretrainConfig(epochs=6), seed=1)
 
     fleet_n = dataio.apply_norm(fleet, stats)
-    groups = [s.vehicle_id[0] for s in fleet_n.snippets]  # subfleet prefix a/b
-    raw = np.stack([s.channels.reshape(-1) for s in fleet_n.snippets])
-    emb = model.encode_batch(np.stack([s.channels for s in fleet_n.snippets]),
-                             params, cfg)
+    groups = [vid[0] for vid in fleet_n.vehicle_ids]  # subfleet prefix a/b
+    raw = fleet_n.channels.reshape(len(fleet_n), -1)
+    emb = model.encode_batch(fleet_n.channels, params, cfg)
 
     mix_raw = evalkit.mixing_score(raw, groups)
     mix_emb = evalkit.mixing_score(emb, groups)
@@ -225,8 +224,8 @@ def test_08_representation_alignment(tmp_path):
     # t-SNE outputs for both feature spaces
     for stem, X in (("tsne_raw", raw), ("tsne_embedding", emb)):
         coords, _ = evalkit.tsne(X, perplexity=10.0, iterations=300, seed=4)
-        rows = [(float(c[0]), float(c[1]), s.vehicle_id, s.label)
-                for c, s in zip(coords, fleet_n.snippets)]
+        rows = [(float(c[0]), float(c[1]), vid, label)
+                for c, vid, label in zip(coords, fleet_n.vehicle_ids, fleet_n.labels)]
         evalkit.write_tsne_outputs(rows, tmp_path, stem=stem)
         assert (tmp_path / f"{stem}.csv").exists()
         assert (tmp_path / f"{stem}.svg").exists()
@@ -248,13 +247,12 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
         params = pretrain_run["params" if tag == "pretrained" else "random_params"]
         feats_train = downstream.extract_features(params, cfg, train_n)
         feats_val = downstream.extract_features(params, cfg, val_n)
-        gbdt = downstream.train_gbdt(feats_train, downstream.GbdtConfig())
-        scores = downstream.predict_proba_batch(
-            gbdt, np.stack([f.values for f in feats_val]))
-        veh = evalkit.vehicle_scores(scores, [f.vehicle_id for f in feats_val], "mean")
+        gbdt = downstream.train_gbdt(feats_train, train_n.labels, downstream.GbdtConfig())
+        scores = downstream.predict_proba_batch(gbdt, feats_val)
+        veh = evalkit.vehicle_scores(scores, val_n.vehicle_ids, "mean")
         ids = sorted(veh)
         veh_scores = np.array([veh[v] for v in ids])
-        veh_labels = np.array([val_n.vehicle_label(v) for v in ids])
+        veh_labels = np.array([val_n.vehicle_labels()[v] for v in ids])
         results[tag] = {
             "auroc": evalkit.auroc(veh_scores, veh_labels),
             "cost": evalkit.min_expected_cost(veh_scores, veh_labels),

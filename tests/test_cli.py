@@ -36,8 +36,8 @@ class TestSynth:
         from battfault import dataio
         ds = dataio.load_csv(workspace["data"] / "snippets.csv",
                              workspace["data"] / "meta.csv", 16)
-        assert len(ds.vehicle_ids()) == 8
-        faulty = sum(ds.vehicle_label(v) for v in ds.vehicle_ids())
+        assert len(ds.vehicle_labels()) == 8
+        faulty = sum(ds.vehicle_labels().values())
         assert faulty == round(0.25 * 8)
 
     def test_summary_reports_fault_count(self, workspace, capsys):
@@ -106,7 +106,8 @@ class TestSynth:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and str(bad) in err
 
     def test_integral_float_seed_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -147,6 +148,12 @@ CHECKPOINT_DEFECTS = {
     "tensors_not_object": lambda doc: doc.update(tensors="none"),
     "invalid_model_config": lambda doc: doc["config"].update(A=5),
     "non_numeric_data": lambda doc: doc["tensors"]["head.b"].update(data=["a", "b", "c"]),
+    # finite numbers only: numpy casts the first three to 0.5, 1.0 and NaN and
+    # raises OverflowError on the last
+    "string_number_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, "0.5"),
+    "boolean_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, True),
+    "null_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, None),
+    "huge_integer_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, 10 ** 400),
     "missing_tensor": lambda doc: doc["tensors"].pop("head.b"),
     "extra_tensor": lambda doc: doc["tensors"].update(extra={"shape": [1], "data": [0.0]}),
     "wrong_shape": lambda doc: doc["tensors"]["head.b"].update(shape=[1, 3]),

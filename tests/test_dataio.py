@@ -26,48 +26,80 @@ def small_fleet():
 class TestSynth:
     def test_deterministic(self, small_fleet):
         again = synth_fleet(FleetConfig(n_vehicles=8, snippets_per_vehicle=3), 11, 32)
-        for a, b in zip(small_fleet.snippets, again.snippets):
-            assert a.snippet_id == b.snippet_id
-            np.testing.assert_array_equal(a.channels, b.channels)
-            np.testing.assert_array_equal(a.meta, b.meta)
+        assert again.snippet_ids == small_fleet.snippet_ids
+        np.testing.assert_array_equal(again.channels, small_fleet.channels)
+        np.testing.assert_array_equal(again.meta, small_fleet.meta)
 
     def test_sizes_and_shapes(self, small_fleet):
         assert len(small_fleet) == 24
-        assert len(small_fleet.vehicle_ids()) == 8
-        for s in small_fleet.snippets:
-            assert s.channels.shape == (32, 3)
-            assert np.isfinite(s.channels).all()
+        assert len(small_fleet.vehicle_labels()) == 8
+        assert small_fleet.channels.shape == (24, 32, 3)
+        assert np.isfinite(small_fleet.channels).all()
 
     def test_fault_count_is_rounded_fraction(self):
         for n, frac in ((40, 0.15), (10, 0.25), (7, 0.3)):
             ds = synth_fleet(FleetConfig(n_vehicles=n, fault_fraction=frac,
                                          snippets_per_vehicle=1), 5, 16)
-            faulty = sum(ds.vehicle_label(v) for v in ds.vehicle_ids())
+            faulty = sum(ds.vehicle_labels().values())
             assert faulty == round(frac * n)
 
     def test_label_constant_per_vehicle(self, small_fleet):
-        for v in small_fleet.vehicle_ids():
-            labels = {s.label for s in small_fleet.snippets if s.vehicle_id == v}
+        for v in small_fleet.vehicle_labels():
+            labels = {label for vid, label in zip(small_fleet.vehicle_ids, small_fleet.labels)
+                      if vid == v}
             assert len(labels) == 1
 
     def test_offsets_shift_channels(self):
         base = FleetConfig(n_vehicles=2, snippets_per_vehicle=1)
         a = synth_fleet(base, 3, 16)
         b = synth_fleet(dataclasses.replace(base, voltage_offset=0.5), 3, 16)
-        for sa, sb in zip(a.snippets, b.snippets):
-            np.testing.assert_allclose(sb.channels[:, 0] - sa.channels[:, 0], 0.5, atol=1e-9)
-            np.testing.assert_array_equal(sa.channels[:, 1:], sb.channels[:, 1:])
+        np.testing.assert_allclose(b.channels[:, :, 0] - a.channels[:, :, 0], 0.5, atol=1e-9)
+        np.testing.assert_array_equal(a.channels[:, :, 1:], b.channels[:, :, 1:])
 
     def test_merge_disjoint(self, small_fleet):
         other = synth_fleet(FleetConfig(n_vehicles=3, snippets_per_vehicle=2),
                             99, 32, id_prefix="xx")
         merged = merge_fleets(small_fleet, other)
         assert len(merged) == len(small_fleet) + len(other)
-        assert len(merged.vehicle_ids()) == 11
+        assert len(merged.vehicle_labels()) == 11
 
     def test_merge_rejects_id_collisions(self, small_fleet):
         with pytest.raises(ValueError):
             merge_fleets(small_fleet, small_fleet)
+
+
+class TestFleetDataset:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ds: dict(channels=ds.channels[:-1]), r"channels \(23, 32, 3\)"),
+        (lambda ds: dict(channels=ds.channels[:, :, :2]), r"channels \(24, 32, 2\)"),
+        (lambda ds: dict(channels=ds.channels[0]), r"channels \(32, 3\)"),
+        (lambda ds: dict(meta=ds.meta[:, :1]), r"meta \(24, 1\)"),
+        (lambda ds: dict(meta=ds.meta[:-1]), r"meta \(23, 2\)"),
+        (lambda ds: dict(labels=ds.labels[:-1]), r"labels \(23,\)"),
+        (lambda ds: dict(vehicle_ids=ds.vehicle_ids[:-1]), "23 vehicle ids"),
+        (lambda ds: dict(channel_names=ds.channel_names[:2]), "24 snippets of 2 channels"),
+        (lambda ds: dict(snippet_ids=ds.snippet_ids[:-1] + ds.snippet_ids[:1]), "duplicate snippet_id"),
+        (lambda ds: dict(meta=np.where(np.arange(len(ds))[:, None] == 5, np.inf, ds.meta)),
+         "snippet ev0001_s002: non-finite"),
+    ])
+    def test_rejects_mismatched_rows(self, small_fleet, edit, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(small_fleet, **edit(small_fleet))
+
+    def test_take_keeps_the_given_row_order(self, small_fleet):
+        rows = np.array([5, 0, 23, 7])
+        sub = small_fleet.take(rows)
+        assert sub.snippet_ids == tuple(small_fleet.snippet_ids[i] for i in rows)
+        assert sub.vehicle_ids == tuple(small_fleet.vehicle_ids[i] for i in rows)
+        np.testing.assert_array_equal(sub.channels, small_fleet.channels[rows])
+        np.testing.assert_array_equal(sub.meta, small_fleet.meta[rows])
+        np.testing.assert_array_equal(sub.labels, small_fleet.labels[rows])
+
+    def test_vehicle_labels_in_order_of_first_row(self, small_fleet):
+        sub = small_fleet.take(np.array([9, 0, 10, 1]))
+        labels = small_fleet.vehicle_labels()
+        assert sub.vehicle_labels() == {v: labels[v] for v in ("ev0003", "ev0000")}
+        assert list(sub.vehicle_labels()) == ["ev0003", "ev0000"]
 
 
 class TestCsvRoundTrip:
@@ -77,10 +109,10 @@ class TestCsvRoundTrip:
         back = load_csv(data, meta, 32)
         assert back.channel_names == small_fleet.channel_names
         assert back.meta_names == small_fleet.meta_names
-        for a, b in zip(small_fleet.snippets, back.snippets):
-            assert (a.snippet_id, a.vehicle_id, a.label) == (b.snippet_id, b.vehicle_id, b.label)
-            np.testing.assert_array_equal(a.channels, b.channels)
-            np.testing.assert_array_equal(a.meta, b.meta)
+        assert (back.snippet_ids, back.vehicle_ids) == (small_fleet.snippet_ids, small_fleet.vehicle_ids)
+        np.testing.assert_array_equal(back.labels, small_fleet.labels)
+        np.testing.assert_array_equal(back.channels, small_fleet.channels)
+        np.testing.assert_array_equal(back.meta, small_fleet.meta)
 
     def test_write_is_byte_deterministic(self, small_fleet, tmp_path):
         pair1 = tmp_path / "a.csv", tmp_path / "am.csv"
@@ -94,8 +126,7 @@ class TestCsvRoundTrip:
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
         write_csv(small_fleet, data, meta)
         back = load_csv(data, meta, 20)
-        for s in back.snippets:
-            assert s.channels.shape == (20, 3)
+        assert back.channels.shape == (24, 20, 3)
 
     def test_bad_float_reports_line(self, small_fleet, tmp_path):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
@@ -116,6 +147,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError):
             load_csv(data, meta, 32)
 
+    def test_repeated_meta_row_rejected(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = meta.read_text().splitlines()
+        sid, label, _ = lines[1].split(",", 2)
+        # the same snippet again at the end with another mileage, and then with another label
+        for repeat in (f"{sid},{label},1.0,1.0", f"{sid},{1 - int(label)},1.0,1.0"):
+            meta.write_text("\n".join([*lines, repeat]) + "\n")
+            with pytest.raises(ParseError, match=rf"meta\.csv:26: snippet '{sid}' is already "
+                                                 r"listed on line 2"):
+                load_csv(data, meta, 32)
+
     def test_conflicting_vehicle_labels_rejected(self, small_fleet, tmp_path):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
         write_csv(small_fleet, data, meta)
@@ -134,7 +177,7 @@ class TestCsvRoundTrip:
         # the first snippet's last row moves behind the second snippet's rows
         rows = rows[:31] + rows[32:64] + [rows[31]] + rows[64:]
         data.write_text("\n".join([header, *rows]) + "\n")
-        sid = small_fleet.snippets[0].snippet_id
+        sid = small_fleet.snippet_ids[0]
         with pytest.raises(ParseError, match=rf"snippets\.csv:65: rows of snippet '{sid}' are not contiguous"):
             load_csv(data, meta, 32)
 
@@ -142,21 +185,21 @@ class TestCsvRoundTrip:
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
         write_csv(small_fleet, data, meta)
         lines = data.read_text().splitlines()
-        first, other = small_fleet.snippets[0], small_fleet.snippets[-1]
-        assert first.vehicle_id != other.vehicle_id
+        first, other = small_fleet.vehicle_ids[0], small_fleet.vehicle_ids[-1]
+        assert first != other
         cols = lines[4].split(",")  # the first snippet's fourth row
-        cols[1] = other.vehicle_id
+        cols[1] = other
         lines[4] = ",".join(cols)
         data.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=rf"snippets\.csv:5: snippet '{first.snippet_id}' row "
-                                             rf"has vehicle '{other.vehicle_id}'"):
+        with pytest.raises(ParseError, match=rf"snippets\.csv:5: snippet '{small_fleet.snippet_ids[0]}' row "
+                                             rf"has vehicle '{other}'"):
             load_csv(data, meta, 32)
 
     def test_steps_out_of_order_rejected(self, small_fleet, tmp_path):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
         write_csv(small_fleet, data, meta)
         header, *rows = data.read_text().splitlines()
-        sid = small_fleet.snippets[0].snippet_id
+        sid = small_fleet.snippet_ids[0]
         # the first snippet's rows reversed: steps 31..0
         data.write_text("\n".join([header, *rows[:32][::-1], *rows[32:]]) + "\n")
         with pytest.raises(ParseError, match=rf"snippets\.csv:3: snippet '{sid}' step 30 "
@@ -194,49 +237,44 @@ class TestNormalization:
     def test_train_stats_are_zero_mean_unit_std(self, small_fleet):
         stats = fit_norm(small_fleet)
         normed = apply_norm(small_fleet, stats)
-        pooled = np.concatenate([s.channels for s in normed.snippets], axis=0)
-        np.testing.assert_allclose(pooled.mean(axis=0), 0, atol=1e-9)
-        np.testing.assert_allclose(pooled.std(axis=0), 1, atol=1e-9)
-        metas = np.stack([s.meta for s in normed.snippets])
-        np.testing.assert_allclose(metas.mean(axis=0), 0, atol=1e-9)
+        np.testing.assert_allclose(normed.channels.mean(axis=(0, 1)), 0, atol=1e-9)
+        np.testing.assert_allclose(normed.channels.std(axis=(0, 1)), 1, atol=1e-9)
+        np.testing.assert_allclose(normed.meta.mean(axis=0), 0, atol=1e-9)
 
     def test_apply_norm_uses_given_stats(self, small_fleet):
         stats = fit_norm(small_fleet)
         other = synth_fleet(FleetConfig(n_vehicles=2, snippets_per_vehicle=1),
                             77, 32, id_prefix="zz")
         normed = apply_norm(other, stats)
-        expected = (other.snippets[0].channels - stats.mean) / stats.std
-        np.testing.assert_allclose(normed.snippets[0].channels, expected, atol=1e-12)
+        expected = (other.channels[0] - stats.mean) / stats.std
+        np.testing.assert_allclose(normed.channels[0], expected, atol=1e-12)
 
 
 class TestVehicleSplit:
     def test_no_vehicle_straddles(self, small_fleet):
-        train, val, spec = vehicle_split(small_fleet, 0.75, 4)
-        assert spec.train_vehicle_ids.isdisjoint(spec.val_vehicle_ids)
-        assert spec.train_vehicle_ids | spec.val_vehicle_ids == set(small_fleet.vehicle_ids())
-        for s in train.snippets:
-            assert s.vehicle_id in spec.train_vehicle_ids
-        for s in val.snippets:
-            assert s.vehicle_id in spec.val_vehicle_ids
+        train, val = vehicle_split(small_fleet, 0.75, 4)
+        assert set(train.vehicle_ids).isdisjoint(val.vehicle_ids)
+        assert set(train.vehicle_ids) | set(val.vehicle_ids) == set(small_fleet.vehicle_ids)
+        assert len(train) + len(val) == len(small_fleet)
 
     def test_total_matches_rounded_ratio(self, small_fleet):
-        train, _, _ = vehicle_split(small_fleet, 0.75, 4)
-        assert len({s.vehicle_id for s in train.snippets}) == round(0.75 * 8)
+        train, _ = vehicle_split(small_fleet, 0.75, 4)
+        assert len(set(train.vehicle_ids)) == round(0.75 * 8)
 
     def test_label_stratified_when_possible(self):
         ds = synth_fleet(FleetConfig(n_vehicles=20, fault_fraction=0.2,
                                      snippets_per_vehicle=1), 9, 16)
-        _, val, spec = vehicle_split(ds, 0.8, 2)
-        val_labels = {val.vehicle_label(v) for v in spec.val_vehicle_ids}
+        _, val = vehicle_split(ds, 0.8, 2)
+        val_labels = set(val.vehicle_labels().values())
         assert val_labels == {0, 1}
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_split_deterministic_per_seed(self, seed):
         ds = synth_fleet(FleetConfig(n_vehicles=10, snippets_per_vehicle=1), 1, 16)
-        _, _, a = vehicle_split(ds, 0.7, seed)
-        _, _, b = vehicle_split(ds, 0.7, seed)
-        assert a.train_vehicle_ids == b.train_vehicle_ids
+        a, _ = vehicle_split(ds, 0.7, seed)
+        b, _ = vehicle_split(ds, 0.7, seed)
+        assert a.vehicle_ids == b.vehicle_ids
 
     def test_bad_ratio_rejected(self, small_fleet):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from battfault import dataio, downstream, model
 from battfault.downstream import (
     ClassifierError,
-    FusedFeature,
     GbdtConfig,
     GbdtModel,
     TreeNode,
@@ -25,11 +24,6 @@ from battfault.evalkit import SingleClassError
 from battfault.numcore import NonFiniteError, SeededRng
 
 
-def make_features(X, y):
-    return [FusedFeature(np.asarray(row, dtype=np.float64), f"s{i}", f"v{i}", int(label))
-            for i, (row, label) in enumerate(zip(X, y))]
-
-
 def blobs(n=60, seed=0):
     rng = SeededRng(seed)
     X0 = rng.spawn("neg").normal((n, 4)) - 1.5
@@ -40,16 +34,24 @@ def blobs(n=60, seed=0):
 
 
 class TestTrainGbdt:
+    def test_row_count_must_match_labels(self):
+        X, y = blobs(n=10)
+        for labels in (y[:-1], np.append(y, 0), y[:, None]):
+            with pytest.raises(ValueError, match=r"feature matrix \(20, 4\) does not match"):
+                train_gbdt(X, labels)
+        with pytest.raises(ValueError, match="feature matrix"):
+            train_gbdt(X[0], y[:1])
+
     def test_separates_blobs(self):
         X, y = blobs()
-        mdl = train_gbdt(make_features(X, y), GbdtConfig(rounds=30))
+        mdl = train_gbdt(X, y, GbdtConfig(rounds=30))
         p = predict_proba_batch(mdl, X)
         assert ((p > 0.5) == (y == 1)).mean() > 0.95
 
     def test_train_logloss_non_increasing(self):
         import dataclasses
         X, y = blobs(seed=3)
-        mdl = train_gbdt(make_features(X, y), GbdtConfig(rounds=50))
+        mdl = train_gbdt(X, y, GbdtConfig(rounds=50))
         losses = []
         for k in range(len(mdl.trees) + 1):
             partial = dataclasses.replace(mdl, trees=mdl.trees[:k])
@@ -60,12 +62,12 @@ class TestTrainGbdt:
     def test_single_class_rejected(self):
         X, _ = blobs(n=10)
         with pytest.raises(ValueError, match="single-class"):
-            train_gbdt(make_features(X, np.ones(len(X))))
+            train_gbdt(X, np.ones(len(X)))
 
     def test_single_class_is_typed(self):
         X, _ = blobs(n=10)
         with pytest.raises(SingleClassError):
-            train_gbdt(make_features(X, np.zeros(len(X))))
+            train_gbdt(X, np.zeros(len(X)))
 
     def test_negative_reg_lambda_rejected(self):
         with pytest.raises(ValueError, match="reg_lambda"):
@@ -79,14 +81,14 @@ class TestTrainGbdt:
 
     def test_deterministic(self):
         X, y = blobs(seed=5)
-        a = train_gbdt(make_features(X, y), GbdtConfig(rounds=20))
-        b = train_gbdt(make_features(X, y), GbdtConfig(rounds=20))
+        a = train_gbdt(X, y, GbdtConfig(rounds=20))
+        b = train_gbdt(X, y, GbdtConfig(rounds=20))
         np.testing.assert_array_equal(predict_proba_batch(a, X),
                                       predict_proba_batch(b, X))
 
     def test_probabilities_in_unit_interval(self):
         X, y = blobs(seed=7)
-        mdl = train_gbdt(make_features(X, y))
+        mdl = train_gbdt(X, y)
         p = predict_proba_batch(mdl, X * 10)
         assert ((p > 0) & (p < 1)).all()
 
@@ -102,7 +104,7 @@ class TestTrainGbdt:
         X, y = blobs(n=10)
         with pytest.raises(NonFiniteError,
                            match=r"round 0: training log-loss increased from 0\.693\d+ to 2\.50\d+"):
-            train_gbdt(make_features(X, y), GbdtConfig(rounds=3))
+            train_gbdt(X, y, GbdtConfig(rounds=3))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +210,13 @@ class TestSplitSearchOracle:
               np.array([0.0, 1, 1, 1, 1, 1]), GbdtConfig(rounds=20, max_depth=1)))
     def test_matches_reference_bytes(self, case):
         X, y, cfg = case
-        feats = make_features(X, y)
-        assert _saved_bytes(train_gbdt(feats, cfg)) == _saved_bytes(reference_train_gbdt(X, y, cfg))
+        assert _saved_bytes(train_gbdt(X, y, cfg)) == _saved_bytes(reference_train_gbdt(X, y, cfg))
 
 
 class TestSaveLoad:
     def test_round_trip_predictions(self, tmp_path):
         X, y = blobs(n=25, seed=11)
-        mdl = train_gbdt(make_features(X, y), GbdtConfig(rounds=15))
+        mdl = train_gbdt(X, y, GbdtConfig(rounds=15))
         path = tmp_path / "gbdt.json"
         save_gbdt(mdl, path)
         back = load_gbdt(path)
@@ -224,7 +225,7 @@ class TestSaveLoad:
 
     def test_round_trip_bytes(self, tmp_path):
         X, y = blobs(n=25, seed=11)
-        mdl = train_gbdt(make_features(X, y), GbdtConfig(rounds=15))
+        mdl = train_gbdt(X, y, GbdtConfig(rounds=15))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_gbdt(mdl, p1)
         save_gbdt(load_gbdt(p1), p2)
@@ -234,7 +235,7 @@ class TestSaveLoad:
         # an integer base score is kept as given and still predicts
         X, y = blobs(n=25, seed=11)
         path = tmp_path / "gbdt.json"
-        save_gbdt(train_gbdt(make_features(X, y), GbdtConfig(rounds=3)), path)
+        save_gbdt(train_gbdt(X, y, GbdtConfig(rounds=3)), path)
         doc = json.loads(path.read_text())
         doc["base_score"] = 0
         doc["config"]["max_depth"] = 3.0
@@ -273,7 +274,7 @@ class TestLoadMalformed:
     def test_raises_naming_the_file(self, tmp_path, defect):
         X, y = blobs(n=25, seed=11)
         path = tmp_path / "gbdt.json"
-        save_gbdt(train_gbdt(make_features(X, y), GbdtConfig(rounds=3)), path)
+        save_gbdt(train_gbdt(X, y, GbdtConfig(rounds=3)), path)
         edit, message = MALFORMED_CLASSIFIERS[defect]
         if edit is None:
             path.write_text(path.read_text()[:-5])
@@ -302,18 +303,15 @@ class TestExtractFeatures:
     def test_shapes_and_metadata_fusion(self, setup):
         cfg, params, ds = setup
         feats = extract_features(params, cfg, ds)
-        assert len(feats) == len(ds)
-        for f, s in zip(feats, ds.snippets):
-            assert f.values.shape == (cfg.H + cfg.K,)
-            np.testing.assert_array_equal(f.values[cfg.H:], s.meta)
-            assert (f.snippet_id, f.vehicle_id, f.label) == (s.snippet_id, s.vehicle_id, s.label)
+        assert feats.shape == (len(ds), cfg.H + cfg.K)
+        np.testing.assert_array_equal(feats[:, cfg.H:], ds.meta)
+        np.testing.assert_array_equal(feats[:, :cfg.H], model.encode_batch(ds.channels, params, cfg))
 
     def test_batch_size_does_not_change_values(self, setup):
         cfg, params, ds = setup
         a = extract_features(params, cfg, ds, batch_size=3)
         b = extract_features(params, cfg, ds, batch_size=64)
-        for fa, fb in zip(a, b):
-            np.testing.assert_allclose(fa.values, fb.values, atol=1e-12)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_meta_dimension_checked(self, setup):
         cfg, params, ds = setup

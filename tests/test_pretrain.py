@@ -29,7 +29,7 @@ TINY = ModelConfig(D=3, H=16, L=1, A=2, FF=32, M_max=17, dropout_rate=0.1, K=2)
 def tiny_splits(seed=31):
     fleet = dataio.synth_fleet(
         dataio.FleetConfig(n_vehicles=6, snippets_per_vehicle=2), seed, 16)
-    train, val, _ = dataio.vehicle_split(fleet, 0.7, seed)
+    train, val = dataio.vehicle_split(fleet, 0.7, seed)
     stats = dataio.fit_norm(train)
     return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
 
