@@ -35,12 +35,12 @@ def main():
 
     print(f"pretraining on corpus A for {args.epochs} epochs ...")
     params_a = model.init_params(cfg, SeededRng(1, ("init",)))
-    ckpt_a, _ = pretrain.run_pretrain(train_a, val_a, params_a, cfg,
-                                      pretrain.PretrainConfig(epochs=args.epochs), seed=1)
+    pretrain.run_pretrain(train_a, val_a, params_a, cfg,
+                          pretrain.PretrainConfig(epochs=args.epochs), seed=1)
 
     pcfg_b = pretrain.PretrainConfig(epochs=args.transfer_epochs)
     cold = model.init_params(cfg, SeededRng(2, ("init",)))
-    warm, report = pretrain.transfer_init(ckpt_a, cfg, SeededRng(2, ("init",)))
+    warm, report = pretrain.transfer_init(params_a, cfg, SeededRng(2, ("init",)))
     print(f"transfer: {len(report.copied)} arrays copied, {len(report.fresh)} fresh")
 
     _, hist_cold = pretrain.run_pretrain(train_b, val_b, cold, cfg, pcfg_b, seed=3)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -22,8 +21,8 @@ from . import dataio, downstream, evalkit, model, pretrain
 from .numcore import NonFiniteError, SeededRng
 
 # A failed command exits with the code of the first row its exception matches.
-# ConfigError, ParseError and CheckpointError are ValueErrors; SingleClassError
-# is one too, so its row comes first.
+# ConfigError (a usage error) and ParseError (a malformed input file) are
+# ValueErrors; SingleClassError is one too, so its row comes first.
 EXIT_CODES = (
     (OSError, 3),
     (NonFiniteError, 4),
@@ -33,7 +32,7 @@ EXIT_CODES = (
 
 
 class ConfigError(ValueError):
-    pass
+    """A usage error: a missing or invalid flag, or inputs that do not fit together."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,17 +81,8 @@ class RunConfig:
 
 def load_config(path=None, seed_override=None) -> RunConfig:
     """Read a JSON config file with full defaulting; unknown keys are rejected."""
-    raw = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    try:
-        cfg = dataio.read_value(raw, RunConfig, "config")
-    except ValueError as exc:
-        raise ConfigError(f"config {path}: {exc}") from None
+    cfg = RunConfig() if path is None else dataio.read_document(
+        path, "config", lambda doc: dataio.read_value(doc, RunConfig, "config"))
     try:
         return cfg if seed_override is None else dataclasses.replace(cfg, seed=int(seed_override))
     except ValueError as exc:
@@ -117,6 +107,16 @@ def _load_split(cfg: RunConfig, data_dir):
     return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats), stats
 
 
+def _load_encoder(path, ds: dataio.FleetDataset) -> model.ModelParams:
+    """The checkpoint at path, whose D and K must match the dataset's."""
+    params, _ = pretrain.load_checkpoint(path)
+    data_dims = (len(ds.channel_names), len(ds.meta_names))
+    if (params.cfg.D, params.cfg.K) != data_dims:
+        raise ConfigError(f"checkpoint {path} dims (D={params.cfg.D}, K={params.cfg.K}) "
+                          f"incompatible with data (D={data_dims[0]}, K={data_dims[1]})")
+    return params
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
     ds = dataio.synth_fleet(cfg.generator, cfg.seed, cfg.seq_len)
@@ -134,7 +134,7 @@ def cmd_pretrain(args) -> int:
 
     rng = SeededRng(cfg.seed, ("init",))
     if args.init_from:
-        source = pretrain.load_checkpoint(args.init_from)
+        source, _ = pretrain.load_checkpoint(args.init_from)
         params, transfer = pretrain.transfer_init(source, cfg.model, rng)
         print(f"warm start from {args.init_from}: copied {len(transfer.copied)} arrays, "
               f"{len(transfer.fresh)} fresh")
@@ -143,11 +143,11 @@ def cmd_pretrain(args) -> int:
     else:
         params = model.init_params(cfg.model, rng)
 
-    ckpt, history = pretrain.run_pretrain(train_n, val_n, params, cfg.model, cfg.pretrain,
-                                          seed=cfg.seed, log=print)
+    provenance, history = pretrain.run_pretrain(train_n, val_n, params, cfg.model, cfg.pretrain,
+                                                seed=cfg.seed, log=print)
 
     os.makedirs(args.out, exist_ok=True)
-    pretrain.save_checkpoint(ckpt, os.path.join(args.out, "checkpoint.json"))
+    pretrain.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"), provenance)
     dataio.write_text(os.path.join(args.out, "loss_history.csv"), "epoch,train_loss,val_loss\n" + "".join(
         f"{epoch},{tr!r},{va!r}\n" for epoch, tr, va in history))
     dataio.write_text(os.path.join(args.out, "norm_stats.json"), dataio.json_text(
@@ -161,16 +161,11 @@ def cmd_detect(args) -> int:
         raise ConfigError("detect requires --checkpoint")
     cfg = load_config(args.config, args.seed)
     train_n, val_n, _ = _load_split(cfg, args.data)
-    ckpt = pretrain.load_checkpoint(args.checkpoint)
-    if ckpt.config.D != len(val_n.channel_names) or ckpt.config.K != len(val_n.meta_names):
-        raise ConfigError(
-            f"checkpoint dims (D={ckpt.config.D}, K={ckpt.config.K}) incompatible with data "
-            f"(D={len(val_n.channel_names)}, K={len(val_n.meta_names)})")
-    params = ckpt.to_params()
+    params = _load_encoder(args.checkpoint, val_n)
 
-    gbdt = downstream.train_gbdt(downstream.extract_features(params, ckpt.config, train_n),
+    gbdt = downstream.train_gbdt(downstream.extract_features(params, params.cfg, train_n),
                                  train_n.labels, cfg.gbdt)
-    X_val = downstream.extract_features(params, ckpt.config, val_n)
+    X_val = downstream.extract_features(params, params.cfg, val_n)
     snip_scores = downstream.predict_proba_batch(gbdt, X_val)
     snip_labels = val_n.labels
 
@@ -210,6 +205,8 @@ def cmd_detect(args) -> int:
 def cmd_tsne(args) -> int:
     if not args.raw and not args.checkpoint:
         raise ConfigError("tsne requires --checkpoint unless --raw")
+    if args.subsample is not None and args.subsample < 1:
+        raise ConfigError(f"--subsample must be >= 1, got {args.subsample}")
     cfg = load_config(args.config, args.seed)
     ds = _load_dataset(cfg, args.data)
     stats = dataio.fit_norm(ds)
@@ -227,8 +224,8 @@ def cmd_tsne(args) -> int:
         X = ds_n.channels.reshape(len(ds_n), -1)
         mode = "raw"
     else:
-        ckpt = pretrain.load_checkpoint(args.checkpoint)
-        X = downstream.extract_features(ckpt.to_params(), ckpt.config, ds_n)[:, :ckpt.config.H]
+        params = _load_encoder(args.checkpoint, ds_n)
+        X = downstream.extract_features(params, params.cfg, ds_n)[:, :params.cfg.H]
         mode = "embedding"
 
     coords, kl = evalkit.tsne(X, cfg.eval.tsne_perplexity, cfg.eval.tsne_iterations, cfg.seed)

@@ -11,7 +11,9 @@ CSV formats (UTF-8, '.' decimals, LF or CRLF):
   metadata: snippet_id,label,mileage_km,cycle_count  with label in {0,1}.
 
 Every file the package writes goes through write_text (UTF-8, LF line ends),
-and every JSON document through json_text (the one canonical form).
+and every JSON document through json_text (the one canonical form). Every
+JSON document it reads goes through read_document, every field of one
+through read_value.
 """
 
 from __future__ import annotations
@@ -44,6 +46,29 @@ def write_text(path, text: str):
 def json_text(doc) -> str:
     """Canonical JSON text: sorted keys, one-space indent, a final newline."""
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def read_document(path, what: str, read, version=None):
+    """``read(doc)`` of the JSON object at path: the one reader of every JSON input file.
+
+    A decode error, a document that is not an object or (when ``version`` is
+    given) has another ``format_version``, and a KeyError, TypeError,
+    ValueError or OverflowError from ``read`` are a ParseError
+    "malformed <what> <path>: ..."; an OSError passes through.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        if version is not None and doc.get("format_version") != version:
+            raise ValueError(f"unsupported format version {doc.get('format_version')!r} "
+                             f"(expected {version})")
+        return read(doc)
+    except KeyError as exc:
+        raise ParseError(f"malformed {what} {path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed {what} {path}: {exc}") from None
 
 
 def read_value(value, kind, name: str, key_name: str = "{} key {!r}"):
@@ -265,6 +290,9 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                              for d in range(len(channel_names))])
         flush(None)
 
+    for sid, (_, _, line_no) in meta_by_id.items():
+        if sid not in first_line_of:
+            raise ParseError(f"{meta_path}:{line_no}: snippet {sid!r} has no rows in {data_path}")
     return _stack_snippets(snippets, channel_names, target_len)
 
 

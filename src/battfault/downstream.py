@@ -15,21 +15,16 @@ index, then lowest threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FleetDataset, json_text, read_value, write_text
+from .dataio import FleetDataset, json_text, read_document, read_value, write_text
 from .evalkit import SingleClassError
 from .model import ModelConfig, ModelParams, encode_batch
 from .numcore import NonFiniteError
 
 GBDT_FORMAT_VERSION = 1
-
-
-class ClassifierError(ValueError):
-    """Malformed classifier document; the message names the file."""
 
 
 def extract_features(params: ModelParams, cfg: ModelConfig, ds: FleetDataset,
@@ -279,28 +274,17 @@ def save_gbdt(model: GbdtModel, path):
     }))
 
 
+def _read_gbdt(doc: dict) -> GbdtModel:
+    c = doc["config"]
+    n_features, max_depth, rounds = (_read(c, k, int) for k in ("n_features", "max_depth", "rounds"))
+    if min(n_features, max_depth, rounds) < 1:
+        raise ValueError(f"n_features, max_depth and rounds must be positive, got "
+                         f"{n_features}, {max_depth} and {rounds}")
+    return GbdtModel(_read(doc, "base_score", float),
+                     [_node_from_dict(t, n_features) for t in doc["trees"]],
+                     _read(c, "shrinkage", float), max_depth, rounds, n_features)
+
+
 def load_gbdt(path) -> GbdtModel:
-    """Read a classifier; any malformed document raises ClassifierError naming path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ClassifierError(f"malformed classifier {path}: {exc}") from None
-    try:
-        if not isinstance(doc, dict):
-            raise ValueError("not a JSON object")
-        if doc.get("format_version") != GBDT_FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {doc.get('format_version')!r} "
-                             f"(expected {GBDT_FORMAT_VERSION})")
-        c = doc["config"]
-        n_features, max_depth, rounds = (_read(c, k, int) for k in ("n_features", "max_depth", "rounds"))
-        if min(n_features, max_depth, rounds) < 1:
-            raise ValueError(f"n_features, max_depth and rounds must be positive, got "
-                             f"{n_features}, {max_depth} and {rounds}")
-        return GbdtModel(_read(doc, "base_score", float),
-                         [_node_from_dict(t, n_features) for t in doc["trees"]],
-                         _read(c, "shrinkage", float), max_depth, rounds, n_features)
-    except KeyError as exc:
-        raise ClassifierError(f"malformed classifier {path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ClassifierError(f"malformed classifier {path}: {exc}") from None
+    """Read a classifier; a malformed document is a ParseError naming path."""
+    return read_document(path, "classifier", _read_gbdt, GBDT_FORMAT_VERSION)

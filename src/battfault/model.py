@@ -117,6 +117,10 @@ class ModelParams:
     arrays: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # each layer has arrays of its own, so this rejects an absurd L (read
+        # from a checkpoint) before its shape map fills the memory
+        if self.cfg.L > len(self.arrays):
+            raise ValueError(f"parameter set mismatch: {len(self.arrays)} arrays for L={self.cfg.L}")
         expected = param_shapes(self.cfg)
         if set(self.arrays) != set(expected):
             missing = set(expected) - set(self.arrays)

@@ -8,13 +8,12 @@ Checkpoints are JSON text documents that round-trip byte-identically.
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataio import FleetDataset, json_text, read_value, write_text
+from .dataio import FleetDataset, json_text, read_document, read_value, write_text
 from .model import ModelConfig, ModelParams, init_params, msm_backward, msm_forward, param_shapes
 from .numcore import NonFiniteError, SeededRng
 
@@ -118,80 +117,44 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-class CheckpointError(ValueError):
-    """Malformed or unsupported checkpoint document."""
-
-
-@dataclass
-class Checkpoint:
-    config: ModelConfig
-    tensors: dict                 # name -> float64 ndarray
-    provenance: dict = field(default_factory=dict)
-    format_version: int = CHECKPOINT_VERSION
-
-    def to_params(self) -> ModelParams:
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
-    @classmethod
-    def from_params(cls, params: ModelParams, provenance: dict | None = None) -> "Checkpoint":
-        return cls(params.cfg, {k: v.copy() for k, v in params.arrays.items()},
-                   dict(provenance or {}))
-
-
-def checkpoint_document(ckpt: Checkpoint) -> str:
+def checkpoint_document(params: ModelParams, provenance: dict) -> str:
     """Serialize to the canonical JSON text form (shortest round-trip decimals)."""
     return json_text({
-        "format_version": ckpt.format_version,
-        "config": asdict(ckpt.config),
-        "provenance": ckpt.provenance,
+        "format_version": CHECKPOINT_VERSION,
+        "config": asdict(params.cfg),
+        "provenance": provenance,
         "tensors": {
             name: {"shape": list(arr.shape), "data": [float(x) for x in arr.reshape(-1)]}
-            for name, arr in ckpt.tensors.items()
+            for name, arr in params.arrays.items()
         },
     })
 
 
-def save_checkpoint(ckpt: Checkpoint, path):
-    write_text(path, checkpoint_document(ckpt))
+def save_checkpoint(params: ModelParams, path, provenance: dict):
+    write_text(path, checkpoint_document(params, provenance))
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any malformed document raises CheckpointError naming path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointError(f"malformed checkpoint {path}: missing format_version")
-    if doc["format_version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {doc['format_version']} "
-                              f"in {path} (expected {CHECKPOINT_VERSION})")
-    try:
-        cfg = read_value(doc.get("config"), ModelConfig, "config")
-        if not isinstance(doc.get("tensors"), dict):
-            raise ValueError("'tensors' must be an object")
-        shapes = param_shapes(cfg)
-        if set(doc["tensors"]) != set(shapes):
-            raise ValueError(f"missing tensors {sorted(set(shapes) - set(doc['tensors']))}, "
-                             f"unexpected tensors {sorted(set(doc['tensors']) - set(shapes))}")
-        tensors = {}
-        for name, spec in doc["tensors"].items():
-            shape = tuple(spec["shape"])
-            if not isinstance(spec["data"], list) or not set(map(type, spec["data"])) <= {int, float}:
-                raise ValueError(f"tensor {name}: data must be a list of numbers")
-            data = np.array(spec["data"], dtype=np.float64)
-            if shape != shapes[name] or data.shape != (int(np.prod(shape)),):
-                raise ValueError(f"tensor {name}: {data.size} values for shape {shape}, "
-                                 f"expected shape {shapes[name]}")
-            if not np.all(np.isfinite(data)):
-                raise ValueError(f"tensor {name}: non-finite values")
-            tensors[name] = data.reshape(shape)
-        provenance = dict(doc.get("provenance", {}))
-    # OverflowError: an integer past the float range in tensor data
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
-    return Checkpoint(cfg, tensors, provenance, doc["format_version"])
+def _read_checkpoint(doc: dict):
+    cfg = read_value(doc["config"], ModelConfig, "config")
+    if not isinstance(doc["tensors"], dict):
+        raise ValueError("'tensors' must be an object")
+    arrays = {}
+    for name, spec in doc["tensors"].items():
+        data = spec["data"]
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+            raise ValueError(f"tensor {name}: data must be a list of numbers")
+        arr = arrays[name] = np.array(data, dtype=np.float64).reshape(spec["shape"])
+        if list(arr.shape) != spec["shape"]:
+            raise ValueError(f"tensor {name}: shape {spec['shape']!r} does not fit {len(data)} values")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {name}: non-finite values")
+    # ModelParams checks every tensor's name and shape against the config
+    return ModelParams(cfg, arrays), dict(doc.get("provenance", {}))
+
+
+def load_checkpoint(path):
+    """Read a checkpoint as (ModelParams, provenance); a malformed one is a ParseError naming path."""
+    return read_document(path, "checkpoint", _read_checkpoint, CHECKPOINT_VERSION)
 
 
 @dataclass
@@ -200,7 +163,7 @@ class TransferReport:
     fresh: list
 
 
-def transfer_init(source: Checkpoint, target_cfg: ModelConfig, rng: SeededRng):
+def transfer_init(source: ModelParams, target_cfg: ModelConfig, rng: SeededRng):
     """Warm-start: copy every source array whose name and shape match the target.
 
     Everything else is freshly random-initialized. Returns (params, report).
@@ -208,7 +171,7 @@ def transfer_init(source: Checkpoint, target_cfg: ModelConfig, rng: SeededRng):
     params = init_params(target_cfg, rng)
     copied, fresh = [], []
     for name, shape in param_shapes(target_cfg).items():
-        src = source.tensors.get(name)
+        src = source.arrays.get(name)
         if src is not None and src.shape == shape:
             params.arrays[name] = src.copy()
             copied.append(name)
@@ -224,7 +187,7 @@ def transfer_init(source: Checkpoint, target_cfg: ModelConfig, rng: SeededRng):
 
 def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
                  cfg: ModelConfig, pcfg: PretrainConfig, *, seed: int, log=None):
-    """Train in place with masked signal modeling; returns (Checkpoint, history).
+    """Train params in place with masked signal modeling; returns (provenance, history).
 
     Per epoch: seeded shuffle, fresh masks per snippet per batch, forward on
     zero-corrupted input, backward, global-norm clip, Adam step. Validation
@@ -279,4 +242,4 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
         "mask_rate": pcfg.mask_rate,
         "train_snippets": n,
     }
-    return Checkpoint.from_params(params, provenance), history
+    return provenance, history

@@ -43,14 +43,13 @@ def pretrain_run(default_fleet):
     params = model.init_params(cfg, SeededRng(INIT_SEED, ("init",)))
     random_params = params.copy()
     t0 = time.monotonic()
-    ckpt, history = run_pretrain(default_fleet["train"], default_fleet["val"],
-                                 params, cfg, PretrainConfig(epochs=20), seed=INIT_SEED)
+    _, history = run_pretrain(default_fleet["train"], default_fleet["val"],
+                              params, cfg, PretrainConfig(epochs=20), seed=INIT_SEED)
     elapsed = time.monotonic() - t0
     return {
         "cfg": cfg,
         "params": params,
         "random_params": random_params,
-        "checkpoint": ckpt,
         "history": history,
         "elapsed_s": elapsed,
     }

@@ -181,7 +181,7 @@ def test_07_warm_start_advantage(pretrain_run):
     cfg = pretrain_run["cfg"]
     pcfg = pretrain.PretrainConfig(epochs=1)
     cold = model.init_params(cfg, SeededRng(2, ("init",)))
-    warm, transfer = pretrain.transfer_init(pretrain_run["checkpoint"], cfg,
+    warm, transfer = pretrain.transfer_init(pretrain_run["params"], cfg,
                                             SeededRng(2, ("init",)))
     assert transfer.fresh == []
     _, hist_cold = pretrain.run_pretrain(train_n, val_n, cold, cfg, pcfg, seed=3)
@@ -318,7 +318,8 @@ def test_10_reproducibility(tmp_path):
     # checkpoint round-trips byte-identically
     ckpt_path = tmp_path / "one" / "run" / "checkpoint.json"
     resaved = tmp_path / "resaved.json"
-    pretrain.save_checkpoint(pretrain.load_checkpoint(ckpt_path), resaved)
+    params, provenance = pretrain.load_checkpoint(ckpt_path)
+    pretrain.save_checkpoint(params, resaved, provenance)
     assert ckpt_path.read_bytes() == resaved.read_bytes()
     _ok("10 reproducibility",
         f"{len(first)} output files byte-identical across re-runs of "

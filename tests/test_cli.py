@@ -157,8 +157,13 @@ CHECKPOINT_DEFECTS = {
     "missing_tensor": lambda doc: doc["tensors"].pop("head.b"),
     "extra_tensor": lambda doc: doc["tensors"].update(extra={"shape": [1], "data": [0.0]}),
     "wrong_shape": lambda doc: doc["tensors"]["head.b"].update(shape=[1, 3]),
+    # the document's shape must be the tensor's own: no -1 wildcard, no other count
+    "shape_minus_one": lambda doc: doc["tensors"]["head.b"].update(shape=[-1]),
+    "shape_count_mismatch": lambda doc: doc["tensors"]["head.b"].update(shape=[4]),
+    "missing_data": lambda doc: doc["tensors"]["head.b"].pop("data"),
     "nan_value": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, float("nan")),
     "layers_true": lambda doc: doc["config"].update(L=True),
+    "huge_layer_count": lambda doc: doc["config"].update(L=10 ** 16),
     "hidden_not_integral": lambda doc: doc["config"].update(H=16.5),
 }
 
@@ -196,7 +201,8 @@ class TestDetect:
                      "--data", str(workspace["data"]),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_dimension_mismatch_exits_2(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["detect", "tsne"])
+    def test_dimension_mismatch_exits_2(self, workspace, tmp_path, capsys, command):
         mismatched = dict(TINY_CONFIG)
         mismatched["model"] = dict(TINY_CONFIG["model"], K=1)
         cfg2 = tmp_path / "cfg2.json"
@@ -204,11 +210,12 @@ class TestDetect:
         run2 = tmp_path / "run2"
         assert main(["pretrain", "--config", str(cfg2), "--data",
                      str(workspace["data"]), "--out", str(run2)]) == 0
-        assert main(["detect", "--config", str(workspace["config"]),
+        assert main([command, "--config", str(workspace["config"]),
                      "--data", str(workspace["data"]),
                      "--checkpoint", str(run2 / "checkpoint.json"),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "K=1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "K=1" in err and str(run2 / "checkpoint.json") in err
 
     def test_invalid_gbdt_config_exits_2(self, workspace, tmp_path, capsys):
         bad = dict(TINY_CONFIG)
@@ -255,6 +262,13 @@ class TestTsne:
         assert main(["tsne", "--config", str(workspace["config"]),
                      "--data", str(workspace["data"]),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_subsample_below_one_exits_2_naming_the_flag(self, workspace, tmp_path, capsys, size):
+        assert main(["tsne", "--config", str(workspace["config"]),
+                     "--data", str(workspace["data"]), "--raw", "--subsample", size,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"--subsample must be >= 1, got {size}" in capsys.readouterr().err
 
 
 class TestCost:

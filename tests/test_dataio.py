@@ -159,6 +159,15 @@ class TestCsvRoundTrip:
                                                  r"listed on line 2"):
                 load_csv(data, meta, 32)
 
+    def test_meta_row_without_snippet_rows_rejected(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = meta.read_text().splitlines()
+        meta.write_text("\n".join([*lines, "ghost_s000,0,1.0,2.0"]) + "\n")
+        with pytest.raises(ParseError, match=r"meta\.csv:26: snippet 'ghost_s000' has no rows in "
+                                             r".*snippets\.csv"):
+            load_csv(data, meta, 32)
+
     def test_conflicting_vehicle_labels_rejected(self, small_fleet, tmp_path):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
         write_csv(small_fleet, data, meta)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from battfault import dataio, downstream, model
+from battfault.dataio import ParseError
 from battfault.downstream import (
-    ClassifierError,
     GbdtConfig,
     GbdtModel,
     TreeNode,
@@ -282,7 +282,7 @@ class TestLoadMalformed:
             doc = json.loads(path.read_text())
             edited = edit(doc)
             path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
-        with pytest.raises(ClassifierError, match=re.escape(str(path))) as info:
+        with pytest.raises(ParseError, match=re.escape(str(path))) as info:
             load_gbdt(path)
         assert isinstance(info.value, ValueError)
         assert message in str(info.value)

@@ -1,9 +1,12 @@
-"""Every file src/ writes goes through dataio.write_text and dataio.json_text.
+"""Every file src/ writes goes through dataio.write_text and dataio.json_text,
+and every JSON document it reads through dataio.read_document.
 
 write_text owns the UTF-8/LF convention and json_text the canonical JSON form
 (sorted keys, one-space indent, final newline), so an ``open`` in a writing
 mode or a ``json.dumps``/``json.dump`` anywhere else in src/ is a second
-writer that can drift from them.
+writer that can drift from them. read_document owns decoding, the object and
+version checks and the "malformed <what> <path>" error, so a ``json.load``/
+``json.loads`` anywhere else is a second reader.
 """
 
 import ast
@@ -11,8 +14,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "battfault"
 
-# (module, function) of the only calls allowed to write or serialize
+# (module, function) of the only calls allowed to write or serialize, and to decode
 WRITERS = {("dataio.py", "write_text"), ("dataio.py", "json_text")}
+READERS = {("dataio.py", "read_document")}
 
 
 def _open_mode(call: ast.Call):
@@ -29,25 +33,46 @@ def _is_writer_call(call: ast.Call) -> bool:
         return mode is not None and not (
             isinstance(mode, ast.Constant) and isinstance(mode.value, str)
             and set(mode.value).isdisjoint("wax+"))
-    return (isinstance(func, ast.Attribute) and func.attr in ("dumps", "dump")
+    return _is_json_call(call, ("dumps", "dump"))
+
+
+def _is_json_call(call: ast.Call, names) -> bool:
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr in names
             and isinstance(func.value, ast.Name) and func.value.id == "json")
 
 
-def _writer_calls(tree, owner=None):
-    """(lineno, top-level function the call sits in) for each writing call."""
+def _calls(tree, match, owner=None):
+    """(lineno, top-level function the call sits in) for each call ``match`` accepts."""
     for node in ast.iter_child_nodes(tree):
         inner = node.name if owner is None and isinstance(
             node, (ast.FunctionDef, ast.ClassDef)) else owner
-        if isinstance(node, ast.Call) and _is_writer_call(node):
+        if isinstance(node, ast.Call) and match(node):
             yield node.lineno, owner
-        yield from _writer_calls(node, inner)
+        yield from _calls(node, match, inner)
+
+
+def _package_calls(match):
+    return [(path.name, lineno, owner) for path in sorted(PACKAGE.glob("*.py"))
+            for lineno, owner in _calls(ast.parse(path.read_text(encoding="utf-8")), match)]
+
+
+def _strays(calls, allowed):
+    return [f"{name}:{lineno} in {owner or 'module scope'}"
+            for name, lineno, owner in calls if (name, owner) not in allowed]
 
 
 def test_every_write_goes_through_the_one_writer():
-    calls = [(path.name, lineno, owner) for path in sorted(PACKAGE.glob("*.py"))
-             for lineno, owner in _writer_calls(ast.parse(path.read_text(encoding="utf-8")))]
-    strays = [f"{name}:{lineno} in {owner or 'module scope'}"
-              for name, lineno, owner in calls if (name, owner) not in WRITERS]
+    calls = _package_calls(_is_writer_call)
+    strays = _strays(calls, WRITERS)
     assert not strays, "file writes outside write_text/json_text: " + ", ".join(strays)
     # the two writers are found, so the scan itself works
     assert sorted((name, owner) for name, _, owner in calls) == sorted(WRITERS)
+
+
+def test_every_json_read_goes_through_the_one_reader():
+    calls = _package_calls(lambda call: _is_json_call(call, ("loads", "load")))
+    strays = _strays(calls, READERS)
+    assert not strays, "JSON decoding outside read_document: " + ", ".join(strays)
+    # the reader is found, so the scan itself works
+    assert sorted((name, owner) for name, _, owner in calls) == sorted(READERS)

@@ -7,11 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from battfault import dataio
+from battfault.dataio import ParseError
 from battfault.model import ModelConfig, init_params
 from battfault.numcore import SeededRng
 from battfault.pretrain import (
-    Checkpoint,
-    CheckpointError,
     PretrainConfig,
     checkpoint_document,
     corrupt,
@@ -78,66 +77,66 @@ class TestCorruptAndLoss:
 
 
 class TestCheckpoint:
+    PROVENANCE = {"note": "unit-test"}
+
     def make(self):
-        params = init_params(TINY, SeededRng(2, ("init",)))
-        return Checkpoint(config=TINY, tensors=params.arrays,
-                          provenance={"note": "unit-test"})
+        return init_params(TINY, SeededRng(2, ("init",)))
 
     def test_round_trip_bytes(self, tmp_path):
-        ckpt = self.make()
+        params = self.make()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(ckpt, p1)
-        save_checkpoint(load_checkpoint(p1), p2)
+        save_checkpoint(params, p1, self.PROVENANCE)
+        back, provenance = load_checkpoint(p1)
+        save_checkpoint(back, p2, provenance)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_values_survive_exactly(self, tmp_path):
-        ckpt = self.make()
+        params = self.make()
         path = tmp_path / "c.json"
-        save_checkpoint(ckpt, path)
-        back = load_checkpoint(path)
-        assert back.config == TINY
-        for name, arr in ckpt.tensors.items():
-            np.testing.assert_array_equal(back.tensors[name], arr)
+        save_checkpoint(params, path, self.PROVENANCE)
+        back, provenance = load_checkpoint(path)
+        assert back.cfg == TINY and provenance == self.PROVENANCE
+        for name, arr in params.arrays.items():
+            np.testing.assert_array_equal(back.arrays[name], arr)
 
     def test_document_is_deterministic(self):
-        assert checkpoint_document(self.make()) == checkpoint_document(self.make())
+        assert (checkpoint_document(self.make(), self.PROVENANCE)
+                == checkpoint_document(self.make(), self.PROVENANCE))
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(ParseError):
             load_checkpoint(path)
 
     def test_integral_float_dimension_reads_as_int(self, tmp_path):
         path = tmp_path / "c.json"
-        save_checkpoint(self.make(), path)
+        save_checkpoint(self.make(), path, self.PROVENANCE)
         doc = json.loads(path.read_text())
         doc["config"]["H"] = 16.0
         path.write_text(json.dumps(doc))
-        back = load_checkpoint(path)
-        assert back.config.H == 16 and type(back.config.H) is int
+        back, _ = load_checkpoint(path)
+        assert back.cfg.H == 16 and type(back.cfg.H) is int
 
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(ParseError):
             load_checkpoint(path)
 
 
 class TestTransferInit:
     def test_full_copy_when_compatible(self):
         src_params = init_params(TINY, SeededRng(3, ("init",)))
-        ckpt = Checkpoint(config=TINY, tensors=src_params.arrays)
-        params, report = transfer_init(ckpt, TINY, SeededRng(4, ("init",)))
+        params, report = transfer_init(src_params, TINY, SeededRng(4, ("init",)))
         assert report.fresh == []
         for name in params.arrays:
             np.testing.assert_array_equal(params.arrays[name], src_params.arrays[name])
 
     def test_mismatched_shapes_fall_back_to_fresh(self):
         src_params = init_params(TINY, SeededRng(3, ("init",)))
-        ckpt = Checkpoint(config=TINY, tensors=src_params.arrays)
         wider = dataclasses.replace(TINY, H=32, FF=64)
-        params, report = transfer_init(ckpt, wider, SeededRng(4, ("init",)))
+        params, report = transfer_init(src_params, wider, SeededRng(4, ("init",)))
         # every array except the (D,) head bias depends on H
         assert report.copied == ["head.b"]
         fresh = init_params(wider, SeededRng(4, ("init",)))
@@ -146,9 +145,8 @@ class TestTransferInit:
 
     def test_partial_copy_when_only_seq_len_changes(self):
         src_params = init_params(TINY, SeededRng(3, ("init",)))
-        ckpt = Checkpoint(config=TINY, tensors=src_params.arrays)
         longer = dataclasses.replace(TINY, M_max=33)
-        params, report = transfer_init(ckpt, longer, SeededRng(4, ("init",)))
+        params, report = transfer_init(src_params, longer, SeededRng(4, ("init",)))
         assert "embed.pos" in report.fresh
         assert "embed.W_e" in report.copied
 
@@ -167,13 +165,14 @@ class TestRunPretrain:
     def test_history_schema_and_checkpoint(self):
         train, val = tiny_splits()
         params = init_params(TINY, SeededRng(9, ("init",)))
-        ckpt, hist = run_pretrain(train, val, params, TINY,
-                                  PretrainConfig(epochs=3, batch_size=4), seed=9)
+        provenance, hist = run_pretrain(train, val, params, TINY,
+                                        PretrainConfig(epochs=3, batch_size=4), seed=9)
         assert [row[0] for row in hist] == [1, 2, 3]
         for _, tr, va in hist:
             assert np.isfinite(tr) and np.isfinite(va)
-        assert ckpt.config == TINY
-        np.testing.assert_array_equal(ckpt.tensors["embed.W_e"], params.arrays["embed.W_e"])
+        assert provenance == {"epochs": 3, "final_train_loss": hist[-1][1],
+                              "final_val_loss": hist[-1][2], "seed": 9, "mask_rate": 0.15,
+                              "train_snippets": len(train)}
 
     def test_loss_decreases_on_tiny_problem(self):
         train, val = tiny_splits()

@@ -1,5 +1,5 @@
-"""Config files and checkpoint configs either fail with their typed error or
-read to fields of exactly their annotated types.
+"""Config files and checkpoint configs either fail with a ParseError or read
+to fields of exactly their annotated types.
 
 A document is drawn as up to three edits, each setting one real field (or a
 section, or a junk key) to a value of any JSON kind: null, booleans,
@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from battfault.cli import ConfigError, RunConfig, load_config
+from battfault.cli import RunConfig, load_config
+from battfault.dataio import ParseError
 from battfault.model import ModelConfig, init_params
 from battfault.numcore import SeededRng
-from battfault.pretrain import Checkpoint, CheckpointError, checkpoint_document, load_checkpoint
+from battfault.pretrain import checkpoint_document, load_checkpoint
 
 JUNK = "junk"
 DIMS = [0, 1, 2, 3, 16, 17, 32]
@@ -88,25 +89,27 @@ def test_config_file_reads_typed_or_fails_with_config_error(workdir, changes):
     path.write_text(json.dumps(apply_edits({}, changes)))
     try:
         cfg = load_config(path)
-    except ConfigError:
+    except ParseError:
         return
     assert_typed(cfg, RunConfig)
 
 
 TINY = ModelConfig(D=3, H=16, L=1, A=2, FF=32, M_max=17, dropout_rate=0.1, K=2)
-TINY_DOC = json.loads(checkpoint_document(
-    Checkpoint(TINY, init_params(TINY, SeededRng(2, ("init",))).arrays)))
+TINY_DOC = json.loads(checkpoint_document(init_params(TINY, SeededRng(2, ("init",))), {}))
 
 
 @settings(max_examples=200, deadline=None)
 @given(edits(ModelConfig))
 @example([(("H",), 16.0)])
+# an integral float read as a layer count far past the tensors: rejected
+# without building the shape map of 10**16 layers
+@example([(("L",), 1e16)])
 def test_checkpoint_config_reads_typed_or_fails_with_checkpoint_error(workdir, changes):
     # edits of a valid document, so a config that still fits its tensors loads
     path = workdir / "checkpoint.json"
     path.write_text(json.dumps(dict(TINY_DOC, config=apply_edits(dict(TINY_DOC["config"]), changes))))
     try:
-        ckpt = load_checkpoint(path)
-    except CheckpointError:
+        params, _ = load_checkpoint(path)
+    except ParseError:
         return
-    assert_typed(ckpt.config, ModelConfig)
+    assert_typed(params.cfg, ModelConfig)
