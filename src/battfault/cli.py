@@ -54,6 +54,9 @@ class EvalConfig:
             raise ValueError(f"split_ratio must be in (0,1), got {self.split_ratio}")
         if self.tsne_perplexity <= 0 or self.tsne_iterations < 1 or self.tsne_max_points < 1:
             raise ValueError("tsne_perplexity, tsne_iterations and tsne_max_points must be positive")
+        if self.tsne_max_points > evalkit.TSNE_MAX_POINTS:
+            raise ValueError(f"tsne_max_points must be <= {evalkit.TSNE_MAX_POINTS}, the exact "
+                             f"t-SNE bound, got {self.tsne_max_points}")
         self.cost_params()  # checks fault_rate and the two costs
 
     def cost_params(self) -> evalkit.CostParams:
@@ -165,40 +168,18 @@ def cmd_detect(args) -> int:
 
     gbdt = downstream.train_gbdt(downstream.extract_features(params, params.cfg, train_n),
                                  train_n.labels, cfg.gbdt)
-    X_val = downstream.extract_features(params, params.cfg, val_n)
-    snip_scores = downstream.predict_proba_batch(gbdt, X_val)
-    snip_labels = val_n.labels
-
-    veh = evalkit.vehicle_scores(snip_scores, val_n.vehicle_ids, cfg.eval.aggregator)
-    veh_ids = sorted(veh)
-    veh_scores = np.array([veh[v] for v in veh_ids])
-    labels_of = val_n.vehicle_labels()
-    veh_labels = np.array([labels_of[v] for v in veh_ids])
-
-    cost_params = cfg.eval.cost_params()
-    points = evalkit.roc_points(veh_scores, veh_labels)
-    cost, thr, pt = evalkit.min_expected_cost(veh_scores, veh_labels, cost_params)
-    report = evalkit.EvaluationReport(
-        snippet_auroc=evalkit.auroc(snip_scores, snip_labels),
-        vehicle_auroc=evalkit.auroc(veh_scores, veh_labels),
-        roc_points=points,
-        min_expected_cost=cost,
-        min_cost_threshold=thr,
-        min_cost_point=pt,
-        n_pos_vehicles=int(veh_labels.sum()),
-        n_neg_vehicles=int((veh_labels == 0).sum()),
-        n_pos_snippets=int(snip_labels.sum()),
-        n_neg_snippets=int((snip_labels == 0).sum()),
-        cost_params=cost_params,
-        config_echo={"seq_len": cfg.seq_len, "gbdt": dataclasses.asdict(cfg.gbdt),
-                     "aggregator": cfg.eval.aggregator, "split_ratio": cfg.eval.split_ratio},
-        seeds={"seed": cfg.seed},
-    )
-    os.makedirs(args.out, exist_ok=True)
-    evalkit.emit_report(report, args.out)
+    snip_scores = downstream.predict_proba_batch(
+        gbdt, downstream.extract_features(params, params.cfg, val_n))
+    report = evalkit.emit_report(
+        snip_scores, val_n.labels, val_n.vehicle_ids, cfg.eval.aggregator, cfg.eval.cost_params(),
+        {"config_echo": {"seq_len": cfg.seq_len, "gbdt": dataclasses.asdict(cfg.gbdt),
+                         "aggregator": cfg.eval.aggregator, "split_ratio": cfg.eval.split_ratio},
+         "seeds": {"seed": cfg.seed}},
+        args.out)
     downstream.save_gbdt(gbdt, os.path.join(args.out, "classifier.json"))
-    print(f"vehicle AUROC {report.vehicle_auroc:.4f}, snippet AUROC "
-          f"{report.snippet_auroc:.4f}, min expected cost {cost:.2f} CNY at threshold {thr}")
+    print(f"vehicle AUROC {report['vehicle_auroc']:.4f}, snippet AUROC "
+          f"{report['snippet_auroc']:.4f}, min expected cost {report['min_expected_cost']:.2f} "
+          f"CNY at threshold {report['min_cost_threshold']}")
     return 0
 
 
@@ -207,6 +188,9 @@ def cmd_tsne(args) -> int:
         raise ConfigError("tsne requires --checkpoint unless --raw")
     if args.subsample is not None and args.subsample < 1:
         raise ConfigError(f"--subsample must be >= 1, got {args.subsample}")
+    if args.subsample is not None and args.subsample > evalkit.TSNE_MAX_POINTS:
+        raise ConfigError(f"--subsample must be <= {evalkit.TSNE_MAX_POINTS}, the exact t-SNE "
+                          f"bound, got {args.subsample}")
     cfg = load_config(args.config, args.seed)
     ds = _load_dataset(cfg, args.data)
     stats = dataio.fit_norm(ds)

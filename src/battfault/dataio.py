@@ -52,9 +52,9 @@ def read_document(path, what: str, read, version=None):
     """``read(doc)`` of the JSON object at path: the one reader of every JSON input file.
 
     A decode error, a document that is not an object or (when ``version`` is
-    given) has another ``format_version``, and a KeyError, TypeError,
-    ValueError or OverflowError from ``read`` are a ParseError
-    "malformed <what> <path>: ..."; an OSError passes through.
+    given) has another ``format_version``, nesting too deep to decode or read,
+    and a KeyError, TypeError, ValueError or OverflowError from ``read`` are a
+    ParseError "malformed <what> <path>: ..."; an OSError passes through.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -67,7 +67,7 @@ def read_document(path, what: str, read, version=None):
         return read(doc)
     except KeyError as exc:
         raise ParseError(f"malformed {what} {path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"malformed {what} {path}: {exc}") from None
 
 

@@ -106,9 +106,8 @@ def _leaf_weight(g_sum, h_sum, lam):
 
 def _split_gain(gl, hl, g_tot, h_tot, lam, parent):
     """Second-order gain of cutting a node after a prefix with sums (gl, hl)."""
-    return (gl * gl / (hl + lam)
-            + (g_tot - gl) ** 2 / (h_tot - hl + lam)
-            - parent)
+    gr = g_tot - gl
+    return gl * gl / (hl + lam) + gr * gr / (h_tot - hl + lam) - parent
 
 
 def _best_split(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight):
@@ -118,7 +117,7 @@ def _best_split(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight):
     training matrix sorted once, as (F, N) blocks; ties keep row order, so
     the node's rows filtered out of them come out exactly as a stable argsort
     of the node's own values would. Every (feature, cut) pair is scored at
-    once. Returns (gain, feature, threshold) of the best split, or None.
+    once. Returns (feature, threshold) of the best split, or None.
     Deterministic tie-break: lowest feature, then lowest threshold.
     """
     g_tot, h_tot = g[idx].sum(), h[idx].sum()
@@ -135,23 +134,11 @@ def _best_split(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight):
     # candidate cuts sit between distinct consecutive values
     valid = (xs[:, 1:] > xs[:, :-1]) & (hl >= min_child_weight) & (h_tot - hl >= min_child_weight)
     gain[~valid] = -np.inf
-    top = gain.max()
-    if top == -np.inf:
+    best = int(np.argmax(gain))
+    if gain.flat[best] <= 1e-12:
         return None
-    # On arrays `** 2` is an exact square; on numpy scalars it is libm pow,
-    # which can be an ulp off. Mirror-image cuts (one row set split off at
-    # the low end of one feature and at the high end of another) tie to
-    # within that ulp. So every cut within 1e-12 of the top (relative to the
-    # node's gain scale, far more than the two forms can differ) is scored
-    # again as scalars, and the first best of those wins, as when each cut
-    # was scored on its own.
-    near = np.flatnonzero(gain >= top - 1e-12 * (abs(top) + parent))
-    exact = [_split_gain(gl.flat[k], hl.flat[k], g_tot, h_tot, lam, parent) for k in near]
-    best = int(np.argmax(exact))
-    if exact[best] <= 1e-12:
-        return None
-    f, c = np.unravel_index(near[best], gain.shape)
-    return exact[best], int(f), 0.5 * (xs[f, c] + xs[f, c + 1])
+    f, c = np.unravel_index(best, gain.shape)
+    return int(f), 0.5 * (xs[f, c] + xs[f, c + 1])
 
 
 def _grow_tree(X, sorted_cols, g, h, idx, depth, cfg: GbdtConfig) -> TreeNode:
@@ -159,7 +146,7 @@ def _grow_tree(X, sorted_cols, g, h, idx, depth, cfg: GbdtConfig) -> TreeNode:
         if depth < cfg.max_depth and idx.size > 1 else None
     if split is None:
         return TreeNode(weight=_leaf_weight(g[idx].sum(), h[idx].sum(), cfg.reg_lambda))
-    _, f, thr = split
+    f, thr = split
     go_left = X[idx, f] <= thr
     node = TreeNode(feature=f, threshold=thr)
     node.left = _grow_tree(X, sorted_cols, g, h, idx[go_left], depth + 1, cfg)
@@ -253,15 +240,18 @@ def _read(d: dict, key: str, kind):
     return read_value(d[key], kind, repr(key))
 
 
-def _node_from_dict(d: dict, n_features: int) -> TreeNode:
+def _node_from_dict(d: dict, n_features: int, max_depth: int) -> TreeNode:
+    """The tree below d, which may split at most max_depth more times on any path."""
     if "weight" in d:
         return TreeNode(weight=_read(d, "weight", float))
+    if max_depth < 1:
+        raise ValueError("a tree is deeper than max_depth")
     feature = _read(d, "feature", int)
     if not 0 <= feature < n_features:
         raise ValueError(f"split feature {feature!r} outside [0, {n_features})")
     return TreeNode(feature=feature, threshold=_read(d, "threshold", float),
-                    left=_node_from_dict(d["left"], n_features),
-                    right=_node_from_dict(d["right"], n_features))
+                    left=_node_from_dict(d["left"], n_features, max_depth - 1),
+                    right=_node_from_dict(d["right"], n_features, max_depth - 1))
 
 
 def save_gbdt(model: GbdtModel, path):
@@ -280,8 +270,10 @@ def _read_gbdt(doc: dict) -> GbdtModel:
     if min(n_features, max_depth, rounds) < 1:
         raise ValueError(f"n_features, max_depth and rounds must be positive, got "
                          f"{n_features}, {max_depth} and {rounds}")
+    if len(doc["trees"]) != rounds:
+        raise ValueError(f"{len(doc['trees'])} trees for rounds={rounds}")
     return GbdtModel(_read(doc, "base_score", float),
-                     [_node_from_dict(t, n_features) for t in doc["trees"]],
+                     [_node_from_dict(t, n_features, max_depth) for t in doc["trees"]],
                      _read(c, "shrinkage", float), max_depth, rounds, n_features)
 
 

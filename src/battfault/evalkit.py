@@ -11,7 +11,7 @@ inspection).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -41,23 +41,6 @@ class CostParams:
             raise ValueError(f"fault rate must be in [0,1], got {self.p}")
         if self.c_f < 0 or self.c_r < 0:
             raise ValueError("costs must be nonnegative")
-
-
-@dataclass
-class EvaluationReport:
-    snippet_auroc: float
-    vehicle_auroc: float
-    roc_points: list                  # RocPoint at vehicle level
-    min_expected_cost: float
-    min_cost_threshold: float
-    min_cost_point: RocPoint
-    n_pos_vehicles: int
-    n_neg_vehicles: int
-    n_pos_snippets: int
-    n_neg_snippets: int
-    cost_params: CostParams = field(default_factory=CostParams)
-    config_echo: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -138,35 +121,38 @@ def expected_cost(params: CostParams, q_tp: float, q_fp: float) -> float:
     return p * (1.0 - q_tp) * params.c_f + (p * q_tp + (1.0 - p) * q_fp) * params.c_r
 
 
-def min_expected_cost(scores, labels, params: CostParams = CostParams()):
-    """Minimum expected cost over the full threshold sweep.
+def min_expected_cost(points: list, params: CostParams = CostParams()):
+    """Expected cost at every point of a roc_points sweep, and its minimum.
 
-    Returns (cost, threshold, RocPoint); cost ties break toward lower q_fp.
-    Note this is a sweep minimum: any other operating-point convention can be
-    read off the emitted cost curve.
+    Returns (cost, threshold, RocPoint, costs), costs[i] being the cost at
+    points[i]; cost ties break toward lower q_fp. Note this is a sweep
+    minimum: any other operating-point convention can be read off the
+    emitted cost curve.
     """
-    best = None
-    for pt in roc_points(scores, labels):
-        cost = expected_cost(params, pt.q_tp, pt.q_fp)
-        key = (cost, pt.q_fp)
-        if best is None or key < best[0]:
-            best = (key, pt)
-    (cost, _), pt = best
-    return float(cost), pt.threshold, pt
+    costs = [expected_cost(params, pt.q_tp, pt.q_fp) for pt in points]
+    best = min(range(len(points)), key=lambda i: (costs[i], points[i].q_fp))
+    return costs[best], points[best].threshold, points[best], costs
 
 
 AGGREGATORS = {"mean": np.mean, "max": np.max}
 
 
-def vehicle_scores(scores, vehicle_ids, aggregator: str = "mean") -> dict:
-    """Aggregate snippet scores to one score per vehicle (mean or max)."""
+def vehicle_scores(scores, labels, vehicle_ids, aggregator: str = "mean"):
+    """Aggregate snippet scores (mean or max) and labels to one per vehicle.
+
+    Returns (ids, scores, labels): the vehicle ids sorted, and arrays of each
+    vehicle's score and label in that order. A vehicle is labelled faulty
+    when any of its snippets is (in a loaded fleet, all of them are).
+    """
     if aggregator not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    groups = {}
-    for s, v in zip(scores, vehicle_ids):
+    groups, label_of = {}, {}
+    for s, y, v in zip(scores, labels, vehicle_ids):
         groups.setdefault(v, []).append(float(s))
+        label_of[v] = max(label_of.get(v, 0), int(y))
+    ids = sorted(groups)
     agg = AGGREGATORS[aggregator]
-    return {v: float(agg(g)) for v, g in groups.items()}
+    return ids, np.array([float(agg(groups[v])) for v in ids]), np.array([label_of[v] for v in ids])
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +334,35 @@ def write_tsne_outputs(rows: list, out_dir, stem: str = "tsne"):
     write_text(os.path.join(out_dir, f"{stem}.svg"), scatter_svg(rows))
 
 
-def emit_report(report: EvaluationReport, out_dir):
-    """Write report.json, roc.csv (+ cost column) and the ROC figure."""
+def emit_report(scores, labels: np.ndarray, vehicle_ids, aggregator: str,
+                cost_params: CostParams, echo: dict, out_dir) -> dict:
+    """Evaluate snippet scores; write roc.csv (+ cost column), roc.svg and report.json.
+
+    The ROC sweep and the expected cost are taken over vehicle scores
+    aggregated from the snippet scores. ``echo`` adds its keys to the report
+    as given. Returns the report.
+    """
+    _, veh_scores, veh_labels = vehicle_scores(scores, labels, vehicle_ids, aggregator)
+    points = roc_points(veh_scores, veh_labels)
+    cost, threshold, point, costs = min_expected_cost(points, cost_params)
+    report = {
+        "snippet_auroc": auroc(scores, labels),
+        "vehicle_auroc": auroc(veh_scores, veh_labels),
+        "min_expected_cost": cost,
+        "min_cost_threshold": threshold,
+        "min_cost_point": asdict(point),
+        "min_cost_convention": "minimum of the expected cost over all ROC operating points",
+        "n_pos_vehicles": int(veh_labels.sum()),
+        "n_neg_vehicles": int((veh_labels == 0).sum()),
+        "n_pos_snippets": int(labels.sum()),
+        "n_neg_snippets": int((labels == 0).sum()),
+        "cost_params": asdict(cost_params),
+        **echo,
+    }
     os.makedirs(out_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "roc.csv"), "threshold,q_tp,q_fp,expected_cost_cny\n" + "".join(
-        f"{_fmt(pt.threshold)},{_fmt(pt.q_tp)},{_fmt(pt.q_fp)},"
-        f"{_fmt(expected_cost(report.cost_params, pt.q_tp, pt.q_fp))}\n"
-        for pt in report.roc_points))
-    write_text(os.path.join(out_dir, "roc.svg"), roc_svg(report.roc_points))
-    doc = asdict(report)
-    del doc["roc_points"]
-    doc["min_cost_convention"] = "minimum of the expected cost over all ROC operating points"
-    write_text(os.path.join(out_dir, "report.json"), json_text(doc))
+        f"{_fmt(pt.threshold)},{_fmt(pt.q_tp)},{_fmt(pt.q_fp)},{_fmt(c)}\n"
+        for pt, c in zip(points, costs)))
+    write_text(os.path.join(out_dir, "roc.svg"), roc_svg(points))
+    write_text(os.path.join(out_dir, "report.json"), json_text(report))
+    return report

@@ -15,6 +15,7 @@ perturbed copies of the network through the same forward that training uses.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,17 @@ class ModelConfig:
             raise ValueError("M_max must be >= 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0,1)")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 8 * self.n_params > memory:
+            raise ValueError(f"{self.n_params} float64 parameters take more than the "
+                             f"{memory} bytes of physical memory")
+
+    @property
+    def n_params(self) -> int:
+        """Learnable parameter count, param_shapes(self) summed in closed form."""
+        H, FF = self.H, self.FF
+        layer = 4 * H * H + 2 * H * FF + 9 * H + FF
+        return 2 * self.D * H + self.M_max * H + 4 * H + self.D + self.L * layer
 
     @property
     def head_dim(self) -> int:

@@ -249,13 +249,11 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
         feats_val = downstream.extract_features(params, cfg, val_n)
         gbdt = downstream.train_gbdt(feats_train, train_n.labels, downstream.GbdtConfig())
         scores = downstream.predict_proba_batch(gbdt, feats_val)
-        veh = evalkit.vehicle_scores(scores, val_n.vehicle_ids, "mean")
-        ids = sorted(veh)
-        veh_scores = np.array([veh[v] for v in ids])
-        veh_labels = np.array([val_n.vehicle_labels()[v] for v in ids])
+        _, veh_scores, veh_labels = evalkit.vehicle_scores(
+            scores, val_n.labels, val_n.vehicle_ids, "mean")
         results[tag] = {
             "auroc": evalkit.auroc(veh_scores, veh_labels),
-            "cost": evalkit.min_expected_cost(veh_scores, veh_labels),
+            "cost": evalkit.min_expected_cost(evalkit.roc_points(veh_scores, veh_labels)),
         }
     elapsed = time.monotonic() - t0
     total = pretrain_run["elapsed_s"] + elapsed
@@ -263,7 +261,7 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
     assert results["pretrained"]["auroc"] >= 0.85
     assert results["pretrained"]["auroc"] >= results["random"]["auroc"]
     assert total < 900.0, f"pipeline took {total:.0f}s"
-    cost, thr, _ = results["pretrained"]["cost"]
+    cost, thr, _, _ = results["pretrained"]["cost"]
     assert math.isfinite(cost)
     _ok("9 detection-pipeline",
         f"vehicle AUROC pretrained {results['pretrained']['auroc']:.4f} >= 0.85 and "

@@ -57,6 +57,12 @@ class TestSynth:
         bad.write_text("{")
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_json_nested_past_the_decoder_exits_2_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 200000)
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, key", [
         ({"seed": None}, "'seed'"),
         ({"seed": [1]}, "'seed'"),
@@ -101,6 +107,10 @@ class TestSynth:
         ({"pretrain": {"seed": 5}}, "unknown key 'seed' in config section 'pretrain'"),
         # H % A is checked after A >= 1, not as a division by zero
         ({"model": {"A": 0}}, "'model'"),
+        # parameters past physical memory: rejected before any command builds them
+        ({"model": {"L": 1e16}}, "'model'"),
+        # past the bound of the exact t-SNE, which would fail naming neither
+        ({"eval": {"tsne_max_points": 3000}}, "tsne_max_points"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -184,6 +194,11 @@ class TestDetect:
         assert roc[0] == "threshold,q_tp,q_fp,expected_cost_cny"
         assert (out / "roc.svg").exists()
         assert (out / "classifier.json").exists()
+        # the cost column's minimum (ties toward lower q_fp) is the reported one
+        rows = [[float(cell) for cell in line.split(",")] for line in roc[1:]]
+        threshold, _, _, cost = min(rows, key=lambda row: (row[3], row[2]))
+        assert threshold == report["min_cost_threshold"]
+        assert cost == report["min_expected_cost"]
 
     @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
     def test_malformed_checkpoint_exits_2_naming_it(self, workspace, tmp_path, capsys, defect):
@@ -269,6 +284,13 @@ class TestTsne:
                      "--data", str(workspace["data"]), "--raw", "--subsample", size,
                      "--out", str(tmp_path / "o")]) == 2
         assert f"--subsample must be >= 1, got {size}" in capsys.readouterr().err
+
+    def test_subsample_past_the_tsne_bound_exits_2_naming_the_flag(self, workspace, tmp_path,
+                                                                    capsys):
+        assert main(["tsne", "--config", str(workspace["config"]),
+                     "--data", str(workspace["data"]), "--raw", "--subsample", "2100",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--subsample must be <= 2000" in capsys.readouterr().err
 
 
 class TestCost:

@@ -2,7 +2,8 @@
 
 A name counts as used when some ``Name`` or ``Attribute`` node outside its own
 definition mentions it; imports alone do not count. Code that only tests call
-belongs in tests/, apart from the oracles listed below.
+belongs in tests/, apart from the oracles listed below. src/ also has no
+``assert`` statement: ``python -O`` drops them, so an invariant is a raise.
 """
 
 import ast
@@ -53,3 +54,10 @@ def test_no_top_level_definition_is_only_test_reachable():
                 continue
             unused.append(f"{path.name}:{stmt.lineno} {stmt.name}")
     assert not unused, "defined in src/ but never used there or in scripts/: " + ", ".join(unused)
+
+
+def test_no_assert_statement_in_src():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/: " + ", ".join(found)

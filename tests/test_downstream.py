@@ -129,7 +129,7 @@ def reference_best_split(X, g, h, idx, lam, min_child_weight):
                 continue
             g_left = gl[c]
             gain = (g_left * g_left / (h_left + lam)
-                    + (g_tot - g_left) ** 2 / (h_tot - hl[c] + lam)
+                    + (g_tot - g_left) * (g_tot - g_left) / (h_tot - hl[c] + lam)
                     - parent)
             thr = 0.5 * (xs[c] + xs[c + 1])
             cand = (-gain, f, thr)
@@ -249,7 +249,22 @@ def _first_split(doc):
     return next(t for t in doc["trees"] if "feature" in t)
 
 
-# each defect edits the document save_gbdt wrote (None: replace the text)
+def _deepen(doc, levels):
+    """Hang the first tree ``levels`` splits below a new root."""
+    for _ in range(levels):
+        doc["trees"][0] = {"feature": 0, "threshold": 0.0, "left": doc["trees"][0],
+                           "right": {"weight": 0.0}}
+
+
+def _nested_text(doc, depth):
+    """The document's text with its first tree hung ``depth`` splits deep."""
+    doc["trees"][0] = "DEEP"
+    split = '{"feature": 0, "threshold": 0.0, "right": {"weight": 0.0}, "left": '
+    return json.dumps(doc).replace('"DEEP"', split * depth + '{"weight": 0.0}' + "}" * depth)
+
+
+# each defect edits the document save_gbdt wrote (None: replace the text; a
+# string: the text to write)
 MALFORMED_CLASSIFIERS = {
     "invalid_json": (None, "malformed classifier"),
     "not_an_object": (lambda doc: [doc], "not a JSON object"),
@@ -266,6 +281,9 @@ MALFORMED_CLASSIFIERS = {
     "feature_too_large": (lambda doc: _first_split(doc).update(feature=4), "split feature 4"),
     "feature_negative": (lambda doc: _first_split(doc).update(feature=-1), "split feature -1"),
     "trees_not_a_list": (lambda doc: doc.update(trees=7), "malformed classifier"),
+    "rounds_over_trees": (lambda doc: doc["config"].update(rounds=5), "3 trees for rounds=5"),
+    "deeper_than_max_depth": (lambda doc: _deepen(doc, 4), "deeper than max_depth"),
+    "nested_past_the_decoder": (lambda doc: _nested_text(doc, 3000), "recursion depth"),
 }
 
 
@@ -281,7 +299,8 @@ class TestLoadMalformed:
         else:
             doc = json.loads(path.read_text())
             edited = edit(doc)
-            path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
+            path.write_text(edited if isinstance(edited, str)
+                            else json.dumps(edited if isinstance(edited, list) else doc))
         with pytest.raises(ParseError, match=re.escape(str(path))) as info:
             load_gbdt(path)
         assert isinstance(info.value, ValueError)

@@ -108,7 +108,7 @@ class TestExpectedCost:
         rng = SeededRng(4)
         scores = rng.spawn("s").normal(30)
         labels = (rng.spawn("l").uniform(30) > 0.5).astype(int)
-        cost, thr, pt = min_expected_cost(scores, labels)
+        cost, thr, pt, _ = min_expected_cost(roc_points(scores, labels))
         cp = CostParams()
         assert cost <= expected_cost(cp, 0.0, 0.0) + 1e-12
         assert cost <= expected_cost(cp, 1.0, 1.0) + 1e-12
@@ -118,16 +118,17 @@ class TestExpectedCost:
 
 class TestVehicleScores:
     def test_mean_aggregation(self):
-        out = vehicle_scores([0.2, 0.4, 1.0], ["a", "a", "b"], "mean")
-        assert out == {"a": pytest.approx(0.3), "b": 1.0}
+        ids, out, labels = vehicle_scores([0.2, 0.4, 1.0], [0, 0, 1], ["a", "a", "b"], "mean")
+        assert dict(zip(ids, out)) == {"a": pytest.approx(0.3), "b": 1.0}
+        assert labels.tolist() == [0, 1]
 
     def test_max_aggregation(self):
-        out = vehicle_scores([0.2, 0.4, 1.0], ["a", "a", "b"], "max")
-        assert out == {"a": 0.4, "b": 1.0}
+        ids, out, _ = vehicle_scores([0.2, 0.4, 1.0], [0, 0, 1], ["a", "a", "b"], "max")
+        assert dict(zip(ids, out)) == {"a": 0.4, "b": 1.0}
 
     def test_unknown_aggregator(self):
         with pytest.raises(ValueError):
-            vehicle_scores([0.1], ["a"], "median-of-means")
+            vehicle_scores([0.1], [0], ["a"], "median-of-means")
 
 
 class TestTsne:

@@ -42,6 +42,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(D=3, H=15, L=1, A=2, FF=8, M_max=4)  # H not divisible by A
+        with pytest.raises(ValueError, match="physical memory"):
+            ModelConfig(L=10 ** 16)  # parameters past physical memory
 
     def test_desk_default(self):
         cfg = ModelConfig.desk_default()
@@ -273,3 +275,8 @@ class TestParamCount:
         cfg, params = tiny
         expected = sum(int(np.prod(s)) for s in param_shapes(cfg).values())
         assert params.param_count() == expected
+
+    @pytest.mark.parametrize("cfg", [ModelConfig.desk_default(), ModelConfig.full_scale(),
+                                     ModelConfig(D=2, H=8, L=0, A=2, FF=8, M_max=5, K=0)])
+    def test_closed_form_count_matches_shapes(self, cfg):
+        assert cfg.n_params == sum(int(np.prod(s)) for s in param_shapes(cfg).values())
