@@ -11,10 +11,10 @@ Usage:
 """
 
 import argparse
-import json
 import os
 import sys
 
+from battfault import dataio
 from battfault.cli import main as cli
 
 
@@ -34,8 +34,8 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     config_path = os.path.join(args.out, "config.json")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump({"seed": args.seed, "pretrain": {"epochs": args.epochs}}, fh, indent=1)
+    dataio.write_text(config_path, dataio.json_text({"seed": args.seed,
+                                                     "pretrain": {"epochs": args.epochs}}))
 
     data = os.path.join(args.out, "data")
     run_dir = os.path.join(args.out, "pretrain")
@@ -51,8 +51,7 @@ def main():
     run(["tsne", "--config", config_path, "--data", data,
          "--checkpoint", checkpoint, "--out", tsne_dir])
 
-    with open(os.path.join(detect_dir, "report.json"), encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = dataio.read_document(os.path.join(detect_dir, "report.json"), "report", dict)
     print()
     print("=== benchmark summary ===")
     print(f"vehicle AUROC       {report['vehicle_auroc']:.4f}")

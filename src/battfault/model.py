@@ -11,10 +11,16 @@ parameter array may also carry a leading P axis of variants; the forward then
 broadcasts to P outputs from the first stage that reads that array on, and
 the stages before it run once. This is how the gradient check runs P
 perturbed copies of the network through the same forward that training uses.
+
+Every pass computes in the dtype of its input and weights: float64 for the
+gradient check and eval encoding, float32 for a training step (see
+``pretrain.run_pretrain``). Gradients accumulate into float64 arrays either
+way, and the loss is summed in float64.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -34,6 +40,12 @@ from .numcore import (
 
 INIT_STD = 0.02
 LN_EPS = 1e-12
+# What a training step holds per parameter: the float64 master weights,
+# gradients and two Adam moments, and the float32 working copy.
+TRAIN_BYTES_PER_PARAM = 4 * 8 + 4
+# What it holds per array beyond the data: the numpy headers and the shape-map
+# and dict entries of every copy (tracemalloc reads about 1.1 KB), doubled.
+ARRAY_OVERHEAD_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -61,9 +73,10 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0,1)")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 8 * self.n_params > memory:
-            raise ValueError(f"{self.n_params} float64 parameters take more than the "
-                             f"{memory} bytes of physical memory")
+        need = TRAIN_BYTES_PER_PARAM * self.n_params + ARRAY_OVERHEAD_BYTES * self.n_arrays
+        if need > memory:
+            raise ValueError(f"training {self.n_params} parameters in {self.n_arrays} arrays takes "
+                             f"{need} bytes, more than the {memory} bytes of physical memory")
 
     @property
     def n_params(self) -> int:
@@ -71,6 +84,11 @@ class ModelConfig:
         H, FF = self.H, self.FF
         layer = 4 * H * H + 2 * H * FF + 9 * H + FF
         return 2 * self.D * H + self.M_max * H + 4 * H + self.D + self.L * layer
+
+    @property
+    def n_arrays(self) -> int:
+        """Learnable array count, len(param_shapes(self)): 16 per layer and 8 more."""
+        return 8 + 16 * self.L
 
     @property
     def head_dim(self) -> int:
@@ -129,10 +147,6 @@ class ModelParams:
     arrays: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # each layer has arrays of its own, so this rejects an absurd L (read
-        # from a checkpoint) before its shape map fills the memory
-        if self.cfg.L > len(self.arrays):
-            raise ValueError(f"parameter set mismatch: {len(self.arrays)} arrays for L={self.cfg.L}")
         expected = param_shapes(self.cfg)
         if set(self.arrays) != set(expected):
             missing = set(expected) - set(self.arrays)
@@ -141,9 +155,6 @@ class ModelParams:
         for name, shape in expected.items():
             if self.arrays[name].shape != shape:
                 raise DimensionError(f"{name}: shape {self.arrays[name].shape} != expected {shape}")
-
-    def param_count(self) -> int:
-        return sum(a.size for a in self.arrays.values())
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, {k: v.copy() for k, v in self.arrays.items()})
@@ -185,12 +196,14 @@ def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig,
     data = X @ a["embed.W_e"] + _vec(a["embed.b_e"]) + pos[..., 1:M + 1, :]
     row0 = (a["embed.cls"] + pos[..., 0, :])[..., None, :]
     # B rows, or P when the summary row alone is P-stacked
-    pre = np.empty(np.broadcast_shapes(data.shape[:1], row0.shape[:-2]) + (M + 1, cfg.H))
+    pre = np.empty(np.broadcast_shapes(data.shape[:1], row0.shape[:-2]) + (M + 1, cfg.H),
+                   dtype=data.dtype)
     pre[:, :1, :] = row0
     pre[:, 1:, :] = data
     normed, ln_cache = layer_norm_fwd(pre, _vec(a["embed.ln_g"]), _vec(a["embed.ln_b"]), LN_EPS)
     if train_mode and cfg.dropout_rate > 0.0:
-        mask = dropout_mask(normed.shape, cfg.dropout_rate, rng.spawn("embed_dropout"))
+        mask = dropout_mask(normed.shape, cfg.dropout_rate, rng.spawn("embed_dropout"),
+                            normed.dtype)
         out = normed * mask
     else:
         mask = None
@@ -208,7 +221,8 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
                    summary_only: bool = False):
     """Multi-head self-attention over (B, T, H); ``summary_only`` queries from row 0 alone."""
     A, dh = cfg.A, cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
+    # a Python float: an np.float64 scalar would upcast float32 scores
+    scale = 1.0 / math.sqrt(dh)
 
     def heads(Z):
         B, T, _ = Z.shape
@@ -329,7 +343,8 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     X_corrupt / X_target / masks are (B, M, D); loss is total masked squared
     error over the batch divided by the total masked cell count.
     """
-    total_masked = masks.sum()
+    # Python floats, so that neither upcasts a float32 pass
+    total_masked = float(masks.sum(dtype=np.float64))
     if total_masked < 1:
         raise ValueError("mask selects no cells")
     a = params.arrays
@@ -337,7 +352,7 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     Hs, enc_caches = _encoder_fwd(E, a, cfg)
     recon = _head_fwd(Hs, a)
     diff = recon - X_target
-    loss = float((masks * diff * diff).sum() / total_masked)
+    loss = float((masks * diff * diff).sum(dtype=np.float64) / total_masked)
     return loss, (embed_cache, enc_caches, Hs, diff, masks, total_masked)
 
 

@@ -1,18 +1,22 @@
-"""Dense numerical core: float64 tensors, seeded randomness, encoder building blocks.
+"""Dense numerical core: float tensors, seeded randomness, encoder building blocks.
 
-Tensors are plain ``numpy.ndarray`` of dtype float64 and are treated as
-immutable values by every public operation. All randomness flows through
+Tensors are plain ``numpy.ndarray`` and are treated as immutable values by
+every public operation. A block computes in its input's float dtype (float64
+or float32) and returns that dtype; every constant is a Python float, which
+numpy casts to the array's dtype instead of upcasting the array. Integer and
+list input is read as float64. All randomness flows through
 :class:`SeededRng`, a counter-based (Philox) generator keyed by an explicit
 seed plus named substreams, so any computation is reproducible from its seed.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
 
-SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
 
 
@@ -94,9 +98,15 @@ def layer_norm_bwd(dy: np.ndarray, cache):
     return dx, dgamma, dbeta
 
 
+def _floating(x) -> np.ndarray:
+    """x as an array of its own float dtype, or as float64 when it has none."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (max-subtraction)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _floating(x)
     # exp and the divide run in place in the shifted copy, never in the caller's x
     e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
@@ -116,7 +126,7 @@ def gelu_fwd(x: np.ndarray):
     The tanh term is the expensive part of the derivative, so callers that
     will run a backward pass should keep it and hand it to gelu_grad.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _floating(x)
     # tanh(sqrt(2/pi) * (x + c*x^3)), built up in one buffer. The cube is
     # x * x * x: numpy sends x ** 3 through libm pow, several times slower.
     # An explicit out= keeps a 0-d input an array, so the in-place steps hold.
@@ -138,7 +148,7 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
 
 
-def dropout_mask(shape, rate: float, rng: SeededRng) -> np.ndarray:
-    """Inverted-dropout multiplier: entries are 0 or 1/(1-rate)."""
+def dropout_mask(shape, rate: float, rng: SeededRng, dtype) -> np.ndarray:
+    """Inverted-dropout multiplier of the given dtype: entries are 0 or 1/(1-rate)."""
     keep = rng.uniform(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    return keep.astype(dtype) / (1.0 - rate)

@@ -185,6 +185,11 @@ def transfer_init(source: ModelParams, target_cfg: ModelConfig, rng: SeededRng):
 # ---------------------------------------------------------------------------
 
 
+def _float32(params: ModelParams) -> ModelParams:
+    """The float32 working copy of the weights that one forward/backward runs on."""
+    return ModelParams(params.cfg, {k: v.astype(np.float32) for k, v in params.arrays.items()})
+
+
 def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
                  cfg: ModelConfig, pcfg: PretrainConfig, *, seed: int, log=None):
     """Train params in place with masked signal modeling; returns (provenance, history).
@@ -193,15 +198,20 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     zero-corrupted input, backward, global-norm clip, Adam step. Validation
     uses a fixed, snippet-keyed mask set and eval-mode forward so the val loss
     is comparable across epochs. History rows are (epoch, train_loss, val_loss).
+
+    Each forward and backward runs in float32 on a copy of the weights cast
+    once per step (the master-weight scheme of Micikevicius et al. 2018,
+    arXiv:1710.03740, one precision level up). The master weights, gradients,
+    Adam moments and losses stay float64.
     """
-    X_train, X_val = train.channels, val.channels
+    X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape
     rng = SeededRng(seed, ("pretrain",))
     opt = Adam(params, pcfg)
 
     val_masks = np.stack(
         [sample_mask(M, D, pcfg.mask_rate, _validation_mask_rng(sid, seed))
-         for sid in val.snippet_ids], axis=0) if len(val) else None
+         for sid in val.snippet_ids], axis=0).astype(np.float32) if len(val) else None
 
     history = []
     for epoch in range(1, pcfg.epochs + 1):
@@ -215,18 +225,19 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
             b_rng = ep_rng.spawn("batch", b_start)
             masks = np.stack([sample_mask(M, D, pcfg.mask_rate, b_rng.spawn("mask", int(i)))
                               for i in idx], axis=0)
-            loss, cache = msm_forward(params, cfg, corrupt(batch, masks), batch, masks,
+            work, masks32 = _float32(params), masks.astype(np.float32)
+            loss, cache = msm_forward(work, cfg, corrupt(batch, masks32), batch, masks32,
                                       train_mode=True, rng=b_rng.spawn("dropout"))
             if not np.isfinite(loss):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {b_start}")
-            grads = msm_backward(cache, params, cfg)
+            grads = msm_backward(cache, work, cfg)
             opt.step(params, grads)
             total_se += loss * masks.sum()
             total_cells += masks.sum()
         train_loss = total_se / total_cells
 
         if val_masks is not None:
-            val_loss, _ = msm_forward(params, cfg, corrupt(X_val, val_masks), X_val,
+            val_loss, _ = msm_forward(_float32(params), cfg, corrupt(X_val, val_masks), X_val,
                                       val_masks, train_mode=False)
         else:
             val_loss = float("nan")

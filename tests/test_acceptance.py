@@ -47,7 +47,7 @@ def test_01_gradient_check_full_model():
     assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
     _ok("1 gradient-correctness",
         f"max rel error {report.max_rel_error:.3e} < 1e-4 over "
-        f"{params.param_count()} params in {elapsed:.1f}s")
+        f"{sum(a.size for a in params.arrays.values())} params in {elapsed:.1f}s")
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def test_11_full_scale_parameter_count():
     cfg = model.ModelConfig.full_scale()
     assert (cfg.L, cfg.H, cfg.A, cfg.FF) == (12, 768, 12, 3072)
     params = model.init_params(cfg, SeededRng(0, ("full-scale",)))
-    count = params.param_count()
+    count = sum(a.size for a in params.arrays.values())
     rel = abs(count - 110_000_000) / 110_000_000
     assert rel < 0.05, f"{count} params is {rel:.1%} from 110M"
     _ok("11 scale-sanity",

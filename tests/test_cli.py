@@ -1,10 +1,12 @@
 """End-to-end CLI tests on a deliberately tiny configuration."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from battfault.cli import load_config, main
+from battfault.dataio import ParseError
 
 TINY_CONFIG = {
     "seed": 5,
@@ -111,6 +113,8 @@ class TestSynth:
         ({"model": {"L": 1e16}}, "'model'"),
         # past the bound of the exact t-SNE, which would fail naming neither
         ({"eval": {"tsne_max_points": 3000}}, "tsne_max_points"),
+        # parameters that fit, but not with what a training step holds besides
+        ({"model": {"H": 1, "A": 1, "FF": 1, "L": 40000000}}, "'model'"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -125,6 +129,21 @@ class TestSynth:
         loaded = load_config(cfg)
         assert (loaded.seed, loaded.seq_len) == (7, 16)
         assert type(loaded.seed) is int and type(loaded.seq_len) is int
+
+    def test_model_too_large_to_train_is_rejected_before_any_allocation(self, tmp_path):
+        # 6.4e8 parameters in 6.4e8 arrays: the weights alone fit in physical
+        # memory, a training step does not; the check counts in closed form
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"model": {"H": 1, "A": 1, "FF": 1, "L": 40000000}}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="physical memory") as info:
+                load_config(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(big) in str(info.value)
+        assert peak < 1 << 20, f"{peak} bytes allocated"
 
 
 class TestPretrain:

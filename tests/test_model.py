@@ -44,6 +44,10 @@ class TestConfig:
             ModelConfig(D=3, H=15, L=1, A=2, FF=8, M_max=4)  # H not divisible by A
         with pytest.raises(ValueError, match="physical memory"):
             ModelConfig(L=10 ** 16)  # parameters past physical memory
+        with pytest.raises(ValueError, match="physical memory"):
+            # 6.4e8 parameters fit as float64 weights alone, but not with the
+            # gradients, the Adam moments and 6.4e8 arrays of a training step
+            ModelConfig(H=1, A=1, FF=1, L=40_000_000)
 
     def test_desk_default(self):
         cfg = ModelConfig.desk_default()
@@ -274,9 +278,10 @@ class TestParamCount:
     def test_desk_count_matches_shapes(self, tiny):
         cfg, params = tiny
         expected = sum(int(np.prod(s)) for s in param_shapes(cfg).values())
-        assert params.param_count() == expected
+        assert sum(a.size for a in params.arrays.values()) == expected
 
     @pytest.mark.parametrize("cfg", [ModelConfig.desk_default(), ModelConfig.full_scale(),
                                      ModelConfig(D=2, H=8, L=0, A=2, FF=8, M_max=5, K=0)])
     def test_closed_form_count_matches_shapes(self, cfg):
         assert cfg.n_params == sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+        assert cfg.n_arrays == len(param_shapes(cfg))

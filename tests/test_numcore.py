@@ -184,7 +184,7 @@ class TestDropout:
         np.testing.assert_array_equal(out, off)
 
     def test_inverted_scaling_preserves_mean(self):
-        y = dropout_mask((200, 200), 0.3, SeededRng(7))
+        y = dropout_mask((200, 200), 0.3, SeededRng(7), np.float64)
         kept = y[y != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
         np.testing.assert_allclose(y.mean(), 1.0, atol=0.01)
@@ -194,3 +194,38 @@ class TestDropout:
         for rate in (1.0, -0.1):
             with pytest.raises(ValueError, match="dropout_rate"):
                 ModelConfig(dropout_rate=rate)
+
+
+class TestDtypeFollowsInput:
+    """Every block returns its input's float dtype.
+
+    A float32 training step stays float32 only if no constant upcasts it: under
+    NEP 50 an np.float64 scalar turns a float32 array into float64, which
+    would silently run the step at float64 cost.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_input_keeps_its_dtype(self, dtype):
+        rng = SeededRng(11)
+        x = rng.spawn("x").normal((2, 3, 8)).astype(dtype)
+        dy = rng.spawn("dy").normal((2, 3, 8)).astype(dtype)
+        g, b = np.ones(8, dtype=dtype), np.zeros(8, dtype=dtype)
+
+        y, t = gelu_fwd(x)
+        outputs = {"gelu_fwd": y, "gelu_fwd tanh": t, "gelu_grad": gelu_grad(x, t)}
+        p = softmax_rows(x)
+        outputs.update(softmax_rows=p, softmax_bwd=softmax_bwd(dy, p))
+        normed, cache = layer_norm_fwd(x, g, b, 1e-12)
+        dx, dg, db = layer_norm_bwd(dy, cache)
+        outputs.update(layer_norm_fwd=normed, layer_norm_bwd=dx, dgamma=dg, dbeta=db)
+        outputs["dropout_mask"] = dropout_mask(x.shape, 0.3, rng.spawn("drop"), dtype)
+        for name, out in outputs.items():
+            assert out.dtype == dtype, name
+
+    @pytest.mark.parametrize("x", [np.arange(6).reshape(2, 3), [[0, 1, 2], [3, 4, 5]],
+                                   [[0.5, 1.0, 2.0]]], ids=["int-array", "int-list", "float-list"])
+    def test_integer_and_list_input_reads_as_float64(self, x):
+        assert softmax_rows(x).dtype == np.float64
+        y, t = gelu_fwd(x)
+        assert y.dtype == t.dtype == np.float64
+        np.testing.assert_array_equal(y, gelu_fwd(np.asarray(x, dtype=np.float64))[0])

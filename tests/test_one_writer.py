@@ -1,18 +1,21 @@
-"""Every file src/ writes goes through dataio.write_text and dataio.json_text,
-and every JSON document it reads through dataio.read_document.
+"""Every file src/ and scripts/ write goes through dataio.write_text and
+dataio.json_text, and every JSON document they read through
+dataio.read_document.
 
 write_text owns the UTF-8/LF convention and json_text the canonical JSON form
 (sorted keys, one-space indent, final newline), so an ``open`` in a writing
-mode or a ``json.dumps``/``json.dump`` anywhere else in src/ is a second
-writer that can drift from them. read_document owns decoding, the object and
-version checks and the "malformed <what> <path>" error, so a ``json.load``/
-``json.loads`` anywhere else is a second reader.
+mode or a ``json.dumps``/``json.dump`` anywhere else in src/ or scripts/ is a
+second writer that can drift from them. read_document owns decoding, the
+object and version checks and the "malformed <what> <path>" error, so a
+``json.load``/``json.loads`` anywhere else is a second reader.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "battfault"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "battfault").glob("*.py")) + sorted(
+    (ROOT / "scripts").glob("*.py"))
 
 # (module, function) of the only calls allowed to write or serialize, and to decode
 WRITERS = {("dataio.py", "write_text"), ("dataio.py", "json_text")}
@@ -52,8 +55,8 @@ def _calls(tree, match, owner=None):
         yield from _calls(node, match, inner)
 
 
-def _package_calls(match):
-    return [(path.name, lineno, owner) for path in sorted(PACKAGE.glob("*.py"))
+def _source_calls(match):
+    return [(path.name, lineno, owner) for path in SOURCES
             for lineno, owner in _calls(ast.parse(path.read_text(encoding="utf-8")), match)]
 
 
@@ -63,7 +66,7 @@ def _strays(calls, allowed):
 
 
 def test_every_write_goes_through_the_one_writer():
-    calls = _package_calls(_is_writer_call)
+    calls = _source_calls(_is_writer_call)
     strays = _strays(calls, WRITERS)
     assert not strays, "file writes outside write_text/json_text: " + ", ".join(strays)
     # the two writers are found, so the scan itself works
@@ -71,7 +74,7 @@ def test_every_write_goes_through_the_one_writer():
 
 
 def test_every_json_read_goes_through_the_one_reader():
-    calls = _package_calls(lambda call: _is_json_call(call, ("loads", "load")))
+    calls = _source_calls(lambda call: _is_json_call(call, ("loads", "load")))
     strays = _strays(calls, READERS)
     assert not strays, "JSON decoding outside read_document: " + ", ".join(strays)
     # the reader is found, so the scan itself works

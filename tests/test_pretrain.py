@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from battfault import dataio
+from battfault import dataio, pretrain
 from battfault.dataio import ParseError
-from battfault.model import ModelConfig, init_params
+from battfault.model import ModelConfig, init_params, msm_backward, msm_forward
 from battfault.numcore import SeededRng
 from battfault.pretrain import (
     PretrainConfig,
@@ -180,3 +180,60 @@ class TestRunPretrain:
         _, hist = run_pretrain(train, val, params, TINY,
                                PretrainConfig(epochs=6, batch_size=4), seed=9)
         assert hist[-1][1] < hist[0][1]
+
+
+class TestTrainingPrecision:
+    """A training step runs in float32; the master weights and Adam stay float64."""
+
+    def test_float32_step_gradients_match_float64(self):
+        cfg = ModelConfig.desk_default()
+        params = init_params(cfg, SeededRng(21, ("init",)))
+        fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=4), 21, 128)
+        X = dataio.apply_norm(fleet, dataio.fit_norm(fleet)).channels[:16]
+        rng = SeededRng(22)
+        masks = np.stack([sample_mask(128, cfg.D, 0.15, rng.spawn("mask", i))
+                          for i in range(len(X))])
+
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            work = pretrain._float32(params) if dtype == np.float32 else params
+            x, m = X.astype(dtype), masks.astype(dtype)
+            _, cache = msm_forward(work, cfg, corrupt(x, m), x, m, train_mode=True,
+                                   rng=rng.spawn("dropout"))
+            # the activations are of the step's dtype, the gradients float64
+            assert cache[2].dtype == cache[3].dtype == dtype
+            grads[dtype] = msm_backward(cache, work, cfg)
+            assert {g.dtype for g in grads[dtype].values()} == {np.dtype(np.float64)}
+
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads[np.float64].values()))
+        worst = max(float(np.abs(grads[np.float32][k] - g).max())
+                    for k, g in grads[np.float64].items())
+        assert worst <= 1e-3 * norm, f"{worst} against a global norm of {norm}"
+
+    def test_master_weights_and_adam_state_stay_float64(self, monkeypatch):
+        optimizers = []
+
+        class RecordingAdam(pretrain.Adam):
+            def step(self, params, grads):
+                assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+                super().step(params, grads)
+                optimizers.append(self)
+
+        monkeypatch.setattr(pretrain, "Adam", RecordingAdam)
+        train, val = tiny_splits()
+        params = init_params(TINY, SeededRng(9, ("init",)))
+        run_pretrain(train, val, params, TINY, PretrainConfig(epochs=2, batch_size=4), seed=9)
+        assert optimizers
+        opt = optimizers[-1]
+        for state in (params.arrays, opt.m, opt.v):
+            assert {a.dtype for a in state.values()} == {np.dtype(np.float64)}
+
+    def test_checkpoints_of_two_runs_are_byte_identical(self, tmp_path):
+        train, val = tiny_splits()
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            params = init_params(TINY, SeededRng(9, ("init",)))
+            provenance, _ = run_pretrain(train, val, params, TINY,
+                                         PretrainConfig(epochs=2, batch_size=4), seed=9)
+            save_checkpoint(params, path, provenance)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
