@@ -156,9 +156,6 @@ class ModelParams:
             if self.arrays[name].shape != shape:
                 raise DimensionError(f"{name}: shape {self.arrays[name].shape} != expected {shape}")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, {k: v.copy() for k, v in self.arrays.items()})
-
 
 def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     """Random init: Normal(0, 0.02^2) weights, zero biases, unit layer-norm gains."""
@@ -184,6 +181,25 @@ def _vec(w: np.ndarray) -> np.ndarray:
     return w if w.ndim == 1 else w[:, None, :]
 
 
+def _dense(X: np.ndarray, W: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """X @ W + b over the last axis, in a new array.
+
+    numpy runs a (B, T, K) @ (K, N) product as B GEMMs; a 2-D W takes the
+    flattened (B*T, K) rows in one. A P-stacked W keeps the broadcasting
+    product. A vector b adds in place; a P-stacked one broadcasts.
+    """
+    if W.ndim == 2:
+        Y = (X.reshape(-1, X.shape[-1]) @ W).reshape(X.shape[:-1] + W.shape[1:])
+    else:
+        Y = X @ W
+    if b is None:
+        return Y
+    if b.ndim == 1:
+        Y += b
+        return Y
+    return Y + _vec(b)
+
+
 def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig,
                train_mode: bool = False, rng: SeededRng | None = None):
     """(B, M, D) -> (B, M+1, H) with cache. Row 0 is the summary position."""
@@ -193,7 +209,7 @@ def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig,
     if M + 1 > cfg.M_max:
         raise DimensionError(f"sequence length {M}+1 exceeds M_max={cfg.M_max}")
     pos = a["embed.pos"]
-    data = X @ a["embed.W_e"] + _vec(a["embed.b_e"]) + pos[..., 1:M + 1, :]
+    data = _dense(X, a["embed.W_e"], a["embed.b_e"]) + pos[..., 1:M + 1, :]
     row0 = (a["embed.cls"] + pos[..., 0, :])[..., None, :]
     # B rows, or P when the summary row alone is P-stacked
     pre = np.empty(np.broadcast_shapes(data.shape[:1], row0.shape[:-2]) + (M + 1, cfg.H),
@@ -221,7 +237,7 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
                    summary_only: bool = False):
     """Multi-head self-attention over (B, T, H); ``summary_only`` queries from row 0 alone."""
     A, dh = cfg.A, cfg.head_dim
-    # a Python float: an np.float64 scalar would upcast float32 scores
+    # a Python float: an np.float64 scalar would upcast float32 queries
     scale = 1.0 / math.sqrt(dh)
 
     def heads(Z):
@@ -229,13 +245,15 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
         return Z.reshape(B, T, A, dh).transpose(0, 2, 1, 3)
 
     Xq = X[:, :1] if summary_only else X
-    Q = heads(Xq @ a[prefix + "Wq"] + _vec(a[prefix + "bq"]))
-    K = heads(X @ a[prefix + "Wk"] + _vec(a[prefix + "bk"]))
-    V = heads(X @ a[prefix + "Wv"] + _vec(a[prefix + "bv"]))
-    scores = (Q @ K.transpose(0, 1, 3, 2)) * scale
-    probs = softmax_rows(scores)
+    # the scale goes into Q, so the (B, A, T, T) scores never take a pass for it
+    Q = _dense(Xq, a[prefix + "Wq"], a[prefix + "bq"])
+    Q *= scale
+    Q = heads(Q)
+    K = heads(_dense(X, a[prefix + "Wk"], a[prefix + "bk"]))
+    V = heads(_dense(X, a[prefix + "Wv"], a[prefix + "bv"]))
+    probs = softmax_rows(Q @ K.transpose(0, 1, 3, 2))
     context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, Xq.shape[1], cfg.H)
-    out = context @ a[prefix + "Wo"] + _vec(a[prefix + "bo"])
+    out = _dense(context, a[prefix + "Wo"], a[prefix + "bo"])
     return out, (X, Q, K, V, probs, context, scale)
 
 
@@ -246,24 +264,27 @@ def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConf
 
     grads[prefix + "Wo"] += _outer_sum(context, dout)
     grads[prefix + "bo"] += dout.sum(axis=(0, 1))
-    dcontext = (dout @ a[prefix + "Wo"].T).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
+    dcontext = _dense(dout, a[prefix + "Wo"].T).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
 
-    dprobs = dcontext @ V.transpose(0, 1, 3, 2)
-    dV = probs.transpose(0, 1, 3, 2) @ dcontext
-    dscores = softmax_bwd(dprobs, probs) * scale
-    dQ = dscores @ K
-    dK = dscores.transpose(0, 1, 3, 2) @ Q
+    # dQ, dK and dV are written as heads into one (B, T, 3H) buffer, whose
+    # rows then take one weight-gradient GEMM, one bias sum and one dX GEMM
+    dQKV = np.empty((B, T, 3, A, dh), dtype=dout.dtype)
+    dQ, dK, dV = (dQKV[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
+    np.matmul(probs.transpose(0, 1, 3, 2), dcontext, out=dV)
+    dscores = softmax_bwd(dcontext @ V.transpose(0, 1, 3, 2), probs)
+    np.matmul(dscores, K, out=dQ)
+    dQ *= scale  # Q carries the scale, so dK has it already
+    np.matmul(dscores.transpose(0, 1, 3, 2), Q, out=dK)
 
-    def unheads(Z):
-        return Z.transpose(0, 2, 1, 3).reshape(B, T, H)
-
-    dX = np.zeros_like(X)
-    for dZ, w in ((dQ, "Wq"), (dK, "Wk"), (dV, "Wv")):
-        flat = unheads(dZ)
-        grads[prefix + w] += _outer_sum(X, flat)
-        grads[prefix + w.replace("W", "b")] += flat.sum(axis=(0, 1))
-        dX += flat @ a[prefix + w].T
-    return dX
+    names = ("q", "k", "v")
+    flat = dQKV.reshape(B * T, 3 * H)
+    dW = _outer_sum(X, flat)
+    db = flat.sum(axis=0)
+    for j, n in enumerate(names):
+        grads[prefix + "W" + n] += dW[:, j * H:(j + 1) * H]
+        grads[prefix + "b" + n] += db[j * H:(j + 1) * H]
+    W_qkv = np.concatenate([a[prefix + "W" + n] for n in names], axis=1)
+    return (flat @ W_qkv.T).reshape(B, T, H)
 
 
 def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, summary_only: bool = False):
@@ -279,13 +300,14 @@ def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, summary_only: bool = 
     for i in range(cfg.L):
         p = f"layer{i}."
         one_row = summary_only and i == cfg.L - 1
-        attn_out, attn_cache = _attention_fwd(X, a, p, cfg, summary_only=one_row)
-        R1 = (X[:, :1] if one_row else X) + attn_out
+        # the residual adds run in place, in the new attention and FFN outputs
+        R1, attn_cache = _attention_fwd(X, a, p, cfg, summary_only=one_row)
+        R1 += X[:, :1] if one_row else X
         X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]), LN_EPS)
-        F1 = X1 @ a[p + "W1"] + _vec(a[p + "b1"])
+        F1 = _dense(X1, a[p + "W1"], a[p + "b1"])
         G, tanh_term = gelu_fwd(F1)
-        F2 = G @ a[p + "W2"] + _vec(a[p + "b2"])
-        R2 = X1 + F2
+        R2 = _dense(G, a[p + "W2"], a[p + "b2"])
+        R2 += X1
         X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]), LN_EPS)
         caches.append((attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache))
         X = X2
@@ -300,27 +322,28 @@ def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict)
         dR2, dg, db = layer_norm_bwd(dX, ln2_cache)
         grads[p + "ln2_g"] += dg
         grads[p + "ln2_b"] += db
-        # R2 = X1 + FFN(X1)
-        dF2 = dR2
-        grads[p + "W2"] += _outer_sum(G, dF2)
-        grads[p + "b2"] += dF2.sum(axis=(0, 1))
-        dG = dF2 @ a[p + "W2"].T
-        dF1 = dG * gelu_grad(F1, tanh_term)
+        # R2 = X1 + FFN(X1); dR2 is also the gradient of the FFN output
+        grads[p + "W2"] += _outer_sum(G, dR2)
+        grads[p + "b2"] += dR2.sum(axis=(0, 1))
+        dF1 = gelu_grad(F1, tanh_term)
+        dF1 *= _dense(dR2, a[p + "W2"].T)
         grads[p + "W1"] += _outer_sum(X1, dF1)
         grads[p + "b1"] += dF1.sum(axis=(0, 1))
-        dX1 = dR2 + dF1 @ a[p + "W1"].T
+        dX1 = _dense(dF1, a[p + "W1"].T)
+        dX1 += dR2
 
         dR1, dg, db = layer_norm_bwd(dX1, ln1_cache)
         grads[p + "ln1_g"] += dg
         grads[p + "ln1_b"] += db
         # R1 = X + Attn(X)
-        dX = dR1 + _attention_bwd(dR1, attn_cache, a, p, cfg, grads)
+        dX = _attention_bwd(dR1, attn_cache, a, p, cfg, grads)
+        dX += dR1
     return dX
 
 
 def _head_fwd(Hs: np.ndarray, a: dict):
     """Reconstruct data positions: (B, M+1, H) -> (B, M, D). Row 0 excluded."""
-    return Hs[:, 1:, :] @ a["head.W"] + _vec(a["head.b"])
+    return _dense(Hs[:, 1:, :], a["head.W"], a["head.b"])
 
 
 def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
@@ -366,7 +389,7 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
     grads["head.W"] += _outer_sum(np.ascontiguousarray(Hs[:, 1:, :]), drecon)
     grads["head.b"] += drecon.sum(axis=(0, 1))
     dHs = np.zeros_like(Hs)
-    dHs[:, 1:, :] = drecon @ a["head.W"].T
+    dHs[:, 1:, :] = _dense(drecon, a["head.W"].T)
 
     dE = _encoder_bwd(dHs, enc_caches, a, cfg, grads)
 

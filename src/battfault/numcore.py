@@ -78,24 +78,37 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: floa
 
     Also returns the cache needed for the backward pass.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return gamma * xhat + beta, (xhat, inv_std, gamma)
+    # one buffer: x centred, then scaled to xhat in place; the row dot
+    # products (np.vecdot) read their operands once and write no temporary
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.vecdot(xhat, xhat)[..., None] / xhat.shape[-1] + eps)
+    xhat *= inv_std
+    y = gamma * xhat
+    # a P-stacked beta broadcasts y to P rows, so only a vector adds in place
+    if np.ndim(beta) == 1:
+        y += beta
+    else:
+        y = y + beta
+    return y, (xhat, inv_std, gamma)
 
 
 def layer_norm_bwd(dy: np.ndarray, cache):
     """Gradients of layer_norm_fwd: returns (dx, dgamma, dbeta)."""
     xhat, inv_std, gamma = cache
     axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - m1 - xhat * m2)
-    return dx, dgamma, dbeta
+    H = dy.shape[-1]
+    # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = dy * gamma,
+    # in one buffer that holds dy * xhat, then dxhat, then dx; the row means
+    # are dot products with gamma (np.vecdot), which write no temporary
+    buf = dy * xhat
+    dgamma = buf.sum(axis=axes)
+    m2 = np.vecdot(buf, gamma)[..., None] / H
+    np.multiply(dy, gamma, out=buf)
+    buf -= np.vecdot(dy, gamma)[..., None] / H
+    buf -= xhat * m2
+    buf *= inv_std
+    return buf, dgamma, dbeta
 
 
 def _floating(x) -> np.ndarray:
@@ -116,8 +129,10 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def softmax_bwd(dprobs: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Backward of softmax_rows given output probs and upstream gradient."""
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
-    return probs * (dprobs - inner)
+    # the row dot products (np.vecdot) write no temporary; g is the one buffer
+    g = dprobs - np.vecdot(dprobs, probs)[..., None]
+    g *= probs
+    return g
 
 
 def gelu_fwd(x: np.ndarray):
@@ -144,8 +159,21 @@ def gelu_fwd(x: np.ndarray):
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Elementwise derivative of the tanh-form GELU; ``t`` is gelu_fwd's tanh term."""
-    du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x ** 2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+    x = _floating(x)
+    # 0.5 * (1 + t) + 0.5 * x * du * (1 - t^2), du = sqrt(2/pi) * (1 + 3c * x^2),
+    # as 0.5 * (1 + t) * (1 + x * du * (1 - t)) in g, with s holding 1 - t, then 1 + t
+    g = np.multiply(x, x, out=np.empty_like(x))
+    g *= 3.0 * GELU_CUBIC
+    g += 1.0
+    g *= x
+    g *= SQRT_2_OVER_PI
+    s = np.subtract(1.0, t, out=np.empty_like(g))
+    g *= s
+    g += 1.0
+    np.add(t, 1.0, out=s)
+    g *= s
+    g *= 0.5
+    return g
 
 
 def dropout_mask(shape, rate: float, rng: SeededRng, dtype) -> np.ndarray:

@@ -41,7 +41,7 @@ def pretrain_run(default_fleet):
     """
     cfg = model.ModelConfig.desk_default()
     params = model.init_params(cfg, SeededRng(INIT_SEED, ("init",)))
-    random_params = params.copy()
+    random_params = model.ModelParams(cfg, {k: v.copy() for k, v in params.arrays.items()})
     t0 = time.monotonic()
     _, history = run_pretrain(default_fleet["train"], default_fleet["val"],
                               params, cfg, PretrainConfig(epochs=20), seed=INIT_SEED)

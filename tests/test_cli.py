@@ -1,6 +1,8 @@
 """End-to-end CLI tests on a deliberately tiny configuration."""
 
+import base64
 import json
+import struct
 import tracemalloc
 
 import pytest
@@ -171,26 +173,33 @@ class TestPretrain:
         assert "copied embed.W_e" in text
 
 
+def _packed(*values):
+    """A checkpoint tensor's data: base64 of the values' little-endian float64 bytes."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 # each one breaks a copy of a valid checkpoint document in one way
 CHECKPOINT_DEFECTS = {
     "config_not_object": lambda doc: doc.update(config=[]),
     "tensors_not_object": lambda doc: doc.update(tensors="none"),
     "invalid_model_config": lambda doc: doc["config"].update(A=5),
     "non_numeric_data": lambda doc: doc["tensors"]["head.b"].update(data=["a", "b", "c"]),
-    # finite numbers only: numpy casts the first three to 0.5, 1.0 and NaN and
-    # raises OverflowError on the last
-    "string_number_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, "0.5"),
-    "boolean_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, True),
-    "null_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, None),
-    "huge_integer_data": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, 10 ** 400),
+    # data is base64 text of whole float64 values, finite ones only
+    "number_list_data": lambda doc: doc["tensors"]["head.b"].update(data=[0.5, 1.0, 2.0]),
+    "invalid_base64": lambda doc: doc["tensors"]["head.b"].update(data="!!!!" + _packed(0.0, 0.0)),
+    "partial_value_bytes": lambda doc: doc["tensors"]["head.b"].update(
+        data=base64.b64encode(bytes(20)).decode("ascii")),
+    "value_count_mismatch": lambda doc: doc["tensors"]["head.b"].update(data=_packed(0.0, 0.0)),
+    "nan_bytes": lambda doc: doc["tensors"]["head.b"].update(data=_packed(0.0, float("nan"), 0.0)),
+    "inf_bytes": lambda doc: doc["tensors"]["head.b"].update(data=_packed(float("inf"), 0.0, 0.0)),
+    "format_version_1": lambda doc: doc.update(format_version=1),
     "missing_tensor": lambda doc: doc["tensors"].pop("head.b"),
-    "extra_tensor": lambda doc: doc["tensors"].update(extra={"shape": [1], "data": [0.0]}),
+    "extra_tensor": lambda doc: doc["tensors"].update(extra={"shape": [1], "data": _packed(0.0)}),
     "wrong_shape": lambda doc: doc["tensors"]["head.b"].update(shape=[1, 3]),
     # the document's shape must be the tensor's own: no -1 wildcard, no other count
     "shape_minus_one": lambda doc: doc["tensors"]["head.b"].update(shape=[-1]),
     "shape_count_mismatch": lambda doc: doc["tensors"]["head.b"].update(shape=[4]),
     "missing_data": lambda doc: doc["tensors"]["head.b"].pop("data"),
-    "nan_value": lambda doc: doc["tensors"]["head.b"]["data"].__setitem__(0, float("nan")),
     "layers_true": lambda doc: doc["config"].update(L=True),
     "huge_layer_count": lambda doc: doc["config"].update(L=10 ** 16),
     "hidden_not_integral": lambda doc: doc["config"].update(H=16.5),

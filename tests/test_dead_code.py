@@ -1,12 +1,20 @@
-"""Every top-level function and class in src/ is reached from src/ or scripts/.
+"""Every function, class, method and property in src/ is reached from src/ or scripts/.
 
-A name counts as used when some ``Name`` or ``Attribute`` node outside its own
-definition mentions it; imports alone do not count. Code that only tests call
-belongs in tests/, apart from the oracles listed below. src/ also has no
-``assert`` statement: ``python -O`` drops them, so an invariant is a raise.
+A top-level name counts as used when some ``Name`` or ``Attribute`` node
+outside its own definition mentions it; a method or property, when some
+``Attribute`` node outside its own definition does. Imports alone do not
+count, and neither do dunder methods, which Python calls itself. Code that
+only tests call belongs in tests/, apart from the oracles listed below. src/
+also has no ``assert`` statement: ``python -O`` drops them, so an invariant is
+a raise.
+
+The check goes by name, not by type: a method is taken as used when any
+attribute of its name is read, so ``ModelParams.copy`` would have hidden
+behind ``ndarray.copy``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,40 +27,57 @@ ALLOWED = {
     "trapezoid_auroc",   # dual AUROC oracle
     "merge_fleets",      # cross-fleet t-SNE mixing criterion
     "msm_grad_check",    # finite-difference gradient gate, criterion 1
+    "GradCheckReport.ok",             # its verdict
+    "GradCheckReport.max_rel_error",  # and its worst entry
     "load_gbdt",         # reads back the classifier `battfault detect` writes
+    "ModelConfig.full_scale",  # the paper's ~110M-parameter encoder, criterion 11
 }
 
 
-def _used_names(path: Path):
-    """(name, owner) pairs; owner is the top-level definition the use sits in."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _definitions(tree):
+    """(qualified name, node, is_method) of each top-level function and class and
+    of each method or property of a top-level class."""
     for stmt in tree.body:
-        owner = (path, stmt.name) if isinstance(
-            stmt, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield stmt.name, stmt, False
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{stmt.name}.{item.name}", item, True
+
+
+def _uses(node):
+    """Counters of the Name ids and the Attribute names read anywhere under node."""
+    names, attrs = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            attrs[sub.attr] += 1
+    return names, attrs
 
 
 def test_no_top_level_definition_is_only_test_reachable():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    uses = {}
+    names, attrs = Counter(), Counter()
     for path in sources:
-        for name, owner in _used_names(path):
-            uses.setdefault(name, set()).add(owner)
+        n, a = _uses(ast.parse(path.read_text(encoding="utf-8")))
+        names += n
+        attrs += a
 
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        for qualname, node, is_method in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if qualname in ALLOWED:
                 continue
-            if stmt.name in ALLOWED:
-                continue
-            if uses.get(stmt.name, set()) - {(path, stmt.name)}:
-                continue
-            unused.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+            own_names, own_attrs = _uses(node)
+            outside = attrs[node.name] - own_attrs[node.name]
+            if not is_method:
+                outside += names[node.name] - own_names[node.name]
+            if outside <= 0:
+                unused.append(f"{path.name}:{node.lineno} {qualname}")
     assert not unused, "defined in src/ but never used there or in scripts/: " + ", ".join(unused)
 
 

@@ -229,3 +229,71 @@ class TestDtypeFollowsInput:
         y, t = gelu_fwd(x)
         assert y.dtype == t.dtype == np.float64
         np.testing.assert_array_equal(y, gelu_fwd(np.asarray(x, dtype=np.float64))[0])
+
+
+class TestBuffersOfTheirOwn:
+    """The backward kernels and layer norm write in place only into arrays they allocate."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_left_unchanged(self, dtype):
+        rng = SeededRng(12)
+        x, dy, g, b = (rng.spawn(n).normal(s).astype(dtype)
+                       for n, s in (("x", (2, 3, 8)), ("dy", (2, 3, 8)), ("g", 8), ("b", 8)))
+        p = softmax_rows(x)
+        _, t = gelu_fwd(x)
+        _, cache = layer_norm_fwd(x, g, b)
+        cache_before = [c.copy() for c in cache]
+        inputs = [x, dy, g, b, p, t]
+        before = [a.copy() for a in inputs]
+        outputs = {
+            "softmax_bwd": [softmax_bwd(dy, p)],
+            "gelu_grad": [gelu_grad(x, t)],
+            "layer_norm_fwd": [layer_norm_fwd(x, g, b)[0], *layer_norm_fwd(x, g, b)[1][:2]],
+            "layer_norm_bwd": list(layer_norm_bwd(dy, cache)),
+        }
+        for arr, old in zip(inputs + list(cache), before + cache_before):
+            np.testing.assert_array_equal(arr, old)
+        for name, outs in outputs.items():
+            for out in outs:
+                assert out.dtype == dtype, name
+                assert not any(np.shares_memory(out, a) for a in inputs + list(cache)), name
+
+    def test_match_the_textbook_formulas(self):
+        # the buffered kernels reorder the arithmetic, so float64 results
+        # agree with the direct expressions to rounding, not bit for bit
+        rng = SeededRng(14)
+        x, dy = rng.spawn("x").normal((2, 5, 8)) * 2.0, rng.spawn("dy").normal((2, 5, 8))
+        g, b = rng.spawn("g").normal(8) + 1.0, rng.spawn("b").normal(8)
+        close = dict(rtol=1e-12, atol=1e-12)
+
+        p = softmax_rows(x)
+        np.testing.assert_allclose(softmax_bwd(dy, p), p * (dy - (dy * p).sum(-1, keepdims=True)),
+                                   **close)
+        _, t = gelu_fwd(x)
+        du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x ** 2)
+        np.testing.assert_allclose(gelu_grad(x, t), 0.5 * (1 + t) + 0.5 * x * (1 - t ** 2) * du,
+                                   **close)
+        mu = x.mean(-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(((x - mu) ** 2).mean(-1, keepdims=True) + 1e-12)
+        xhat = (x - mu) * inv_std
+        y, cache = layer_norm_fwd(x, g, b)
+        np.testing.assert_allclose(y, g * xhat + b, **close)
+        dxhat = dy * g
+        dx = inv_std * (dxhat - dxhat.mean(-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(-1, keepdims=True))
+        for got, want in zip(layer_norm_bwd(dy, cache), (dx, (dy * xhat).sum((0, 1)), dy.sum((0, 1)))):
+            np.testing.assert_allclose(got, want, **close)
+
+    def test_stacked_affine_parameters_broadcast(self):
+        # a P-stacked gamma or beta (the gradient check's layout) makes the
+        # output P rows deep; only a vector beta may be added in place
+        rng = SeededRng(13)
+        x = rng.spawn("x").normal((1, 3, 8))
+        g, b = rng.spawn("g").normal(8) + 1.0, rng.spawn("b").normal(8)
+        g_stack, b_stack = g + rng.spawn("gs").normal((4, 1, 8)), b + rng.spawn("bs").normal((4, 1, 8))
+        xhat = layer_norm_fwd(x, np.ones(8), np.zeros(8))[0]
+        for gamma, beta in ((g_stack, b), (g, b_stack), (g_stack, b_stack)):
+            y, _ = layer_norm_fwd(x, gamma, beta)
+            assert y.shape == (4, 3, 8)
+            np.testing.assert_allclose(y, gamma * xhat + beta, rtol=1e-12, atol=1e-12)
+

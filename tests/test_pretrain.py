@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from battfault import dataio, pretrain
 from battfault.dataio import ParseError
-from battfault.model import ModelConfig, init_params, msm_backward, msm_forward
+from battfault.model import (
+    ModelConfig,
+    ModelParams,
+    init_params,
+    msm_backward,
+    msm_forward,
+    param_shapes,
+)
 from battfault.numcore import SeededRng
 from battfault.pretrain import (
     PretrainConfig,
@@ -98,6 +106,35 @@ class TestCheckpoint:
         assert back.cfg == TINY and provenance == self.PROVENANCE
         for name, arr in params.arrays.items():
             np.testing.assert_array_equal(back.arrays[name], arr)
+
+    def test_edge_values_survive_bit_for_bit(self, tmp_path):
+        # the data is the float64 bytes themselves: a sign, a subnormal and the
+        # last ulp of the largest value come back unchanged
+        params = self.make()
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        via_float32 = np.float64(np.float32(0.1))
+        params.arrays["head.b"] = np.array([-0.0, tiny, via_float32])
+        params.arrays["embed.cls"][:3] = [big, -big, 3 * tiny]
+        path = tmp_path / "edge.json"
+        save_checkpoint(params, path, self.PROVENANCE)
+        back, _ = load_checkpoint(path)
+        for name, arr in params.arrays.items():
+            assert back.arrays[name].dtype == np.float64
+            assert back.arrays[name].tobytes() == arr.tobytes(), name
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_any_finite_params_survive_bit_for_bit(self, tmp_path_factory, data):
+        cfg = ModelConfig(D=2, H=2, L=1, A=1, FF=2, M_max=3, K=0)
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        arrays = {name: data.draw(hnp.arrays(np.float64, shape, elements=values), label=name)
+                  for name, shape in param_shapes(cfg).items()}
+        path = tmp_path_factory.mktemp("ck") / "c.json"
+        save_checkpoint(ModelParams(cfg, arrays), path, self.PROVENANCE)
+        back, _ = load_checkpoint(path)
+        for name, arr in arrays.items():
+            assert back.arrays[name].tobytes() == arr.tobytes(), name
 
     def test_document_is_deterministic(self):
         assert (checkpoint_document(self.make(), self.PROVENANCE)
