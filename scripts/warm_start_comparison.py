@@ -17,9 +17,7 @@ from battfault.numcore import SeededRng
 
 def prepare(fleet_seed, split_seed, n_vehicles=16):
     fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=n_vehicles), fleet_seed, 128)
-    train, val = dataio.vehicle_split(fleet, 0.8, split_seed)
-    stats = dataio.fit_norm(train)
-    return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
+    return dataio.vehicle_split(fleet, 0.8, split_seed)
 
 
 def main():
@@ -30,12 +28,12 @@ def main():
     args = ap.parse_args()
 
     cfg = model.ModelConfig.desk_default()
-    train_a, val_a = prepare(7, 8)
-    train_b, val_b = prepare(77, 88)
+    train_a, val_a, _ = prepare(7, 8)
+    train_b, val_b, _ = prepare(77, 88)
 
     print(f"pretraining on corpus A for {args.epochs} epochs ...")
     params_a = model.init_params(cfg, SeededRng(1, ("init",)))
-    pretrain.run_pretrain(train_a, val_a, params_a, cfg,
+    pretrain.run_pretrain(train_a, val_a, params_a,
                           pretrain.PretrainConfig(epochs=args.epochs), seed=1)
 
     pcfg_b = pretrain.PretrainConfig(epochs=args.transfer_epochs)
@@ -43,8 +41,8 @@ def main():
     warm, report = pretrain.transfer_init(params_a, cfg, SeededRng(2, ("init",)))
     print(f"transfer: {len(report.copied)} arrays copied, {len(report.fresh)} fresh")
 
-    _, hist_cold = pretrain.run_pretrain(train_b, val_b, cold, cfg, pcfg_b, seed=3)
-    _, hist_warm = pretrain.run_pretrain(train_b, val_b, warm, cfg, pcfg_b, seed=3)
+    _, hist_cold = pretrain.run_pretrain(train_b, val_b, cold, pcfg_b, seed=3)
+    _, hist_warm = pretrain.run_pretrain(train_b, val_b, warm, pcfg_b, seed=3)
 
     print()
     print("epoch  cold train  warm train  cold val  warm val")

@@ -98,25 +98,17 @@ def load_config(path=None, seed_override=None) -> RunConfig:
 
 
 def _load_dataset(cfg: RunConfig, data_dir):
-    data_path = os.path.join(data_dir, "snippets.csv")
-    meta_path = os.path.join(data_dir, "meta.csv")
-    return dataio.load_csv(data_path, meta_path, cfg.seq_len)
-
-
-def _load_split(cfg: RunConfig, data_dir):
-    """(train, val, stats): the vehicle split, both sides normalized with train statistics."""
-    train, val = dataio.vehicle_split(_load_dataset(cfg, data_dir), cfg.eval.split_ratio, cfg.seed)
-    stats = dataio.fit_norm(train)
-    return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats), stats
+    return dataio.load_csv(os.path.join(data_dir, "snippets.csv"), os.path.join(data_dir, "meta.csv"),
+                           cfg.seq_len)
 
 
 def _load_encoder(path, ds: dataio.FleetDataset) -> model.ModelParams:
-    """The checkpoint at path, whose D and K must match the dataset's."""
+    """The checkpoint at path; its D and K must match the dataset's, its M_max hold a snippet."""
     params, _ = pretrain.load_checkpoint(path)
-    data_dims = (len(ds.channel_names), len(ds.meta_names))
-    if (params.cfg.D, params.cfg.K) != data_dims:
-        raise ConfigError(f"checkpoint {path} dims (D={params.cfg.D}, K={params.cfg.K}) "
-                          f"incompatible with data (D={data_dims[0]}, K={data_dims[1]})")
+    (_, M, D), K = ds.channels.shape, len(ds.meta_names)
+    if (params.cfg.D, params.cfg.K) != (D, K) or params.cfg.M_max < M + 1:
+        raise ConfigError(f"checkpoint {path} dims (D={params.cfg.D}, K={params.cfg.K}, M_max="
+                          f"{params.cfg.M_max}) incompatible with data (D={D}, K={K}, M+1={M + 1})")
     return params
 
 
@@ -133,7 +125,8 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.seed)
-    train_n, val_n, stats = _load_split(cfg, args.data)
+    train_n, val_n, stats = dataio.vehicle_split(_load_dataset(cfg, args.data),
+                                                 cfg.eval.split_ratio, cfg.seed)
 
     rng = SeededRng(cfg.seed, ("init",))
     if args.init_from:
@@ -146,7 +139,7 @@ def cmd_pretrain(args) -> int:
     else:
         params = model.init_params(cfg.model, rng)
 
-    provenance, history = pretrain.run_pretrain(train_n, val_n, params, cfg.model, cfg.pretrain,
+    provenance, history = pretrain.run_pretrain(train_n, val_n, params, cfg.pretrain,
                                                 seed=cfg.seed, log=print)
 
     os.makedirs(args.out, exist_ok=True)
@@ -163,13 +156,10 @@ def cmd_detect(args) -> int:
     if not args.checkpoint:
         raise ConfigError("detect requires --checkpoint")
     cfg = load_config(args.config, args.seed)
-    train_n, val_n, _ = _load_split(cfg, args.data)
+    train_n, val_n, _ = dataio.vehicle_split(_load_dataset(cfg, args.data),
+                                             cfg.eval.split_ratio, cfg.seed)
     params = _load_encoder(args.checkpoint, val_n)
-
-    gbdt = downstream.train_gbdt(downstream.extract_features(params, params.cfg, train_n),
-                                 train_n.labels, cfg.gbdt)
-    snip_scores = downstream.predict_proba_batch(
-        gbdt, downstream.extract_features(params, params.cfg, val_n))
+    gbdt, snip_scores = downstream.detect_scores(params, train_n, val_n, cfg.gbdt)
     report = evalkit.emit_report(
         snip_scores, val_n.labels, val_n.vehicle_ids, cfg.eval.aggregator, cfg.eval.cost_params(),
         {"config_echo": {"seq_len": cfg.seq_len, "gbdt": dataclasses.asdict(cfg.gbdt),
@@ -209,7 +199,7 @@ def cmd_tsne(args) -> int:
         mode = "raw"
     else:
         params = _load_encoder(args.checkpoint, ds_n)
-        X = downstream.extract_features(params, params.cfg, ds_n)[:, :params.cfg.H]
+        X = downstream.extract_features(params, ds_n)[:, :params.cfg.H]
         mode = "embedding"
 
     coords, kl = evalkit.tsne(X, cfg.eval.tsne_perplexity, cfg.eval.tsne_iterations, cfg.seed)

@@ -334,7 +334,8 @@ def apply_norm(ds: FleetDataset, stats: NormStats) -> FleetDataset:
 def vehicle_split(ds: FleetDataset, ratio: float, seed: int):
     """Split by vehicle, stratified by label, so no vehicle straddles train/val.
 
-    Returns (train, val), each keeping the rows' order in ``ds``.
+    Returns (train, val, stats): both sides, each keeping the rows' order in
+    ``ds``, z-scored with ``stats = fit_norm`` of the training side alone.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0,1)")
@@ -376,7 +377,9 @@ def vehicle_split(ds: FleetDataset, ratio: float, seed: int):
         raise ValueError(f"split ratio {ratio} leaves an empty side for {len(vehicles)} vehicles")
 
     in_train = np.array([v in train_ids for v in ds.vehicle_ids])
-    return ds.take(np.flatnonzero(in_train)), ds.take(np.flatnonzero(~in_train))
+    train, val = ds.take(np.flatnonzero(in_train)), ds.take(np.flatnonzero(~in_train))
+    stats = fit_norm(train)
+    return apply_norm(train, stats), apply_norm(val, stats), stats
 
 
 # ---------------------------------------------------------------------------

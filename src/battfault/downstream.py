@@ -3,7 +3,8 @@
 extract_features turns a FleetDataset into one (N, H+K) matrix: row i is the
 encoder's summary vector of the dataset's row i followed by its z-scored
 static metadata. train_gbdt(X, labels, cfg) fits on such a matrix and the
-dataset's labels. The classifier is boosted depth-limited regression
+dataset's labels; detect_scores runs both stages on a split and scores its
+validation side. The classifier is boosted depth-limited regression
 trees on logistic loss: exact greedy split search over midpoints of sorted
 distinct feature values, second-order leaf weights with L2 regularization.
 Each `train_gbdt` call sorts every feature column once (the pre-sorted column
@@ -21,26 +22,27 @@ import numpy as np
 
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
 from .evalkit import SingleClassError
-from .model import ModelConfig, ModelParams, encode_batch
+from .model import ModelParams, encode_batch
 from .numcore import NonFiniteError
 
 GBDT_FORMAT_VERSION = 1
+FEATURE_BATCH = 32  # snippets per encode_batch call; the features do not depend on it
 
 
-def extract_features(params: ModelParams, cfg: ModelConfig, ds: FleetDataset,
-                     batch_size: int = 32) -> np.ndarray:
+def extract_features(params: ModelParams, ds: FleetDataset) -> np.ndarray:
     """(N, H+K) matrix: each snippet's eval-mode summary vector, then its metadata.
 
     The dataset must already be normalized with statistics fit on the
     training split.
     """
+    cfg = params.cfg
     if ds.meta.shape[1] != cfg.K:
         raise ValueError(f"metadata length {ds.meta.shape[1]} != cfg.K {cfg.K}")
     X = np.empty((len(ds), cfg.H + cfg.K))
     X[:, cfg.H:] = ds.meta
-    for start in range(0, len(ds), batch_size):
-        X[start:start + batch_size, :cfg.H] = encode_batch(
-            ds.channels[start:start + batch_size], params, cfg)
+    for start in range(0, len(ds), FEATURE_BATCH):
+        X[start:start + FEATURE_BATCH, :cfg.H] = encode_batch(
+            ds.channels[start:start + FEATURE_BATCH], params, cfg)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite feature for snippet {ds.snippet_ids[np.argmin(finite)]}")
@@ -222,6 +224,12 @@ def predict_proba_batch(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         score += model.shrinkage * _tree_apply(tree, X)
     return _sigmoid(score)
+
+
+def detect_scores(params: ModelParams, train: FleetDataset, val: FleetDataset, cfg: GbdtConfig):
+    """(classifier fit on train's frozen features, fault probability of each val snippet)."""
+    model = train_gbdt(extract_features(params, train), train.labels, cfg)
+    return model, predict_proba_batch(model, extract_features(params, val))
 
 
 # ---------------------------------------------------------------------------

@@ -430,9 +430,8 @@ class GradCheckReport:
         return not self.failed
 
 
-def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
-                   X_target: np.ndarray, mask: np.ndarray,
-                   step: float = 5e-4, tol: float = 1e-4, chunk: int = 192):
+def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndarray,
+                   mask: np.ndarray, step: float = 5e-4, tol: float = 1e-4, chunk: int = 192):
     """Check analytic gradients of the masked loss on one (M, D) snippet.
 
     Uses the 4th-order central stencil (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
@@ -450,6 +449,7 @@ def msm_grad_check(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     """
     if not X_corrupt.ndim == X_target.ndim == mask.ndim == 2:
         raise ValueError(f"gradient check takes one (M, D) snippet, got input of shape {X_corrupt.shape}")
+    cfg = params.cfg
     X_in = X_corrupt[None]
     loss0, cache = msm_forward(params, cfg, X_in, X_target[None], mask[None])
     analytic = msm_backward(cache, params, cfg)

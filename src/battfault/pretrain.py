@@ -205,7 +205,7 @@ def _float32(params: ModelParams) -> ModelParams:
 
 
 def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
-                 cfg: ModelConfig, pcfg: PretrainConfig, *, seed: int, log=None):
+                 pcfg: PretrainConfig, *, seed: int, log=None):
     """Train params in place with masked signal modeling; returns (provenance, history).
 
     Per epoch: seeded shuffle, fresh masks per snippet per batch, forward on
@@ -218,6 +218,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     arXiv:1710.03740, one precision level up). The master weights, gradients,
     Adam moments and losses stay float64.
     """
+    cfg = params.cfg
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape
     rng = SeededRng(seed, ("pretrain",))

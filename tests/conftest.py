@@ -20,16 +20,9 @@ INIT_SEED = 1
 
 @pytest.fixture(scope="session")
 def default_fleet():
-    """Default synthetic benchmark: 40 vehicles, M=128, D=3, normalized splits."""
+    """Default synthetic benchmark: 40 vehicles, M=128, D=3; (train, val, stats)."""
     fleet = dataio.synth_fleet(dataio.FleetConfig(), FLEET_SEED, 128)
-    train, val = dataio.vehicle_split(fleet, 0.8, SPLIT_SEED)
-    stats = dataio.fit_norm(train)
-    return {
-        "fleet": fleet,
-        "train": dataio.apply_norm(train, stats),
-        "val": dataio.apply_norm(val, stats),
-        "stats": stats,
-    }
+    return dataio.vehicle_split(fleet, 0.8, SPLIT_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -43,11 +36,10 @@ def pretrain_run(default_fleet):
     params = model.init_params(cfg, SeededRng(INIT_SEED, ("init",)))
     random_params = model.ModelParams(cfg, {k: v.copy() for k, v in params.arrays.items()})
     t0 = time.monotonic()
-    _, history = run_pretrain(default_fleet["train"], default_fleet["val"],
-                              params, cfg, PretrainConfig(epochs=20), seed=INIT_SEED)
+    train, val, _ = default_fleet
+    _, history = run_pretrain(train, val, params, PretrainConfig(epochs=20), seed=INIT_SEED)
     elapsed = time.monotonic() - t0
     return {
-        "cfg": cfg,
         "params": params,
         "random_params": random_params,
         "history": history,

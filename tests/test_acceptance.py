@@ -38,8 +38,7 @@ def test_01_gradient_check_full_model():
     X_corrupt = pretrain.corrupt(X, mask)
 
     t0 = time.monotonic()
-    report = model.msm_grad_check(params, cfg, X_corrupt, X, mask, tol=1e-4,
-                                  chunk=1024)
+    report = model.msm_grad_check(params, X_corrupt, X, mask, tol=1e-4, chunk=1024)
     elapsed = time.monotonic() - t0
 
     assert report.ok, f"failed params: {report.failed}"
@@ -174,18 +173,16 @@ def test_06_pretraining_learns(pretrain_run):
 def test_07_warm_start_advantage(pretrain_run):
     # disjoint corpus: different generator seed, so no snippet is shared
     fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=16), 77, 128)
-    train, val = dataio.vehicle_split(fleet, 0.8, 88)
-    stats = dataio.fit_norm(train)
-    train_n, val_n = dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
+    train_n, val_n, _ = dataio.vehicle_split(fleet, 0.8, 88)
 
-    cfg = pretrain_run["cfg"]
+    cfg = pretrain_run["params"].cfg
     pcfg = pretrain.PretrainConfig(epochs=1)
     cold = model.init_params(cfg, SeededRng(2, ("init",)))
     warm, transfer = pretrain.transfer_init(pretrain_run["params"], cfg,
                                             SeededRng(2, ("init",)))
     assert transfer.fresh == []
-    _, hist_cold = pretrain.run_pretrain(train_n, val_n, cold, cfg, pcfg, seed=3)
-    _, hist_warm = pretrain.run_pretrain(train_n, val_n, warm, cfg, pcfg, seed=3)
+    _, hist_cold = pretrain.run_pretrain(train_n, val_n, cold, pcfg, seed=3)
+    _, hist_warm = pretrain.run_pretrain(train_n, val_n, warm, pcfg, seed=3)
 
     assert hist_warm[0][1] < hist_cold[0][1]
     _ok("7 warm-start-advantage",
@@ -204,13 +201,11 @@ def test_08_representation_alignment(tmp_path):
     sub_b = dataio.synth_fleet(
         dataclasses.replace(base, voltage_offset=-0.02, temp_offset=-0.5), 22, 128, id_prefix="b")
     fleet = dataio.merge_fleets(sub_a, sub_b)
-    train, val = dataio.vehicle_split(fleet, 0.8, 8)
-    stats = dataio.fit_norm(train)
+    train_n, val_n, stats = dataio.vehicle_split(fleet, 0.8, 8)
 
     cfg = model.ModelConfig.desk_default()
     params = model.init_params(cfg, SeededRng(1, ("init",)))
-    pretrain.run_pretrain(dataio.apply_norm(train, stats), dataio.apply_norm(val, stats),
-                          params, cfg, pretrain.PretrainConfig(epochs=6), seed=1)
+    pretrain.run_pretrain(train_n, val_n, params, pretrain.PretrainConfig(epochs=6), seed=1)
 
     fleet_n = dataio.apply_norm(fleet, stats)
     groups = [vid[0] for vid in fleet_n.vehicle_ids]  # subfleet prefix a/b
@@ -240,15 +235,11 @@ def test_08_representation_alignment(tmp_path):
 
 def test_09_detection_pipeline(default_fleet, pretrain_run):
     t0 = time.monotonic()
-    train_n, val_n = default_fleet["train"], default_fleet["val"]
-    cfg = pretrain_run["cfg"]
+    train_n, val_n, _ = default_fleet
     results = {}
     for tag in ("pretrained", "random"):
         params = pretrain_run["params" if tag == "pretrained" else "random_params"]
-        feats_train = downstream.extract_features(params, cfg, train_n)
-        feats_val = downstream.extract_features(params, cfg, val_n)
-        gbdt = downstream.train_gbdt(feats_train, train_n.labels, downstream.GbdtConfig())
-        scores = downstream.predict_proba_batch(gbdt, feats_val)
+        _, scores = downstream.detect_scores(params, train_n, val_n, downstream.GbdtConfig())
         _, veh_scores, veh_labels = evalkit.vehicle_scores(
             scores, val_n.labels, val_n.vehicle_ids, "mean")
         results[tag] = {

@@ -244,21 +244,22 @@ class TestDetect:
                      "--data", str(workspace["data"]),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("command", ["detect", "tsne"])
-    def test_dimension_mismatch_exits_2(self, workspace, tmp_path, capsys, command):
-        mismatched = dict(TINY_CONFIG)
-        mismatched["model"] = dict(TINY_CONFIG["model"], K=1)
-        cfg2 = tmp_path / "cfg2.json"
-        cfg2.write_text(json.dumps(mismatched))
+    @pytest.mark.parametrize("command, pretrained_with, used_with, expected", [
+        pytest.param(command, {"model": dict(TINY_CONFIG["model"], K=1)}, {}, "K=1", id=command)
+        for command in ("detect", "tsne")] + [
+        pytest.param(command, {}, {"seq_len": 32, "model": dict(TINY_CONFIG["model"], M_max=33)},
+                     "M_max=17", id=f"{command}-M_max") for command in ("detect", "tsne")])
+    def test_dimension_mismatch_exits_2(self, workspace, tmp_path, capsys, command,
+                                        pretrained_with, used_with, expected):
+        cfg2, cfg3 = tmp_path / "cfg2.json", tmp_path / "cfg3.json"
+        cfg2.write_text(json.dumps(dict(TINY_CONFIG, **pretrained_with)))
+        cfg3.write_text(json.dumps(dict(TINY_CONFIG, **used_with)))
         run2 = tmp_path / "run2"
-        assert main(["pretrain", "--config", str(cfg2), "--data",
-                     str(workspace["data"]), "--out", str(run2)]) == 0
-        assert main([command, "--config", str(workspace["config"]),
-                     "--data", str(workspace["data"]),
-                     "--checkpoint", str(run2 / "checkpoint.json"),
-                     "--out", str(tmp_path / "o")]) == 2
+        assert main(["pretrain", "--config", str(cfg2), "--data", str(workspace["data"]), "--out", str(run2)]) == 0
+        assert main([command, "--config", str(cfg3), "--data", str(workspace["data"]),
+                     "--checkpoint", str(run2 / "checkpoint.json"), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "K=1" in err and str(run2 / "checkpoint.json") in err
+        assert expected in err and str(run2 / "checkpoint.json") in err
 
     def test_invalid_gbdt_config_exits_2(self, workspace, tmp_path, capsys):
         bad = dict(TINY_CONFIG)

@@ -261,19 +261,19 @@ class TestNormalization:
 
 class TestVehicleSplit:
     def test_no_vehicle_straddles(self, small_fleet):
-        train, val = vehicle_split(small_fleet, 0.75, 4)
+        train, val, _ = vehicle_split(small_fleet, 0.75, 4)
         assert set(train.vehicle_ids).isdisjoint(val.vehicle_ids)
         assert set(train.vehicle_ids) | set(val.vehicle_ids) == set(small_fleet.vehicle_ids)
         assert len(train) + len(val) == len(small_fleet)
 
     def test_total_matches_rounded_ratio(self, small_fleet):
-        train, _ = vehicle_split(small_fleet, 0.75, 4)
+        train, _, _ = vehicle_split(small_fleet, 0.75, 4)
         assert len(set(train.vehicle_ids)) == round(0.75 * 8)
 
     def test_label_stratified_when_possible(self):
         ds = synth_fleet(FleetConfig(n_vehicles=20, fault_fraction=0.2,
                                      snippets_per_vehicle=1), 9, 16)
-        _, val = vehicle_split(ds, 0.8, 2)
+        _, val, _ = vehicle_split(ds, 0.8, 2)
         val_labels = set(val.vehicle_labels().values())
         assert val_labels == {0, 1}
 
@@ -281,10 +281,25 @@ class TestVehicleSplit:
     @settings(max_examples=20, deadline=None)
     def test_split_deterministic_per_seed(self, seed):
         ds = synth_fleet(FleetConfig(n_vehicles=10, snippets_per_vehicle=1), 1, 16)
-        a, _ = vehicle_split(ds, 0.7, seed)
-        b, _ = vehicle_split(ds, 0.7, seed)
+        a, _, _ = vehicle_split(ds, 0.7, seed)
+        b, _, _ = vehicle_split(ds, 0.7, seed)
         assert a.vehicle_ids == b.vehicle_ids
 
     def test_bad_ratio_rejected(self, small_fleet):
         with pytest.raises(ValueError):
             vehicle_split(small_fleet, 1.0, 0)
+
+    def test_statistics_come_from_the_training_side_alone(self, small_fleet):
+        def bits(ds, stats):
+            return [a.tobytes() for a in (ds.channels, ds.meta, *dataclasses.astuple(stats))]
+
+        train, val, stats = vehicle_split(small_fleet, 0.75, 4)
+        vids = np.array(small_fleet.vehicle_ids)
+        raw_train = small_fleet.take(np.flatnonzero(np.isin(vids, train.vehicle_ids)))
+        assert bits(train, stats) == bits(apply_norm(raw_train, fit_norm(raw_train)), fit_norm(raw_train))
+
+        channels = small_fleet.channels.copy()
+        channels[vids == val.vehicle_ids[0]] += 100.0  # shift one validation vehicle
+        train2, val2, stats2 = vehicle_split(dataclasses.replace(small_fleet, channels=channels), 0.75, 4)
+        assert not np.array_equal(val2.channels, val.channels)
+        assert train2.snippet_ids == train.snippet_ids and bits(train2, stats2) == bits(train, stats)

@@ -4,9 +4,10 @@ A top-level name counts as used when some ``Name`` or ``Attribute`` node
 outside its own definition mentions it; a method or property, when some
 ``Attribute`` node outside its own definition does. Imports alone do not
 count, and neither do dunder methods, which Python calls itself. Code that
-only tests call belongs in tests/, apart from the oracles listed below. src/
-also has no ``assert`` statement: ``python -O`` drops them, so an invariant is
-a raise.
+only tests call belongs in tests/, apart from the oracles listed below; each
+entry of that list must still be defined in src/ and be used by tests alone.
+src/ also has no ``assert`` statement: ``python -O`` drops them, so an
+invariant is a raise.
 
 The check goes by name, not by type: a method is taken as used when any
 attribute of its name is read, so ``ModelParams.copy`` would have hidden
@@ -48,10 +49,10 @@ def _definitions(tree):
                     yield f"{stmt.name}.{item.name}", item, True
 
 
-def _uses(node):
-    """Counters of the Name ids and the Attribute names read anywhere under node."""
+def _uses(*nodes):
+    """Counters of the Name ids and the Attribute names read anywhere under the nodes."""
     names, attrs = Counter(), Counter()
-    for sub in ast.walk(node):
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
         if isinstance(sub, ast.Name):
             names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
@@ -59,30 +60,44 @@ def _uses(node):
     return names, attrs
 
 
-def test_no_top_level_definition_is_only_test_reachable():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    names, attrs = Counter(), Counter()
-    for path in sources:
-        n, a = _uses(ast.parse(path.read_text(encoding="utf-8")))
-        names += n
-        attrs += a
+def _trees(*dirs):
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for d in dirs for p in sorted(d.glob("*.py"))}
 
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for qualname, node, is_method in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
-            if qualname in ALLOWED:
-                continue
+
+def _src_reach():
+    """{qualified name: ("file:line", is_method, reads from src/ and scripts/ outside it)}."""
+    names, attrs = _uses(*_trees(PACKAGE, ROOT / "scripts").values())
+    reach = {}
+    for path, tree in _trees(PACKAGE).items():
+        for qualname, node, is_method in _definitions(tree):
             own_names, own_attrs = _uses(node)
             outside = attrs[node.name] - own_attrs[node.name]
             if not is_method:
                 outside += names[node.name] - own_names[node.name]
-            if outside <= 0:
-                unused.append(f"{path.name}:{node.lineno} {qualname}")
+            reach[qualname] = (f"{path.name}:{node.lineno}", is_method, outside)
+    return reach
+
+
+def test_no_top_level_definition_is_only_test_reachable():
+    unused = [f"{where} {qualname}" for qualname, (where, _, outside) in _src_reach().items()
+              if outside <= 0 and qualname not in ALLOWED]
     assert not unused, "defined in src/ but never used there or in scripts/: " + ", ".join(unused)
 
 
+def test_every_allowance_is_still_an_oracle_only_tests_reach():
+    reach = _src_reach()
+    names, attrs = _uses(*_trees(ROOT / "tests").values())
+    stale = []
+    for qualname in sorted(ALLOWED):
+        _, is_method, outside = reach.get(qualname, (None, False, None))
+        if outside is None or outside > 0:
+            stale.append(f"{qualname} ({'not in src/' if outside is None else 'used by src/ or scripts/'})")
+        elif not attrs[qualname.split(".")[-1]] and (is_method or not names[qualname]):
+            stale.append(f"{qualname} (not used in tests/)")
+    assert not stale, "stale ALLOWED entries: " + ", ".join(stale)
+
+
 def test_no_assert_statement_in_src():
-    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees(PACKAGE).items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in src/: " + ", ".join(found)

@@ -321,20 +321,21 @@ class TestExtractFeatures:
 
     def test_shapes_and_metadata_fusion(self, setup):
         cfg, params, ds = setup
-        feats = extract_features(params, cfg, ds)
+        feats = extract_features(params, ds)
         assert feats.shape == (len(ds), cfg.H + cfg.K)
         np.testing.assert_array_equal(feats[:, cfg.H:], ds.meta)
         np.testing.assert_array_equal(feats[:, :cfg.H], model.encode_batch(ds.channels, params, cfg))
 
-    def test_batch_size_does_not_change_values(self, setup):
-        cfg, params, ds = setup
-        a = extract_features(params, cfg, ds, batch_size=3)
-        b = extract_features(params, cfg, ds, batch_size=64)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    def test_batch_size_does_not_change_values(self, setup, monkeypatch):
+        _, params, ds = setup
+        monkeypatch.setattr(downstream, "FEATURE_BATCH", 3)
+        a = extract_features(params, ds)
+        monkeypatch.setattr(downstream, "FEATURE_BATCH", 64)
+        np.testing.assert_allclose(a, extract_features(params, ds), atol=1e-12)
 
     def test_meta_dimension_checked(self, setup):
         cfg, params, ds = setup
         import dataclasses
-        bad_cfg = dataclasses.replace(cfg, K=5)
+        bad_params = model.ModelParams(dataclasses.replace(cfg, K=5), params.arrays)
         with pytest.raises(ValueError, match="metadata"):
-            extract_features(params, bad_cfg, ds)
+            extract_features(bad_params, ds)

@@ -185,7 +185,7 @@ class TestBackward:
     def test_gradient_check_tiny_config(self, tiny):
         cfg, params = tiny
         Xc, X, mask = random_instance(cfg, 13)
-        report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
+        report = model.msm_grad_check(params, Xc[0], X[0], mask[0])
         assert report.ok, report.failed
 
     def test_gradient_check_rejects_a_batch(self, tiny):
@@ -194,7 +194,7 @@ class TestBackward:
         cfg, params = tiny
         Xc, X, mask = random_instance(cfg, 13, B=2)
         with pytest.raises(ValueError, match=r"one \(M, D\) snippet"):
-            model.msm_grad_check(params, cfg, Xc, X, mask)
+            model.msm_grad_check(params, Xc, X, mask)
 
 
 # the gradient check stacks variants of one array; a representative spread
@@ -233,7 +233,7 @@ class TestStackedForward:
             return grads
 
         monkeypatch.setattr(model, "msm_backward", scaled)
-        report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
+        report = model.msm_grad_check(params, Xc[0], X[0], mask[0])
         assert report.failed == ["layer1.W2"]
 
     # one entry off: the largest of a large-gradient array by 0.1%, and the
@@ -252,7 +252,7 @@ class TestStackedForward:
             return grads
 
         monkeypatch.setattr(model, "msm_backward", one_entry_off)
-        report = model.msm_grad_check(params, cfg, Xc[0], X[0], mask[0])
+        report = model.msm_grad_check(params, Xc[0], X[0], mask[0])
         assert report.failed == [name]
 
 
@@ -268,7 +268,7 @@ def test_gate_passes_the_true_gradient_over_40_seeds():
         rng = SeededRng(seed + 1, ("gradcheck-data",))
         X = rng.spawn("x").normal((8, SWEEP.D))
         mask = sample_mask(8, SWEEP.D, 0.25, rng.spawn("mask"))
-        report = model.msm_grad_check(params, SWEEP, corrupt(X, mask), X, mask)
+        report = model.msm_grad_check(params, corrupt(X, mask), X, mask)
         if not report.ok:
             failures[seed] = {name: report.rel_error[name] for name in report.failed}
     assert not failures

@@ -33,12 +33,14 @@ from battfault.pretrain import (
 TINY = ModelConfig(D=3, H=16, L=1, A=2, FF=32, M_max=17, dropout_rate=0.1, K=2)
 
 
-def tiny_splits(seed=31):
-    fleet = dataio.synth_fleet(
-        dataio.FleetConfig(n_vehicles=6, snippets_per_vehicle=2), seed, 16)
-    train, val = dataio.vehicle_split(fleet, 0.7, seed)
-    stats = dataio.fit_norm(train)
-    return dataio.apply_norm(train, stats), dataio.apply_norm(val, stats)
+def tiny_run(epochs):
+    """(params, provenance, history, train split) of pretraining TINY on a 6-vehicle fleet."""
+    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=6, snippets_per_vehicle=2), 31, 16)
+    train, val, _ = dataio.vehicle_split(fleet, 0.7, 31)
+    params = init_params(TINY, SeededRng(9, ("init",)))
+    provenance, history = run_pretrain(train, val, params,
+                                       PretrainConfig(epochs=epochs, batch_size=4), seed=9)
+    return params, provenance, history, train
 
 
 class TestSampleMask:
@@ -190,20 +192,10 @@ class TestTransferInit:
 
 class TestRunPretrain:
     def test_deterministic_history(self):
-        train, val = tiny_splits()
-        pcfg = PretrainConfig(epochs=2, batch_size=4)
-        hists = []
-        for _ in range(2):
-            params = init_params(TINY, SeededRng(9, ("init",)))
-            _, hist = run_pretrain(train, val, params, TINY, pcfg, seed=9)
-            hists.append(hist)
-        assert hists[0] == hists[1]
+        assert tiny_run(2)[2] == tiny_run(2)[2]
 
     def test_history_schema_and_checkpoint(self):
-        train, val = tiny_splits()
-        params = init_params(TINY, SeededRng(9, ("init",)))
-        provenance, hist = run_pretrain(train, val, params, TINY,
-                                        PretrainConfig(epochs=3, batch_size=4), seed=9)
+        _, provenance, hist, train = tiny_run(3)
         assert [row[0] for row in hist] == [1, 2, 3]
         for _, tr, va in hist:
             assert np.isfinite(tr) and np.isfinite(va)
@@ -212,10 +204,7 @@ class TestRunPretrain:
                               "train_snippets": len(train)}
 
     def test_loss_decreases_on_tiny_problem(self):
-        train, val = tiny_splits()
-        params = init_params(TINY, SeededRng(9, ("init",)))
-        _, hist = run_pretrain(train, val, params, TINY,
-                               PretrainConfig(epochs=6, batch_size=4), seed=9)
+        hist = tiny_run(6)[2]
         assert hist[-1][1] < hist[0][1]
 
 
@@ -257,20 +246,15 @@ class TestTrainingPrecision:
                 optimizers.append(self)
 
         monkeypatch.setattr(pretrain, "Adam", RecordingAdam)
-        train, val = tiny_splits()
-        params = init_params(TINY, SeededRng(9, ("init",)))
-        run_pretrain(train, val, params, TINY, PretrainConfig(epochs=2, batch_size=4), seed=9)
+        params = tiny_run(2)[0]
         assert optimizers
         opt = optimizers[-1]
         for state in (params.arrays, opt.m, opt.v):
             assert {a.dtype for a in state.values()} == {np.dtype(np.float64)}
 
     def test_checkpoints_of_two_runs_are_byte_identical(self, tmp_path):
-        train, val = tiny_splits()
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            params = init_params(TINY, SeededRng(9, ("init",)))
-            provenance, _ = run_pretrain(train, val, params, TINY,
-                                         PretrainConfig(epochs=2, batch_size=4), seed=9)
+            params, provenance, _, _ = tiny_run(2)
             save_checkpoint(params, path, provenance)
         assert paths[0].read_bytes() == paths[1].read_bytes()
