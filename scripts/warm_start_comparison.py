@@ -15,8 +15,11 @@ from battfault import dataio, model, pretrain
 from battfault.numcore import SeededRng
 
 
-def prepare(fleet_seed, split_seed, n_vehicles=16):
-    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=n_vehicles), fleet_seed, 128)
+N_VEHICLES = 16  # per corpus
+
+
+def prepare(fleet_seed, split_seed):
+    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=N_VEHICLES), fleet_seed, 128)
     return dataio.vehicle_split(fleet, 0.8, split_seed)
 
 

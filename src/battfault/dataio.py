@@ -286,8 +286,18 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                 raise ParseError(f"{data_path}:{line_no}: snippet {sid!r} step {step} "
                                  f"does not follow its previous step {prev_step}")
             prev_step = step
-            cur_rows.append([_parse_float(row[3 + d], data_path, line_no, channel_names[d])
-                             for d in range(len(channel_names))])
+            # one pass over the row; only a row that fails it is parsed again
+            # cell by cell, to name the bad cell (or to pass finite cells
+            # whose sum overflowed)
+            try:
+                values = list(map(float, row[3:]))
+                ok = math.isfinite(sum(values))
+            except ValueError:
+                ok = False
+            if not ok:
+                values = [_parse_float(cell, data_path, line_no, name)
+                          for cell, name in zip(row[3:], channel_names)]
+            cur_rows.append(values)
         flush(None)
 
     for sid, (_, _, line_no) in meta_by_id.items():

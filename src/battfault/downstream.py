@@ -1,12 +1,13 @@
 """Frozen-encoder feature extraction and a gradient-boosted tree classifier.
 
-extract_features turns a FleetDataset into one (N, H+K) matrix: row i is the
-encoder's summary vector of the dataset's row i followed by its z-scored
-static metadata. train_gbdt(X, labels, cfg) fits on such a matrix and the
-dataset's labels; detect_scores runs both stages on a split and scores its
-validation side. The classifier is boosted depth-limited regression
-trees on logistic loss: exact greedy split search over midpoints of sorted
-distinct feature values, second-order leaf weights with L2 regularization.
+extract_features turns a FleetDataset into one (N, H+K) float64 matrix: row i
+is the encoder's summary vector of the dataset's row i, encoded in float32,
+followed by its z-scored static metadata. train_gbdt(X, labels, cfg) fits on
+such a matrix and the dataset's labels; detect_scores runs both stages on a
+split and scores its validation side. The classifier is boosted
+depth-limited regression trees on logistic loss: exact greedy split search
+over midpoints of sorted distinct feature values, second-order leaf weights
+with L2 regularization.
 Each `train_gbdt` call sorts every feature column once (the pre-sorted column
 blocks of XGBoost's exact greedy algorithm, Chen & Guestrin 2016); a node
 filters its rows out of those blocks and scores every (feature, cut) pair in
@@ -22,27 +23,32 @@ import numpy as np
 
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
 from .evalkit import SingleClassError
-from .model import ModelParams, encode_batch
+from .model import ModelParams, encode_batch, float32_copy
 from .numcore import NonFiniteError
 
 GBDT_FORMAT_VERSION = 1
-FEATURE_BATCH = 32  # snippets per encode_batch call; the features do not depend on it
+# snippets per encode_batch call; it moves a feature only by float32 rounding,
+# up to about 5e-7 when a last batch of one snippet takes BLAS's one-row path
+FEATURE_BATCH = 32
 
 
 def extract_features(params: ModelParams, ds: FleetDataset) -> np.ndarray:
-    """(N, H+K) matrix: each snippet's eval-mode summary vector, then its metadata.
+    """(N, H+K) float64 matrix: each snippet's eval-mode summary vector, then its metadata.
 
     The dataset must already be normalized with statistics fit on the
-    training split.
+    training split. The encoder runs in float32, on copies of the weights and
+    the channels cast once per call; the features then differ from a float64
+    encoding by float32 rounding (under 1e-6 at desk scale).
     """
     cfg = params.cfg
     if ds.meta.shape[1] != cfg.K:
         raise ValueError(f"metadata length {ds.meta.shape[1]} != cfg.K {cfg.K}")
+    work, channels = float32_copy(params), ds.channels.astype(np.float32)
     X = np.empty((len(ds), cfg.H + cfg.K))
     X[:, cfg.H:] = ds.meta
     for start in range(0, len(ds), FEATURE_BATCH):
         X[start:start + FEATURE_BATCH, :cfg.H] = encode_batch(
-            ds.channels[start:start + FEATURE_BATCH], params, cfg)
+            channels[start:start + FEATURE_BATCH], work, cfg)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite feature for snippet {ds.snippet_ids[np.argmin(finite)]}")

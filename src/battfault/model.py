@@ -13,9 +13,10 @@ the stages before it run once. This is how the gradient check runs P
 perturbed copies of the network through the same forward that training uses.
 
 Every pass computes in the dtype of its input and weights: float64 for the
-gradient check and eval encoding, float32 for a training step (see
-``pretrain.run_pretrain``). Gradients accumulate into float64 arrays either
-way, and the loss is summed in float64.
+gradient check, float32 for a training step (see ``pretrain.run_pretrain``)
+and for feature extraction (see ``downstream.extract_features``), each on a
+working copy from ``float32_copy``. Gradients accumulate into float64 arrays
+either way, and the loss is summed in float64.
 """
 
 from __future__ import annotations
@@ -157,6 +158,11 @@ class ModelParams:
                 raise DimensionError(f"{name}: shape {self.arrays[name].shape} != expected {shape}")
 
 
+def float32_copy(params: ModelParams) -> ModelParams:
+    """The float32 working copy of the weights that a float32 pass runs on."""
+    return ModelParams(params.cfg, {k: v.astype(np.float32) for k, v in params.arrays.items()})
+
+
 def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     """Random init: Normal(0, 0.02^2) weights, zero biases, unit layer-norm gains."""
     arrays = {}
@@ -251,7 +257,9 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
     Q = heads(Q)
     K = heads(_dense(X, a[prefix + "Wk"], a[prefix + "bk"]))
     V = heads(_dense(X, a[prefix + "Wv"], a[prefix + "bv"]))
-    probs = softmax_rows(Q @ K.transpose(0, 1, 3, 2))
+    # the fresh scores buffer becomes the probabilities, with no copy
+    scores = Q @ K.transpose(0, 1, 3, 2)
+    probs = softmax_rows(scores, out=scores)
     context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, Xq.shape[1], cfg.H)
     out = _dense(context, a[prefix + "Wo"], a[prefix + "bo"])
     return out, (X, Q, K, V, probs, context, scale)

@@ -117,11 +117,15 @@ def _floating(x) -> np.ndarray:
     return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis (max-subtraction)."""
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax along the last axis (max-subtraction).
+
+    As with a numpy ufunc, ``out`` receives the result; by default it is a
+    new array and ``x`` is left unchanged. ``out=x`` reuses x's own buffer.
+    """
     x = _floating(x)
-    # exp and the divide run in place in the shifted copy, never in the caller's x
-    e = x - x.max(axis=-1, keepdims=True)
+    # the shift writes one buffer (out, or a new array); exp and the divide run in it
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

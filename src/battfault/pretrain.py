@@ -20,7 +20,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
-from .model import ModelConfig, ModelParams, init_params, msm_backward, msm_forward, param_shapes
+from .model import (ModelConfig, ModelParams, float32_copy, init_params, msm_backward, msm_forward,
+                    param_shapes)
 from .numcore import NonFiniteError, SeededRng
 
 CHECKPOINT_VERSION = 2
@@ -199,11 +200,6 @@ def transfer_init(source: ModelParams, target_cfg: ModelConfig, rng: SeededRng):
 # ---------------------------------------------------------------------------
 
 
-def _float32(params: ModelParams) -> ModelParams:
-    """The float32 working copy of the weights that one forward/backward runs on."""
-    return ModelParams(params.cfg, {k: v.astype(np.float32) for k, v in params.arrays.items()})
-
-
 def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
                  pcfg: PretrainConfig, *, seed: int, log=None):
     """Train params in place with masked signal modeling; returns (provenance, history).
@@ -240,7 +236,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
             b_rng = ep_rng.spawn("batch", b_start)
             masks = np.stack([sample_mask(M, D, pcfg.mask_rate, b_rng.spawn("mask", int(i)))
                               for i in idx], axis=0)
-            work, masks32 = _float32(params), masks.astype(np.float32)
+            work, masks32 = float32_copy(params), masks.astype(np.float32)
             loss, cache = msm_forward(work, cfg, corrupt(batch, masks32), batch, masks32,
                                       train_mode=True, rng=b_rng.spawn("dropout"))
             if not np.isfinite(loss):
@@ -252,7 +248,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
         train_loss = total_se / total_cells
 
         if val_masks is not None:
-            val_loss, _ = msm_forward(_float32(params), cfg, corrupt(X_val, val_masks), X_val,
+            val_loss, _ = msm_forward(float32_copy(params), cfg, corrupt(X_val, val_masks), X_val,
                                       val_masks, train_mode=False)
         else:
             val_loss = float("nan")

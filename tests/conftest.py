@@ -17,6 +17,17 @@ FLEET_SEED = 7
 SPLIT_SEED = 8
 INIT_SEED = 1
 
+# the whole pipeline at toy size, for the CLI tests and the reproducibility criterion
+TINY_CONFIG = {
+    "seed": 5,
+    "seq_len": 16,
+    "generator": {"n_vehicles": 8, "snippets_per_vehicle": 2, "fault_fraction": 0.25},
+    "model": {"D": 3, "H": 16, "L": 1, "A": 2, "FF": 32, "M_max": 17, "K": 2},
+    "pretrain": {"epochs": 2, "batch_size": 4},
+    "gbdt": {"rounds": 10},
+    "eval": {"split_ratio": 0.75, "tsne_perplexity": 4.0, "tsne_iterations": 60},
+}
+
 
 @pytest.fixture(scope="session")
 def default_fleet():

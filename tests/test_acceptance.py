@@ -16,6 +16,7 @@ import numpy as np
 from battfault import dataio, downstream, evalkit, model, pretrain
 from battfault.cli import main as cli_main
 from battfault.numcore import SeededRng
+from conftest import TINY_CONFIG
 
 
 def _ok(name, detail):
@@ -263,17 +264,6 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
 # --------------------------------------------------------------------------
 # 10. Reproducibility
 # --------------------------------------------------------------------------
-
-TINY_CONFIG = {
-    "seed": 5,
-    "seq_len": 16,
-    "generator": {"n_vehicles": 8, "snippets_per_vehicle": 2, "fault_fraction": 0.25},
-    "model": {"D": 3, "H": 16, "L": 1, "A": 2, "FF": 32, "M_max": 17, "K": 2},
-    "pretrain": {"epochs": 2, "batch_size": 4},
-    "gbdt": {"rounds": 10},
-    "eval": {"split_ratio": 0.75, "tsne_perplexity": 4.0, "tsne_iterations": 60},
-}
-
 
 def _tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()

@@ -9,17 +9,7 @@ import pytest
 
 from battfault.cli import load_config, main
 from battfault.dataio import ParseError
-
-TINY_CONFIG = {
-    "seed": 5,
-    "seq_len": 16,
-    "generator": {"n_vehicles": 8, "snippets_per_vehicle": 2, "fault_fraction": 0.25},
-    "model": {"D": 3, "H": 16, "L": 1, "A": 2, "FF": 32, "M_max": 17, "K": 2},
-    "pretrain": {"epochs": 2, "batch_size": 4},
-    "gbdt": {"rounds": 10},
-    "eval": {"split_ratio": 0.75, "tsne_perplexity": 4.0, "tsne_iterations": 60},
-}
-
+from conftest import TINY_CONFIG
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):

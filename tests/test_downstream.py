@@ -324,7 +324,25 @@ class TestExtractFeatures:
         feats = extract_features(params, ds)
         assert feats.shape == (len(ds), cfg.H + cfg.K)
         np.testing.assert_array_equal(feats[:, cfg.H:], ds.meta)
-        np.testing.assert_array_equal(feats[:, :cfg.H], model.encode_batch(ds.channels, params, cfg))
+        assert feats.dtype == np.float64
+
+    def test_float32_encoding_matches_the_float64_oracle(self, setup):
+        # the features are encode_batch on float32 copies of the weights and
+        # channels, bit for bit, and float32 rounding away from float64
+        cfg, params, ds = setup
+        feats = extract_features(params, ds)[:, :cfg.H]
+        work = model.float32_copy(params)
+        assert {a.dtype for a in work.arrays.values()} == {np.dtype(np.float32)}
+        np.testing.assert_array_equal(
+            feats, model.encode_batch(ds.channels.astype(np.float32), work, cfg))
+        np.testing.assert_allclose(feats, model.encode_batch(ds.channels, params, cfg),
+                                   rtol=0, atol=1e-5)
+
+    def test_pretrained_desk_features_stay_near_float64(self, pretrain_run, default_fleet):
+        params, val = pretrain_run["params"], default_fleet[1]
+        feats = extract_features(params, val)[:, :params.cfg.H]
+        np.testing.assert_allclose(feats, model.encode_batch(val.channels, params, params.cfg),
+                                   rtol=0, atol=1e-5)
 
     def test_batch_size_does_not_change_values(self, setup, monkeypatch):
         _, params, ds = setup

@@ -112,6 +112,14 @@ class TestSoftmax:
         np.testing.assert_array_equal(x, before)
         assert not np.shares_memory(p, x)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_x_reuses_the_input_buffer(self, dtype):
+        x = (SeededRng(3).normal((2, 3, 4, 5)) * 4.0).astype(dtype)
+        want = softmax_rows(x)
+        got = softmax_rows(x, out=x)
+        assert got is x
+        np.testing.assert_array_equal(got, want)
+
     def test_backward_matches_finite_differences(self):
         rng = SeededRng(4)
         x = rng.spawn("x").normal((2, 5))

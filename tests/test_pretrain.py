@@ -12,6 +12,7 @@ from battfault.dataio import ParseError
 from battfault.model import (
     ModelConfig,
     ModelParams,
+    float32_copy,
     init_params,
     msm_backward,
     msm_forward,
@@ -222,7 +223,7 @@ class TestTrainingPrecision:
 
         grads = {}
         for dtype in (np.float64, np.float32):
-            work = pretrain._float32(params) if dtype == np.float32 else params
+            work = float32_copy(params) if dtype == np.float32 else params
             x, m = X.astype(dtype), masks.astype(dtype)
             _, cache = msm_forward(work, cfg, corrupt(x, m), x, m, train_mode=True,
                                    rng=rng.spawn("dropout"))
