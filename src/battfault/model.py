@@ -12,6 +12,13 @@ broadcasts to P outputs from the first stage that reads that array on, and
 the stages before it run once. This is how the gradient check runs P
 perturbed copies of the network through the same forward that training uses.
 
+A forward pass keeps the per-layer caches a backward pass reads only for a
+caller that will run one: ``msm_forward`` keeps them for ``msm_backward``
+unless told otherwise. Eval encoding, the validation loss and the gradient
+check's perturbed losses keep none, so they hold one layer's activations at a
+time. A weight gradient sums its per-sample products in sample order, so its
+rounding does not depend on how BLAS splits a product across threads.
+
 Every pass computes in the dtype of its input and weights: float64 for the
 gradient check, float32 for a training step (see ``pretrain.run_pretrain``)
 and for feature extraction (see ``downstream.extract_features``), each on a
@@ -178,7 +185,7 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Forward passes (batched, with caches for backward)
+# Forward passes (batched, with caches for backward on request)
 # ---------------------------------------------------------------------------
 
 
@@ -234,9 +241,14 @@ def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig,
 
 
 def _outer_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sum over (batch, position) of outer products: (B,T,I),(B,T,J) -> (I,J)."""
-    B, T = X.shape[:2]
-    return X.reshape(B * T, -1).T @ Y.reshape(B * T, -1)
+    """sum over (batch, position) of outer products: (B,T,I),(B,T,J) -> (I,J).
+
+    One (I, T) @ (T, J) product per sample, then a sum over samples in index
+    order. A single (I, B*T) @ (B*T, J) GEMM would be one call, but BLAS
+    may split its long inner axis across threads, so its rounding, and every
+    checkpoint byte after it, would depend on the thread count.
+    """
+    return np.matmul(X.swapaxes(1, 2), Y).sum(axis=0)
 
 
 def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
@@ -279,24 +291,55 @@ def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConf
     dQKV = np.empty((B, T, 3, A, dh), dtype=dout.dtype)
     dQ, dK, dV = (dQKV[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
     np.matmul(probs.transpose(0, 1, 3, 2), dcontext, out=dV)
-    dscores = softmax_bwd(dcontext @ V.transpose(0, 1, 3, 2), probs)
+    # the fresh (B, A, T, T) product becomes the score gradient, with no copy
+    dprobs = dcontext @ V.transpose(0, 1, 3, 2)
+    dscores = softmax_bwd(dprobs, probs, out=dprobs)
     np.matmul(dscores, K, out=dQ)
     dQ *= scale  # Q carries the scale, so dK has it already
     np.matmul(dscores.transpose(0, 1, 3, 2), Q, out=dK)
 
     names = ("q", "k", "v")
-    flat = dQKV.reshape(B * T, 3 * H)
-    dW = _outer_sum(X, flat)
-    db = flat.sum(axis=0)
+    dQKV = dQKV.reshape(B, T, 3 * H)
+    dW = _outer_sum(X, dQKV)
+    db = dQKV.sum(axis=(0, 1))
     for j, n in enumerate(names):
         grads[prefix + "W" + n] += dW[:, j * H:(j + 1) * H]
         grads[prefix + "b" + n] += db[j * H:(j + 1) * H]
     W_qkv = np.concatenate([a[prefix + "W" + n] for n in names], axis=1)
-    return (flat @ W_qkv.T).reshape(B, T, H)
+    return _dense(dQKV, W_qkv.T)
 
 
-def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, summary_only: bool = False):
-    """(B, T, H) -> (B, T, H) through L post-norm layers, with per-layer caches.
+def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | None,
+               one_row: bool) -> np.ndarray:
+    """One post-norm layer, (B, T, H) -> (B, T, H), or (B, 1, H) with ``one_row``.
+
+    Appends the layer's cache to ``caches`` when given a list. Otherwise the
+    attention probabilities go before the feed-forward block allocates, and
+    the rest of the activations when the layer returns.
+    """
+    # the residual adds run in place, in the new attention and FFN outputs
+    R1, attn_cache = _attention_fwd(X, a, p, cfg, summary_only=one_row)
+    if caches is None:
+        attn_cache = None
+    R1 += X[:, :1] if one_row else X
+    X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]), LN_EPS)
+    F1 = _dense(X1, a[p + "W1"], a[p + "b1"])
+    G, tanh_term = gelu_fwd(F1)
+    R2 = _dense(G, a[p + "W2"], a[p + "b2"])
+    R2 += X1
+    X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]), LN_EPS)
+    if caches is not None:
+        caches.append((attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache))
+    return X2
+
+
+def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, caches: list | None = None,
+                 summary_only: bool = False) -> np.ndarray:
+    """(B, T, H) -> (B, T, H) through L post-norm layers.
+
+    A caller that will run a backward pass hands in an empty list
+    ``caches``, which receives one cache per layer. Without one the pass
+    keeps no cache and holds one layer's activations at a time.
 
     With ``summary_only`` the last layer computes row 0 alone: its queries
     come from the summary row, its keys and values from every row, and the
@@ -304,22 +347,9 @@ def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, summary_only: bool = 
     needs the full-row caches.
     """
     X = E
-    caches = []
     for i in range(cfg.L):
-        p = f"layer{i}."
-        one_row = summary_only and i == cfg.L - 1
-        # the residual adds run in place, in the new attention and FFN outputs
-        R1, attn_cache = _attention_fwd(X, a, p, cfg, summary_only=one_row)
-        R1 += X[:, :1] if one_row else X
-        X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]), LN_EPS)
-        F1 = _dense(X1, a[p + "W1"], a[p + "b1"])
-        G, tanh_term = gelu_fwd(F1)
-        R2 = _dense(G, a[p + "W2"], a[p + "b2"])
-        R2 += X1
-        X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]), LN_EPS)
-        caches.append((attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache))
-        X = X2
-    return X, caches
+        X = _layer_fwd(X, a, f"layer{i}.", cfg, caches, summary_only and i == cfg.L - 1)
+    return X
 
 
 def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict):
@@ -356,9 +386,8 @@ def _head_fwd(Hs: np.ndarray, a: dict):
 
 def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     """Eval-mode summary vectors for a batch: (B, M, D) -> (B, H)."""
-    E, _ = _embed_fwd(X, params.arrays, cfg, train_mode=False)
-    Hs, _ = _encoder_fwd(E, params.arrays, cfg, summary_only=True)
-    return Hs[:, 0, :]
+    E = _embed_fwd(X, params.arrays, cfg)[0]
+    return _encoder_fwd(E, params.arrays, cfg, summary_only=True)[:, 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +397,14 @@ def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nda
 
 def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
                 X_target: np.ndarray, masks: np.ndarray,
-                train_mode: bool = False, rng: SeededRng | None = None):
+                train_mode: bool = False, rng: SeededRng | None = None, *,
+                keep_cache: bool = True):
     """Masked-MSE forward over a batch; returns (loss, cache).
 
     X_corrupt / X_target / masks are (B, M, D); loss is total masked squared
-    error over the batch divided by the total masked cell count.
+    error over the batch divided by the total masked cell count. A caller
+    that runs no backward pass sets ``keep_cache=False``: the pass then
+    builds no layer caches and returns (loss, None).
     """
     # Python floats, so that neither upcasts a float32 pass
     total_masked = float(masks.sum(dtype=np.float64))
@@ -380,10 +412,13 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
         raise ValueError("mask selects no cells")
     a = params.arrays
     E, embed_cache = _embed_fwd(X_corrupt, a, cfg, train_mode, rng)
-    Hs, enc_caches = _encoder_fwd(E, a, cfg)
+    enc_caches = [] if keep_cache else None
+    Hs = _encoder_fwd(E, a, cfg, enc_caches)
     recon = _head_fwd(Hs, a)
     diff = recon - X_target
     loss = float((masks * diff * diff).sum(dtype=np.float64) / total_masked)
+    if not keep_cache:
+        return loss, None
     return loss, (embed_cache, enc_caches, Hs, diff, masks, total_masked)
 
 
@@ -394,7 +429,7 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
     grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
 
     drecon = 2.0 * masks * diff / total_masked
-    grads["head.W"] += _outer_sum(np.ascontiguousarray(Hs[:, 1:, :]), drecon)
+    grads["head.W"] += _outer_sum(Hs[:, 1:, :], drecon)
     grads["head.b"] += drecon.sum(axis=(0, 1))
     dHs = np.zeros_like(Hs)
     dHs[:, 1:, :] = _dense(drecon, a["head.W"].T)
@@ -411,7 +446,7 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
     grads["embed.cls"] += dpre[:, 0, :].sum(axis=0)
     grads["embed.pos"][0] += dpre[:, 0, :].sum(axis=0)
     grads["embed.pos"][1:M + 1] += dpre[:, 1:, :].sum(axis=0)
-    grads["embed.W_e"] += _outer_sum(X, np.ascontiguousarray(dpre[:, 1:, :]))
+    grads["embed.W_e"] += _outer_sum(X, dpre[:, 1:, :])
     grads["embed.b_e"] += dpre[:, 1:, :].sum(axis=(0, 1))
     return grads
 
@@ -480,9 +515,8 @@ def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndar
             stacked.reshape(P, -1)[np.arange(P), np.repeat(idx, 4)] += np.tile(stencil, m)
             arrays = dict(base_arrays)
             arrays[name] = stacked
-            E, _ = _embed_fwd(X_in, arrays, cfg)
-            Hs, _ = _encoder_fwd(E, arrays, cfg)
-            diff = _head_fwd(Hs, arrays) - X_target
+            E = _embed_fwd(X_in, arrays, cfg)[0]
+            diff = _head_fwd(_encoder_fwd(E, arrays, cfg), arrays) - X_target
             losses = (mask * diff * diff).sum(axis=(1, 2)) / mask.sum()
             if not np.all(np.isfinite(losses)):
                 raise ValueError(f"non-finite loss while perturbing parameter {name!r}")

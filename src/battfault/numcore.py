@@ -131,10 +131,16 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def softmax_bwd(dprobs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Backward of softmax_rows given output probs and upstream gradient."""
-    # the row dot products (np.vecdot) write no temporary; g is the one buffer
-    g = dprobs - np.vecdot(dprobs, probs)[..., None]
+def softmax_bwd(dprobs: np.ndarray, probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Backward of softmax_rows given output probs and upstream gradient.
+
+    As with a numpy ufunc, ``out`` receives the result; by default it is a
+    new array and ``dprobs`` is left unchanged. ``out=dprobs`` reuses
+    dprobs's own buffer.
+    """
+    # the row dot products (np.vecdot) write no temporary and are taken
+    # before out is written; g is the one buffer
+    g = np.subtract(dprobs, np.vecdot(dprobs, probs)[..., None], out=out)
     g *= probs
     return g
 

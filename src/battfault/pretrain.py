@@ -213,6 +213,10 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     once per step (the master-weight scheme of Micikevicius et al. 2018,
     arXiv:1710.03740, one precision level up). The master weights, gradients,
     Adam moments and losses stay float64.
+
+    The loop holds one training step's activations at a time: a step's
+    caches are dropped once its backward pass has read them, and the
+    validation forward builds none.
     """
     cfg = params.cfg
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
@@ -242,6 +246,8 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
             if not np.isfinite(loss):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {b_start}")
             grads = msm_backward(cache, work, cfg)
+            # the step's activations go before the next forward builds its own
+            del cache
             opt.step(params, grads)
             total_se += loss * masks.sum()
             total_cells += masks.sum()
@@ -249,7 +255,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
 
         if val_masks is not None:
             val_loss, _ = msm_forward(float32_copy(params), cfg, corrupt(X_val, val_masks), X_val,
-                                      val_masks, train_mode=False)
+                                      val_masks, keep_cache=False)
         else:
             val_loss = float("nan")
         history.append((epoch, float(train_loss), float(val_loss)))

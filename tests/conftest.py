@@ -28,6 +28,10 @@ TINY_CONFIG = {
     "eval": {"split_ratio": 0.75, "tsne_perplexity": 4.0, "tsne_iterations": 60},
 }
 
+# one epoch of the desk model on a 10-vehicle fleet: about 1 s a command, for
+# the tests that run `pretrain` more than once and compare the runs
+SMALL_PRETRAIN_CONFIG = {"seed": 5, "generator": {"n_vehicles": 10}, "pretrain": {"epochs": 1}}
+
 
 @pytest.fixture(scope="session")
 def default_fleet():

@@ -2,6 +2,8 @@
 
 import base64
 import json
+import platform
+import resource
 import struct
 import tracemalloc
 
@@ -9,7 +11,7 @@ import pytest
 
 from battfault.cli import load_config, main
 from battfault.dataio import ParseError
-from conftest import TINY_CONFIG
+from conftest import SMALL_PRETRAIN_CONFIG, TINY_CONFIG
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -139,6 +141,21 @@ class TestSynth:
 
 
 class TestPretrain:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator is set on glibc only")
+    def test_repeated_command_reuses_the_pages_it_freed(self, tmp_path):
+        # glibc's defaults hand a step's freed activations back to the kernel
+        # and fault them in again: about 12.8K minor faults per repeat
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_PRETRAIN_CONFIG))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        faults = []
+        for out in ("a", "b"):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(["pretrain", "--config", str(config), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / out)]) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] < 1000, f"minor faults per command: {faults}"
+
     def test_artifacts_exist(self, workspace):
         run = workspace["run"]
         assert (run / "checkpoint.json").exists()

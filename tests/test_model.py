@@ -76,7 +76,7 @@ class TestForwardShapes:
         cfg, params = tiny
         X = SeededRng(3).normal((1, 8, cfg.D))
         E, _ = _embed_fwd(X, params.arrays, cfg)
-        Hs, _ = _encoder_fwd(E, params.arrays, cfg)
+        Hs = _encoder_fwd(E, params.arrays, cfg)
         assert Hs.shape == (1, 9, cfg.H)
         recon = _head_fwd(Hs, params.arrays)
         assert recon.shape == (1, 8, cfg.D)
@@ -113,7 +113,7 @@ class TestForwardShapes:
                                    for k, v in init.items()})
         X = SeededRng(23).normal((B, 16, cfg.D))
         E, _ = _embed_fwd(X, params.arrays, cfg)
-        full = _encoder_fwd(E, params.arrays, cfg)[0][:, 0, :]
+        full = _encoder_fwd(E, params.arrays, cfg)[:, 0, :]
         summary = encode_batch(X, params, cfg)
         assert summary.shape == (B, cfg.H)
         np.testing.assert_allclose(summary, full, rtol=1e-12, atol=0)
@@ -125,7 +125,7 @@ class TestMsmLoss:
         Xc, X, mask = random_instance(cfg, 7)
         loss = msm_forward(params, cfg, Xc, X, mask)[0]
         E, _ = _embed_fwd(Xc, params.arrays, cfg)
-        Hs, _ = _encoder_fwd(E, params.arrays, cfg)
+        Hs = _encoder_fwd(E, params.arrays, cfg)
         recon = _head_fwd(Hs, params.arrays)[0]
         total, count = 0.0, 0
         M, D = mask.shape[1:]
@@ -142,6 +142,12 @@ class TestMsmLoss:
         base = msm_forward(params, cfg, Xc, X, mask)[0]
         X2 = X + 100.0 * (1 - mask)  # perturb targets only where unmasked
         assert msm_forward(params, cfg, Xc, X2, mask)[0] == base
+
+    def test_forward_without_cache_gives_the_same_loss(self, tiny):
+        cfg, params = tiny
+        Xc, X, mask = random_instance(cfg, 16, B=2)
+        loss = msm_forward(params, cfg, Xc, X, mask)[0]
+        assert msm_forward(params, cfg, Xc, X, mask, keep_cache=False) == (loss, None)
 
     def test_empty_mask_rejected(self, tiny):
         cfg, params = tiny
@@ -213,7 +219,7 @@ class TestStackedForward:
         stacked = base + 1e-2 * SeededRng(15, (name,)).normal((P,) + base.shape)
         a = dict(params.arrays, **{name: stacked})
         E, _ = _embed_fwd(Xc, a, cfg)
-        Hs, _ = _encoder_fwd(E, a, cfg)
+        Hs = _encoder_fwd(E, a, cfg)
         diff = _head_fwd(Hs, a) - X[0]
         losses = (mask[0] * diff * diff).sum(axis=(1, 2)) / mask[0].sum()
         assert losses.shape == (P,)

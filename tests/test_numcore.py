@@ -120,6 +120,28 @@ class TestSoftmax:
         assert got is x
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_out_dprobs_reuses_the_gradient_buffer(self, dtype):
+        rng = SeededRng(3)
+        p = softmax_rows(rng.spawn("x").normal((2, 3, 4, 5)).astype(dtype))
+        dp = rng.spawn("dp").normal((2, 3, 4, 5)).astype(dtype)
+        p_before = p.copy()
+        want = softmax_bwd(dp, p)
+        got = softmax_bwd(dp, p, out=dp)
+        assert got is dp
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(p, p_before)
+
+    def test_backward_out_takes_a_buffer_of_the_callers(self):
+        rng = SeededRng(5)
+        p = softmax_rows(rng.spawn("x").normal((3, 6)))
+        dp = rng.spawn("dp").normal((3, 6))
+        dp_before, buf = dp.copy(), np.empty_like(dp)
+        got = softmax_bwd(dp, p, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, softmax_bwd(dp, p))
+        np.testing.assert_array_equal(dp, dp_before)
+
     def test_backward_matches_finite_differences(self):
         rng = SeededRng(4)
         x = rng.spawn("x").normal((2, 5))

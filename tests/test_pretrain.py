@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from battfault.dataio import ParseError
 from battfault.model import (
     ModelConfig,
     ModelParams,
+    encode_batch,
     float32_copy,
     init_params,
     msm_backward,
@@ -30,8 +36,10 @@ from battfault.pretrain import (
     save_checkpoint,
     transfer_init,
 )
+from conftest import SMALL_PRETRAIN_CONFIG
 
 TINY = ModelConfig(D=3, H=16, L=1, A=2, FF=32, M_max=17, dropout_rate=0.1, K=2)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_run(epochs):
@@ -259,3 +267,77 @@ class TestTrainingPrecision:
             params, provenance, _, _ = tiny_run(2)
             save_checkpoint(params, path, provenance)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _cli_pretrain(root, threads):
+    """Bytes of checkpoint.json and loss_history.csv from synth + pretrain on ``threads`` BLAS threads."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    root.mkdir()
+    config = root / "config.json"
+    config.write_text(json.dumps(SMALL_PRETRAIN_CONFIG))
+    for argv in (["synth", "--out", str(root / "data")],
+                 ["pretrain", "--data", str(root / "data"), "--out", str(root / "run")]):
+        result = subprocess.run([sys.executable, "-m", "battfault.cli", *argv, "--config", str(config)],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+    return {name: (root / "run" / name).read_bytes()
+            for name in ("checkpoint.json", "loss_history.csv")}
+
+
+def test_pretrain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every weight gradient sums its samples in index order, so a BLAS that
+    # splits a long inner axis across threads cannot reorder the rounding
+    assert _cli_pretrain(tmp_path / "one", 1) == _cli_pretrain(tmp_path / "two", 2)
+
+
+def _traced_peak(fn):
+    """Peak bytes that fn allocates beyond what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestActivationMemory:
+    """A pass holds only the activations a backward pass will read."""
+
+    def test_pretraining_peaks_near_one_training_step(self, default_fleet):
+        # holding the last step's and the validation pass's caches through
+        # the next step costs about 3.3x one step
+        train, val, _ = default_fleet
+        cfg = ModelConfig.desk_default()
+        params = init_params(cfg, SeededRng(1, ("init",)))
+        pcfg = PretrainConfig(epochs=2)
+        rng = SeededRng(2)
+        X = train.channels[:pcfg.batch_size].astype(np.float32)
+        M, D = X.shape[1:]
+        masks = np.stack([sample_mask(M, D, pcfg.mask_rate, rng.spawn("mask", i))
+                          for i in range(len(X))]).astype(np.float32)
+
+        def step():
+            work = float32_copy(params)
+            _, cache = msm_forward(work, cfg, corrupt(X, masks), X, masks, train_mode=True,
+                                   rng=rng.spawn("dropout"))
+            msm_backward(cache, work, cfg)
+
+        one_step = _traced_peak(step)
+        run = _traced_peak(lambda: run_pretrain(train, val, params, pcfg, seed=1))
+        assert run <= 1.25 * one_step, f"{run} bytes against {one_step} for one step"
+
+    def test_eval_encoding_keeps_no_layer_caches(self):
+        cfg = ModelConfig.desk_default()
+        work = float32_copy(init_params(cfg, SeededRng(3, ("init",))))
+        X = SeededRng(4).normal((32, 128, cfg.D)).astype(np.float32)
+        masks = np.zeros_like(X)
+        masks[:, ::7] = 1.0
+        encode = _traced_peak(lambda: encode_batch(X, work, cfg))
+        forward = _traced_peak(lambda: msm_forward(work, cfg, X, X, masks))
+        # without caches the pass holds one layer's activations; building
+        # and dropping every layer's caches peaks at about 0.57x the forward
+        assert encode < 0.4 * forward, f"{encode} bytes against {forward} for msm_forward"
+        no_cache = _traced_peak(lambda: msm_forward(work, cfg, X, X, masks, keep_cache=False))
+        assert no_cache < 0.5 * forward, f"{no_cache} bytes against {forward} with caches"
