@@ -11,4 +11,29 @@ Subpackages:
     cli        -- batch command-line front end
 """
 
+import ctypes
+import platform
+
 __version__ = "0.1.0"
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers (malloc.h)
+
+
+def _keep_freed_pages():
+    """On import: make glibc keep the pages the process frees for reuse; elsewhere a no-op.
+
+    Under glibc's default thresholds the tens of MB of activations that a
+    training step frees go back to the kernel, and the next step takes a page
+    fault for every page it touches again. Here a block below 32 MiB comes
+    from the heap, and the heap keeps up to 512 MiB of free pages.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 512 << 20)
+
+
+_keep_freed_pages()

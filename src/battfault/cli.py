@@ -11,10 +11,8 @@ maps each failure to its code.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import os
-import platform
 import sys
 
 import numpy as np
@@ -272,29 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameter numbers (malloc.h)
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_pages():
-    """Make glibc keep the pages a command frees for its next allocation; elsewhere a no-op.
-
-    Under glibc's default thresholds the tens of MB of activations that a
-    training step frees go back to the kernel, and the next step takes a page
-    fault for every page it touches again. Here a block below 32 MiB comes
-    from the heap, and the heap keeps up to 512 MiB of free pages.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(M_TRIM_THRESHOLD, 512 << 20)
-
-
 def main(argv=None) -> int:
-    _keep_freed_pages()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

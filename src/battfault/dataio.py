@@ -243,7 +243,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
         first_line_of = {}    # snippet_id -> line its rows start on
         vehicle_label = {}    # vehicle_id -> (label, snippet_id that set it)
 
-        def flush(line_no):
+        def flush():
             if cur_id is None:
                 return
             if len(cur_rows) < 2:
@@ -266,7 +266,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                 raise ParseError(f"{data_path}:{line_no}: expected {3 + len(channel_names)} columns, got {len(row)}")
             sid, vid = row[0].strip(), row[1].strip()
             if sid != cur_id:
-                flush(line_no)
+                flush()
                 if sid in first_line_of:
                     raise ParseError(
                         f"{data_path}:{line_no}: rows of snippet {sid!r} are not contiguous "
@@ -298,7 +298,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                 values = [_parse_float(cell, data_path, line_no, name)
                           for cell, name in zip(row[3:], channel_names)]
             cur_rows.append(values)
-        flush(None)
+        flush()
 
     for sid, (_, _, line_no) in meta_by_id.items():
         if sid not in first_line_of:

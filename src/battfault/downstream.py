@@ -100,7 +100,6 @@ class GbdtModel:
     trees: list                 # list of TreeNode roots
     shrinkage: float
     max_depth: int
-    rounds: int
     n_features: int
 
 
@@ -219,7 +218,7 @@ def train_gbdt(X: np.ndarray, labels, cfg: GbdtConfig = GbdtConfig()) -> GbdtMod
             raise NonFiniteError(f"GBDT round {r}: training log-loss increased "
                                  f"from {prev_loss!r} to {loss!r}")
         prev_loss = loss
-    return GbdtModel(base_score, trees, cfg.shrinkage, cfg.max_depth, cfg.rounds, X.shape[1])
+    return GbdtModel(base_score, trees, cfg.shrinkage, cfg.max_depth, X.shape[1])
 
 
 def predict_proba_batch(model: GbdtModel, X: np.ndarray) -> np.ndarray:
@@ -273,7 +272,7 @@ def save_gbdt(model: GbdtModel, path):
         "format_version": GBDT_FORMAT_VERSION,
         "base_score": model.base_score,
         "config": {"shrinkage": model.shrinkage, "max_depth": model.max_depth,
-                   "rounds": model.rounds, "n_features": model.n_features},
+                   "rounds": len(model.trees), "n_features": model.n_features},
         "trees": [_node_to_dict(t) for t in model.trees],
     }))
 
@@ -288,7 +287,7 @@ def _read_gbdt(doc: dict) -> GbdtModel:
         raise ValueError(f"{len(doc['trees'])} trees for rounds={rounds}")
     return GbdtModel(_read(doc, "base_score", float),
                      [_node_from_dict(t, n_features, max_depth) for t in doc["trees"]],
-                     _read(c, "shrinkage", float), max_depth, rounds, n_features)
+                     _read(c, "shrinkage", float), max_depth, n_features)
 
 
 def load_gbdt(path) -> GbdtModel:

@@ -166,6 +166,8 @@ EXAG_ITERS = 250
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 TSNE_ETA = 100.0
+PERPLEXITY_TOL = 1e-5
+PERPLEXITY_MAX_ITER = 200
 
 
 def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
@@ -175,14 +177,7 @@ def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     return np.maximum(d, DIST_FLOOR)
 
 
-def _conditional_probs(dists_row: np.ndarray, beta: float) -> np.ndarray:
-    p = np.exp(-dists_row * beta)
-    s = p.sum()
-    return p / s if s > 0 else p
-
-
-def conditional_affinities(X: np.ndarray, perplexity: float, tol: float = 1e-5,
-                           max_iter: int = 200) -> np.ndarray:
+def conditional_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-wise Gaussian affinities with precisions binary-searched to the target perplexity."""
     n = X.shape[0]
     if n < 3 * perplexity:
@@ -193,11 +188,13 @@ def conditional_affinities(X: np.ndarray, perplexity: float, tol: float = 1e-5,
     for i in range(n):
         row = np.delete(dists[i], i)
         beta, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(max_iter):
-            p = _conditional_probs(row, beta)
+        for _ in range(PERPLEXITY_MAX_ITER):
+            p = np.exp(-row * beta)
+            s = p.sum()
+            p = p / s if s > 0 else p
             h = -(p[p > 0] * np.log(p[p > 0])).sum()
             diff = h - target_h
-            if abs(diff) < tol:
+            if abs(diff) < PERPLEXITY_TOL:
                 break
             if diff > 0:            # entropy too high -> sharpen
                 lo = beta
@@ -278,36 +275,38 @@ def mixing_score(embeddings: np.ndarray, group_ids) -> float:
 # Report emission
 # ---------------------------------------------------------------------------
 
+FIGURE_SIZE = 480
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _svg_document(width, height, body) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">\n<rect width="{width}" height="{height}" '
-            'fill="white"/>\n' + body + "</svg>\n")
+def _svg_document(body) -> str:
+    n = FIGURE_SIZE
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{n}" height="{n}" viewBox="0 0 {n} {n}">'
+            f'\n<rect width="{n}" height="{n}" fill="white"/>\n' + body + "</svg>\n")
 
 
-def roc_svg(points: list, width: int = 480, height: int = 480) -> str:
+def roc_svg(points: list) -> str:
     """Minimal ROC curve figure (deterministic bytes)."""
-    pad = 40
-    sx = lambda v: pad + v * (width - 2 * pad)
-    sy = lambda v: height - pad - v * (height - 2 * pad)
+    n, pad = FIGURE_SIZE, 40
+    sx = lambda v: pad + v * (n - 2 * pad)
+    sy = lambda v: n - pad - v * (n - 2 * pad)
     coords = " ".join(f"{sx(p.q_fp):.2f},{sy(p.q_tp):.2f}" for p in points)
     body = (f'<line x1="{sx(0):.2f}" y1="{sy(0):.2f}" x2="{sx(1):.2f}" y2="{sy(1):.2f}" '
             'stroke="#bbbbbb" stroke-dasharray="4 4"/>\n'
             f'<polyline points="{coords}" fill="none" stroke="#1f77b4" stroke-width="2"/>\n'
-            f'<text x="{width/2:.0f}" y="{height - 8}" text-anchor="middle" '
+            f'<text x="{n/2:.0f}" y="{n - 8}" text-anchor="middle" '
             'font-size="12">false positive rate</text>\n'
-            f'<text x="12" y="{height/2:.0f}" font-size="12" '
-            f'transform="rotate(-90 12 {height/2:.0f})" text-anchor="middle">true positive rate</text>\n')
-    return _svg_document(width, height, body)
+            f'<text x="12" y="{n/2:.0f}" font-size="12" '
+            f'transform="rotate(-90 12 {n/2:.0f})" text-anchor="middle">true positive rate</text>\n')
+    return _svg_document(body)
 
 
-def scatter_svg(rows: list, width: int = 480, height: int = 480) -> str:
+def scatter_svg(rows: list) -> str:
     """Minimal 2D scatter: rows of (x, y, group, label); color by group hash."""
-    pad = 30
+    n, pad = FIGURE_SIZE, 30
     xs = np.array([r[0] for r in rows], dtype=np.float64)
     ys = np.array([r[1] for r in rows], dtype=np.float64)
     span_x = max(xs.max() - xs.min(), 1e-12)
@@ -320,11 +319,11 @@ def scatter_svg(rows: list, width: int = 480, height: int = 480) -> str:
         if group not in groups:
             groups.append(group)
         color = palette[groups.index(group) % len(palette)]
-        px = pad + (x - xs.min()) / span_x * (width - 2 * pad)
-        py = height - pad - (y - ys.min()) / span_y * (height - 2 * pad)
+        px = pad + (x - xs.min()) / span_x * (n - 2 * pad)
+        py = n - pad - (y - ys.min()) / span_y * (n - 2 * pad)
         shape = 'stroke="black" stroke-width="0.8"' if label else ""
         body.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{color}" {shape}/>')
-    return _svg_document(width, height, "\n".join(body) + "\n")
+    return _svg_document("\n".join(body) + "\n")
 
 
 def write_tsne_outputs(rows: list, out_dir, stem: str = "tsne"):

@@ -13,11 +13,12 @@ the stages before it run once. This is how the gradient check runs P
 perturbed copies of the network through the same forward that training uses.
 
 A forward pass keeps the per-layer caches a backward pass reads only for a
-caller that will run one: ``msm_forward`` keeps them for ``msm_backward``
-unless told otherwise. Eval encoding, the validation loss and the gradient
-check's perturbed losses keep none, so they hold one layer's activations at a
-time. A weight gradient sums its per-sample products in sample order, so its
-rounding does not depend on how BLAS splits a product across threads.
+caller that will run one, and draws dropout only when handed a dropout RNG:
+a training step's ``msm_forward`` does both. Eval encoding, the validation
+loss and the gradient check's perturbed losses keep no cache and draw no
+dropout, so they hold one layer's activations at a time. A weight gradient
+sums its per-sample products in sample order, so its rounding does not
+depend on how BLAS splits a product across threads.
 
 Every pass computes in the dtype of its input and weights: float64 for the
 gradient check, float32 for a training step (see ``pretrain.run_pretrain``)
@@ -47,7 +48,7 @@ from .numcore import (
 )
 
 INIT_STD = 0.02
-LN_EPS = 1e-12
+GRAD_CHECK_STEP = 5e-4
 # What a training step holds per parameter: the float64 master weights,
 # gradients and two Adam moments, and the float32 working copy.
 TRAIN_BYTES_PER_PARAM = 4 * 8 + 4
@@ -213,8 +214,7 @@ def _dense(X: np.ndarray, W: np.ndarray, b: np.ndarray | None = None) -> np.ndar
     return Y + _vec(b)
 
 
-def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig,
-               train_mode: bool = False, rng: SeededRng | None = None):
+def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig, dropout_rng: SeededRng | None = None):
     """(B, M, D) -> (B, M+1, H) with cache. Row 0 is the summary position."""
     _, M, D = X.shape
     if D != cfg.D:
@@ -229,15 +229,13 @@ def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig,
                    dtype=data.dtype)
     pre[:, :1, :] = row0
     pre[:, 1:, :] = data
-    normed, ln_cache = layer_norm_fwd(pre, _vec(a["embed.ln_g"]), _vec(a["embed.ln_b"]), LN_EPS)
-    if train_mode and cfg.dropout_rate > 0.0:
-        mask = dropout_mask(normed.shape, cfg.dropout_rate, rng.spawn("embed_dropout"),
+    normed, ln_cache = layer_norm_fwd(pre, _vec(a["embed.ln_g"]), _vec(a["embed.ln_b"]))
+    mask = None
+    if dropout_rng is not None and cfg.dropout_rate > 0.0:
+        mask = dropout_mask(normed.shape, cfg.dropout_rate, dropout_rng.spawn("embed_dropout"),
                             normed.dtype)
-        out = normed * mask
-    else:
-        mask = None
-        out = normed
-    return out, (X, ln_cache, mask)
+        normed = normed * mask
+    return normed, (X, ln_cache, mask)
 
 
 def _outer_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -322,12 +320,12 @@ def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | 
     if caches is None:
         attn_cache = None
     R1 += X[:, :1] if one_row else X
-    X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]), LN_EPS)
+    X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]))
     F1 = _dense(X1, a[p + "W1"], a[p + "b1"])
     G, tanh_term = gelu_fwd(F1)
     R2 = _dense(G, a[p + "W2"], a[p + "b2"])
     R2 += X1
-    X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]), LN_EPS)
+    X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]))
     if caches is not None:
         caches.append((attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache))
     return X2
@@ -397,12 +395,12 @@ def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nda
 
 def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
                 X_target: np.ndarray, masks: np.ndarray,
-                train_mode: bool = False, rng: SeededRng | None = None, *,
-                keep_cache: bool = True):
+                dropout_rng: SeededRng | None = None, *, keep_cache: bool = True):
     """Masked-MSE forward over a batch; returns (loss, cache).
 
     X_corrupt / X_target / masks are (B, M, D); loss is total masked squared
-    error over the batch divided by the total masked cell count. A caller
+    error over the batch divided by the total masked cell count. A training
+    step hands in ``dropout_rng``, and dropout runs only then. A caller
     that runs no backward pass sets ``keep_cache=False``: the pass then
     builds no layer caches and returns (loss, None).
     """
@@ -411,7 +409,7 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     if total_masked < 1:
         raise ValueError("mask selects no cells")
     a = params.arrays
-    E, embed_cache = _embed_fwd(X_corrupt, a, cfg, train_mode, rng)
+    E, embed_cache = _embed_fwd(X_corrupt, a, cfg, dropout_rng)
     enc_caches = [] if keep_cache else None
     Hs = _encoder_fwd(E, a, cfg, enc_caches)
     recon = _head_fwd(Hs, a)
@@ -460,9 +458,12 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
 class GradCheckReport:
     """Per-parameter relative errors from a central-difference gradient check."""
 
+    tol: float
     rel_error: dict = field(default_factory=dict)
-    failed: list = field(default_factory=list)
-    tol: float = 1e-4
+
+    @property
+    def failed(self) -> list:
+        return [name for name, err in self.rel_error.items() if err > self.tol]
 
     @property
     def max_rel_error(self) -> float:
@@ -474,21 +475,21 @@ class GradCheckReport:
 
 
 def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndarray,
-                   mask: np.ndarray, step: float = 5e-4, tol: float = 1e-4, chunk: int = 192):
+                   mask: np.ndarray, tol: float = 1e-4, chunk: int = 192):
     """Check analytic gradients of the masked loss on one (M, D) snippet.
 
     Uses the 4th-order central stencil (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
-    so one step size covers both high-curvature entries (truncation ~ h^4) and
-    exactly-zero gradients (rounding noise ~ 1/h). Relative error per entry is
-    |a - n| / max(|a|, |n|, floor), with the floor from the stencil's rounding
-    bound (Nocedal & Wright, Numerical Optimization, 2nd ed., 8.1): each loss
-    is off by about eps*|loss0| and the weights sum to 1.5/h in absolute
-    value, so rounding alone moves n by up to kappa*eps*|loss0|/h (kappa = 8
-    also covers the forward's own rounding), and floor = kappa*eps*|loss0| /
-    (h*tol) scores any such error under tol. Evaluating the loss once per
-    perturbed scalar is Python-overhead bound, so P perturbed copies of one
-    array are stacked along a leading axis and run through the training
-    forward at once.
+    so one step size h = GRAD_CHECK_STEP covers both high-curvature entries
+    (truncation ~ h^4) and exactly-zero gradients (rounding noise ~ 1/h).
+    Relative error per entry is |a - n| / max(|a|, |n|, floor), with the
+    floor from the stencil's rounding bound (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., 8.1): each loss is off by about eps*|loss0| and
+    the weights sum to 1.5/h in absolute value, so rounding alone moves n by
+    up to kappa*eps*|loss0|/h (kappa = 8 also covers the forward's own
+    rounding), and floor = kappa*eps*|loss0| / (h*tol) scores any such error
+    under tol. Evaluating the loss once per perturbed scalar is
+    Python-overhead bound, so P perturbed copies of one array are stacked
+    along a leading axis and run through the training forward at once.
     """
     if not X_corrupt.ndim == X_target.ndim == mask.ndim == 2:
         raise ValueError(f"gradient check takes one (M, D) snippet, got input of shape {X_corrupt.shape}")
@@ -496,10 +497,10 @@ def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndar
     X_in = X_corrupt[None]
     loss0, cache = msm_forward(params, cfg, X_in, X_target[None], mask[None])
     analytic = msm_backward(cache, params, cfg)
-    floor = 8.0 * np.finfo(np.float64).eps * abs(loss0) / (step * tol)
+    floor = 8.0 * np.finfo(np.float64).eps * abs(loss0) / (GRAD_CHECK_STEP * tol)
 
-    stencil = np.array([2.0, 1.0, -1.0, -2.0]) * step
-    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
+    stencil = np.array([2.0, 1.0, -1.0, -2.0]) * GRAD_CHECK_STEP
+    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * GRAD_CHECK_STEP)
     report = GradCheckReport(tol=tol)
     base_arrays = params.arrays
 
@@ -525,6 +526,4 @@ def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndar
             denom = np.maximum(np.maximum(np.abs(a_vals), np.abs(numeric)), floor)
             worst = max(worst, float((np.abs(a_vals - numeric) / denom).max()))
         report.rel_error[name] = worst
-        if worst > tol:
-            report.failed.append(name)
     return report

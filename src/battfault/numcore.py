@@ -18,6 +18,7 @@ import numpy as np
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
+LN_EPS = 1e-12  # layer-norm variance floor
 
 
 class DimensionError(ValueError):
@@ -52,17 +53,17 @@ class SeededRng:
         """Derive an independent substream; names may be strings or ints."""
         return SeededRng(self.seed, self.stream + tuple(names))
 
-    def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> np.ndarray:
-        return self._gen.normal(mean, std, size=shape).astype(np.float64)
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return self._gen.normal(0.0, std, size=shape).astype(np.float64)
 
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(np.float64)
+    def uniform(self, shape) -> np.ndarray:
+        return self._gen.uniform(0.0, 1.0, size=shape).astype(np.float64)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
+    def integers(self, low, high):
+        return self._gen.integers(low, high)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        return self._gen.choice(n, size=size, replace=False)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -73,7 +74,7 @@ class SeededRng:
 # ---------------------------------------------------------------------------
 
 
-def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-12):
+def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize the last axis to zero mean / unit population variance, then affine.
 
     Also returns the cache needed for the backward pass.
@@ -81,7 +82,7 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: floa
     # one buffer: x centred, then scaled to xhat in place; the row dot
     # products (np.vecdot) read their operands once and write no temporary
     xhat = x - x.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.vecdot(xhat, xhat)[..., None] / xhat.shape[-1] + eps)
+    inv_std = 1.0 / np.sqrt(np.vecdot(xhat, xhat)[..., None] / xhat.shape[-1] + LN_EPS)
     xhat *= inv_std
     y = gamma * xhat
     # a P-stacked beta broadcasts y to P rows, so only a vector adds in place

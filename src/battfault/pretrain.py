@@ -61,7 +61,7 @@ def sample_mask(M: int, D: int, rate: float, rng: SeededRng) -> np.ndarray:
     n_ones = int(round(rate * M * D))
     if n_ones < 1:
         raise ValueError(f"rate {rate} masks zero cells for shape ({M},{D})")
-    flat = rng.choice(M * D, size=n_ones, replace=False)
+    flat = rng.choice(M * D, size=n_ones)
     mask = np.zeros(M * D, dtype=np.float64)
     mask[flat] = 1.0
     return mask.reshape(M, D)
@@ -242,7 +242,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
                               for i in idx], axis=0)
             work, masks32 = float32_copy(params), masks.astype(np.float32)
             loss, cache = msm_forward(work, cfg, corrupt(batch, masks32), batch, masks32,
-                                      train_mode=True, rng=b_rng.spawn("dropout"))
+                                      b_rng.spawn("dropout"))
             if not np.isfinite(loss):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {b_start}")
             grads = msm_backward(cache, work, cfg)

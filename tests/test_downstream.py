@@ -163,7 +163,7 @@ def reference_train_gbdt(X, y, cfg):
         tree = reference_grow_tree(X, p - y, p * (1.0 - p), np.arange(y.size), 0, cfg)
         trees.append(tree)
         score = score + cfg.shrinkage * downstream._tree_apply(tree, X)
-    return GbdtModel(base_score, trees, cfg.shrinkage, cfg.max_depth, cfg.rounds, X.shape[1])
+    return GbdtModel(base_score, trees, cfg.shrinkage, cfg.max_depth, X.shape[1])
 
 
 @st.composite

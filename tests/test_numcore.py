@@ -202,14 +202,14 @@ class TestGelu:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        # dropout is drawn in train mode only: an eval-mode embedding equals a
-        # train-mode one with the rate set to zero
+        # dropout is drawn only when a dropout RNG is given: an embedding without
+        # one equals one with an RNG and the rate set to zero
         cfg = ModelConfig(D=3, H=8, L=1, A=2, FF=8, M_max=5, dropout_rate=0.5)
         a = init_params(cfg, SeededRng(6, ("init",))).arrays
         X = SeededRng(6).normal((2, 4, 3))
-        out, (_, _, mask) = _embed_fwd(X, a, cfg, train_mode=False, rng=SeededRng(0))
+        out, (_, _, mask) = _embed_fwd(X, a, cfg)
         off, _ = _embed_fwd(X, a, dataclasses.replace(cfg, dropout_rate=0.0),
-                            train_mode=True, rng=SeededRng(0))
+                            dropout_rng=SeededRng(0))
         assert mask is None
         np.testing.assert_array_equal(out, off)
 
@@ -245,7 +245,7 @@ class TestDtypeFollowsInput:
         outputs = {"gelu_fwd": y, "gelu_fwd tanh": t, "gelu_grad": gelu_grad(x, t)}
         p = softmax_rows(x)
         outputs.update(softmax_rows=p, softmax_bwd=softmax_bwd(dy, p))
-        normed, cache = layer_norm_fwd(x, g, b, 1e-12)
+        normed, cache = layer_norm_fwd(x, g, b)
         dx, dg, db = layer_norm_bwd(dy, cache)
         outputs.update(layer_norm_fwd=normed, layer_norm_bwd=dx, dgamma=dg, dbeta=db)
         outputs["dropout_mask"] = dropout_mask(x.shape, 0.3, rng.spawn("drop"), dtype)

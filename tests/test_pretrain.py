@@ -233,8 +233,8 @@ class TestTrainingPrecision:
         for dtype in (np.float64, np.float32):
             work = float32_copy(params) if dtype == np.float32 else params
             x, m = X.astype(dtype), masks.astype(dtype)
-            _, cache = msm_forward(work, cfg, corrupt(x, m), x, m, train_mode=True,
-                                   rng=rng.spawn("dropout"))
+            _, cache = msm_forward(work, cfg, corrupt(x, m), x, m,
+                                   dropout_rng=rng.spawn("dropout"))
             # the activations are of the step's dtype, the gradients float64
             assert cache[2].dtype == cache[3].dtype == dtype
             grads[dtype] = msm_backward(cache, work, cfg)
@@ -320,8 +320,8 @@ class TestActivationMemory:
 
         def step():
             work = float32_copy(params)
-            _, cache = msm_forward(work, cfg, corrupt(X, masks), X, masks, train_mode=True,
-                                   rng=rng.spawn("dropout"))
+            _, cache = msm_forward(work, cfg, corrupt(X, masks), X, masks,
+                                   dropout_rng=rng.spawn("dropout"))
             msm_backward(cache, work, cfg)
 
         one_step = _traced_peak(step)
