@@ -80,6 +80,12 @@ class RunConfig:
             raise ValueError(f"'seq_len' must be >= 2, got {self.seq_len}")
         if self.model.M_max < self.seq_len + 1:
             raise ValueError(f"model.M_max={self.model.M_max} must be >= seq_len+1={self.seq_len + 1}")
+        fleet = self.generator
+        values = fleet.n_vehicles * fleet.snippets_per_vehicle * self.seq_len * len(dataio.CHANNEL_NAMES)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if dataio.SYNTH_BYTES_PER_VALUE * values > memory:
+            raise ValueError(f"'generator': synthesising {values} channel values takes more than "
+                             f"the {memory} bytes of physical memory")
 
 
 def load_config(path=None, seed_override=None) -> RunConfig:
@@ -183,8 +189,8 @@ def cmd_tsne(args) -> int:
                           f"bound, got {args.subsample}")
     cfg = load_config(args.config, args.seed)
     ds = _load_dataset(cfg, args.data)
-    stats = dataio.fit_norm(ds)
-    ds_n = dataio.apply_norm(ds, stats)
+    # the whole fleet, z-scored like the encoder's pretraining data: by the training side
+    ds_n = dataio.apply_norm(ds, dataio.vehicle_split(ds, cfg.eval.split_ratio, cfg.seed)[2])
 
     n = len(ds_n)
     limit = cfg.eval.tsne_max_points

@@ -96,8 +96,8 @@ class ModelConfig:
 
     @property
     def n_arrays(self) -> int:
-        """Learnable array count, len(param_shapes(self)): 16 per layer and 8 more."""
-        return 8 + 16 * self.L
+        """Learnable array count, len(param_shapes(self)): 12 per layer and 8 more."""
+        return 8 + 12 * self.L
 
     @property
     def head_dim(self) -> int:
@@ -105,7 +105,7 @@ class ModelConfig:
 
     @classmethod
     def desk_default(cls) -> "ModelConfig":
-        return cls(D=3, H=64, L=2, A=4, FF=256, M_max=129, dropout_rate=0.1, K=2)
+        return cls()
 
     @classmethod
     def full_scale(cls) -> "ModelConfig":
@@ -127,12 +127,8 @@ def param_shapes(cfg: ModelConfig) -> dict:
     }
     for i in range(cfg.L):
         p = f"layer{i}."
-        shapes[p + "Wq"] = (cfg.H, cfg.H)
-        shapes[p + "bq"] = (cfg.H,)
-        shapes[p + "Wk"] = (cfg.H, cfg.H)
-        shapes[p + "bk"] = (cfg.H,)
-        shapes[p + "Wv"] = (cfg.H, cfg.H)
-        shapes[p + "bv"] = (cfg.H,)
+        shapes[p + "Wqkv"] = (cfg.H, 3 * cfg.H)
+        shapes[p + "bqkv"] = (3 * cfg.H,)
         shapes[p + "Wo"] = (cfg.H, cfg.H)
         shapes[p + "bo"] = (cfg.H,)
         shapes[p + "ln1_g"] = (cfg.H,)
@@ -252,7 +248,7 @@ def _outer_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
                    summary_only: bool = False):
     """Multi-head self-attention over (B, T, H); ``summary_only`` queries from row 0 alone."""
-    A, dh = cfg.A, cfg.head_dim
+    H, A, dh = cfg.H, cfg.A, cfg.head_dim
     # a Python float: an np.float64 scalar would upcast float32 queries
     scale = 1.0 / math.sqrt(dh)
 
@@ -260,17 +256,16 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
         B, T, _ = Z.shape
         return Z.reshape(B, T, A, dh).transpose(0, 2, 1, 3)
 
-    Xq = X[:, :1] if summary_only else X
+    # one projection; Q, K and V are column views of it
+    QKV = _dense(X, a[prefix + "Wqkv"], a[prefix + "bqkv"])
+    Q = QKV[:, :1, :H] if summary_only else QKV[..., :H]
     # the scale goes into Q, so the (B, A, T, T) scores never take a pass for it
-    Q = _dense(Xq, a[prefix + "Wq"], a[prefix + "bq"])
     Q *= scale
-    Q = heads(Q)
-    K = heads(_dense(X, a[prefix + "Wk"], a[prefix + "bk"]))
-    V = heads(_dense(X, a[prefix + "Wv"], a[prefix + "bv"]))
+    Q, K, V = heads(Q), heads(QKV[..., H:2 * H]), heads(QKV[..., 2 * H:])
     # the fresh scores buffer becomes the probabilities, with no copy
     scores = Q @ K.transpose(0, 1, 3, 2)
     probs = softmax_rows(scores, out=scores)
-    context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, Xq.shape[1], cfg.H)
+    context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, Q.shape[2], H)
     out = _dense(context, a[prefix + "Wo"], a[prefix + "bo"])
     return out, (X, Q, K, V, probs, context, scale)
 
@@ -284,8 +279,8 @@ def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConf
     grads[prefix + "bo"] += dout.sum(axis=(0, 1))
     dcontext = _dense(dout, a[prefix + "Wo"].T).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
 
-    # dQ, dK and dV are written as heads into one (B, T, 3H) buffer, whose
-    # rows then take one weight-gradient GEMM, one bias sum and one dX GEMM
+    # dQ, dK and dV are written as heads into one (B, T, 3H) buffer laid out
+    # like Wqkv's columns: one weight-gradient sum, one bias sum, one dX GEMM
     dQKV = np.empty((B, T, 3, A, dh), dtype=dout.dtype)
     dQ, dK, dV = (dQKV[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
     np.matmul(probs.transpose(0, 1, 3, 2), dcontext, out=dV)
@@ -296,15 +291,10 @@ def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConf
     dQ *= scale  # Q carries the scale, so dK has it already
     np.matmul(dscores.transpose(0, 1, 3, 2), Q, out=dK)
 
-    names = ("q", "k", "v")
     dQKV = dQKV.reshape(B, T, 3 * H)
-    dW = _outer_sum(X, dQKV)
-    db = dQKV.sum(axis=(0, 1))
-    for j, n in enumerate(names):
-        grads[prefix + "W" + n] += dW[:, j * H:(j + 1) * H]
-        grads[prefix + "b" + n] += db[j * H:(j + 1) * H]
-    W_qkv = np.concatenate([a[prefix + "W" + n] for n in names], axis=1)
-    return _dense(dQKV, W_qkv.T)
+    grads[prefix + "Wqkv"] += _outer_sum(X, dQKV)
+    grads[prefix + "bqkv"] += dQKV.sum(axis=(0, 1))
+    return _dense(dQKV, a[prefix + "Wqkv"].T)
 
 
 def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | None,

@@ -4,7 +4,7 @@ Masking selects individual (timestamp, channel) cells: exactly
 round(rate * M * D) of them, uniformly without replacement. Corruption zeroes
 the selected cells; the loss is mean squared error over masked cells only.
 
-A checkpoint is one canonical JSON document (format version 2): the model
+A checkpoint is one canonical JSON document (format version 3): the model
 config, the provenance, and per tensor its shape and ``data``, the base64 text
 of its little-endian float64 bytes. Those bytes are the values themselves, so
 a checkpoint loads bit for bit and round-trips byte-identically, and encoding
@@ -24,7 +24,7 @@ from .model import (ModelConfig, ModelParams, float32_copy, init_params, msm_bac
                     param_shapes)
 from .numcore import NonFiniteError, SeededRng
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # the byte order and width of a checkpoint tensor's data, on every platform
 TENSOR_DTYPE = np.dtype("<f8")
 

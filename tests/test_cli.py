@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from battfault import dataio, downstream, evalkit, pretrain
 from battfault.cli import load_config, main
 from battfault.dataio import ParseError
 from conftest import SMALL_PRETRAIN_CONFIG, TINY_CONFIG
@@ -29,7 +30,6 @@ def workspace(tmp_path_factory):
 
 class TestSynth:
     def test_outputs_parse_back(self, workspace):
-        from battfault import dataio
         ds = dataio.load_csv(workspace["data"] / "snippets.csv",
                              workspace["data"] / "meta.csv", 16)
         assert len(ds.vehicle_labels()) == 8
@@ -109,6 +109,8 @@ class TestSynth:
         ({"eval": {"tsne_max_points": 3000}}, "tsne_max_points"),
         # parameters that fit, but not with what a training step holds besides
         ({"model": {"H": 1, "A": 1, "FF": 1, "L": 40000000}}, "'model'"),
+        # a fleet past physical memory: rejected before synth allocates it
+        ({"generator": {"n_vehicles": 1000000000000}}, "'generator'"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -127,17 +129,25 @@ class TestSynth:
     def test_model_too_large_to_train_is_rejected_before_any_allocation(self, tmp_path):
         # 6.4e8 parameters in 6.4e8 arrays: the weights alone fit in physical
         # memory, a training step does not; the check counts in closed form
-        big = tmp_path / "big.json"
-        big.write_text(json.dumps({"model": {"H": 1, "A": 1, "FF": 1, "L": 40000000}}))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParseError, match="physical memory") as info:
-                load_config(big)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(big) in str(info.value)
-        assert peak < 1 << 20, f"{peak} bytes allocated"
+        _rejected_before_any_allocation(tmp_path, {"model": {"H": 1, "A": 1, "FF": 1, "L": 40000000}})
+
+    def test_fleet_too_large_to_synthesise_is_rejected_before_any_allocation(self, tmp_path):
+        # the vehicle permutation alone would take 8 TB
+        _rejected_before_any_allocation(tmp_path, {"generator": {"n_vehicles": 1000000000000}})
+
+
+def _rejected_before_any_allocation(tmp_path, doc):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="physical memory") as info:
+            load_config(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(big) in str(info.value)
+    assert peak < 1 << 20, f"{peak} bytes allocated"
 
 
 class TestPretrain:
@@ -200,6 +210,7 @@ CHECKPOINT_DEFECTS = {
     "nan_bytes": lambda doc: doc["tensors"]["head.b"].update(data=_packed(0.0, float("nan"), 0.0)),
     "inf_bytes": lambda doc: doc["tensors"]["head.b"].update(data=_packed(float("inf"), 0.0, 0.0)),
     "format_version_1": lambda doc: doc.update(format_version=1),
+    "format_version_2": lambda doc: doc.update(format_version=2),
     "missing_tensor": lambda doc: doc["tensors"].pop("head.b"),
     "extra_tensor": lambda doc: doc["tensors"].update(extra={"shape": [1], "data": _packed(0.0)}),
     "wrong_shape": lambda doc: doc["tensors"]["head.b"].update(shape=[1, 3]),
@@ -308,6 +319,23 @@ class TestTsne:
             assert lines[0] == "x,y,vehicle_id,label"
             assert len(lines) == 1 + 16  # 8 vehicles x 2 snippets
             assert (out / f"{stem}.svg").exists()
+
+    def test_embedding_mode_normalises_by_the_training_split(self, workspace, tmp_path):
+        # the encoder was pretrained on data z-scored by vehicle_split's
+        # training side, so the whole fleet is z-scored by those statistics too
+        cfg = load_config(workspace["config"])
+        ds = dataio.load_csv(workspace["data"] / "snippets.csv", workspace["data"] / "meta.csv",
+                             cfg.seq_len)
+        stats = dataio.vehicle_split(ds, cfg.eval.split_ratio, cfg.seed)[2]
+        params, _ = pretrain.load_checkpoint(workspace["run"] / "checkpoint.json")
+        X = downstream.extract_features(params, dataio.apply_norm(ds, stats))[:, :params.cfg.H]
+        coords, _ = evalkit.tsne(X, cfg.eval.tsne_perplexity, cfg.eval.tsne_iterations, cfg.seed)
+        out = tmp_path / "tsne"
+        assert main(["tsne", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--checkpoint", str(workspace["run"] / "checkpoint.json"),
+                     "--out", str(out)]) == 0
+        lines = (out / "tsne_embedding.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in line.split(",")[:2]] for line in lines] == coords.tolist()
 
     def test_embedding_mode_requires_checkpoint(self, workspace, tmp_path):
         assert main(["tsne", "--config", str(workspace["config"]),

@@ -179,14 +179,14 @@ class TestBackward:
             assert np.isfinite(g).all(), name
 
     def test_bk_gradient_vanishes(self, tiny):
-        # softmax is shift-invariant, so key biases get zero gradient up to
-        # float cancellation residue
+        # softmax is shift-invariant, so the key biases (bqkv's middle block) get
+        # zero gradient up to float cancellation residue
         cfg, params = tiny
         Xc, X, mask = random_instance(cfg, 12)
         _, cache = msm_forward(params, cfg, Xc, X, mask)
         grads = msm_backward(cache, params, cfg)
         for i in range(cfg.L):
-            np.testing.assert_allclose(grads[f"layer{i}.bk"], 0.0, atol=1e-18)
+            np.testing.assert_allclose(grads[f"layer{i}.bqkv"][cfg.H:2 * cfg.H], 0.0, atol=1e-18)
 
     def test_gradient_check_tiny_config(self, tiny):
         cfg, params = tiny
@@ -205,8 +205,8 @@ class TestBackward:
 
 # the gradient check stacks variants of one array; a representative spread
 # over every stage, vectors and matrices, the positional table and the head
-STACKED = ["embed.pos", "embed.cls", "embed.W_e", "embed.ln_g", "layer0.Wq",
-           "layer0.bk", "layer1.ln1_b", "layer1.W2", "head.W", "head.b"]
+STACKED = ["embed.pos", "embed.cls", "embed.W_e", "embed.ln_g", "layer0.Wqkv",
+           "layer0.bqkv", "layer1.ln1_b", "layer1.W2", "head.W", "head.b"]
 
 
 class TestStackedForward:
@@ -243,9 +243,9 @@ class TestStackedForward:
         assert report.failed == ["layer1.W2"]
 
     # one entry off: the largest of a large-gradient array by 0.1%, and the
-    # median-sized entry (rank 8 of 16 by magnitude) of a bias by 1%
+    # median-sized entry (rank 24 of 48 by magnitude) of a bias by 1%
     @pytest.mark.parametrize("name, rank, factor", [("layer1.W2", -1, 1.001),
-                                                    ("layer0.bq", 8, 1.01)])
+                                                    ("layer0.bqkv", 24, 1.01)])
     def test_gate_catches_one_wrong_entry(self, tiny, monkeypatch, name, rank, factor):
         cfg, params = tiny
         Xc, X, mask = random_instance(cfg, 13)
