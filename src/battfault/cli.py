@@ -196,9 +196,18 @@ def cmd_tsne(args) -> int:
     limit = cfg.eval.tsne_max_points
     if n > limit and not args.subsample:
         raise ConfigError(f"{n} snippets exceeds t-SNE bound {limit}; pass --subsample N")
-    if args.subsample and n > args.subsample:
+    subsampled = bool(args.subsample) and n > args.subsample
+    if subsampled:
         keep = SeededRng(cfg.seed, ("tsne_subsample",)).choice(n, size=args.subsample)
         ds_n = ds_n.take(np.sort(keep))
+        n = args.subsample
+    # checked before any encoding, in the terms of the config key
+    perplexity = cfg.eval.tsne_perplexity
+    if n < 3 * perplexity:
+        source = f" in {args.config}" if args.config else ""
+        count = f"--subsample keeps {n} points" if subsampled else f"the data has {n} snippets"
+        raise ConfigError(f"eval.tsne_perplexity{source} is {perplexity}, which needs at least "
+                          f"3*perplexity = {3 * perplexity:g} points, but {count}")
 
     if args.raw:
         X = ds_n.channels.reshape(len(ds_n), -1)

@@ -23,13 +23,10 @@ import numpy as np
 
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
 from .evalkit import SingleClassError
-from .model import ModelParams, encode_batch, float32_copy
+from .model import MICRO_BATCH, ModelParams, encode_batch, float32_copy
 from .numcore import NonFiniteError
 
 GBDT_FORMAT_VERSION = 1
-# snippets per encode_batch call; it moves a feature only by float32 rounding,
-# up to about 5e-7 when a last batch of one snippet takes BLAS's one-row path
-FEATURE_BATCH = 32
 
 
 def extract_features(params: ModelParams, ds: FleetDataset) -> np.ndarray:
@@ -37,8 +34,11 @@ def extract_features(params: ModelParams, ds: FleetDataset) -> np.ndarray:
 
     The dataset must already be normalized with statistics fit on the
     training split. The encoder runs in float32, on copies of the weights and
-    the channels cast once per call; the features then differ from a float64
-    encoding by float32 rounding (under 1e-6 at desk scale).
+    the channels cast once per call, MICRO_BATCH snippets per encode_batch
+    call; the features then differ from a float64 encoding by float32
+    rounding (under 1e-6 at desk scale). The batch size moves a feature only
+    by that rounding, up to about 5e-7 when a last batch of one snippet takes
+    BLAS's one-row path.
     """
     cfg = params.cfg
     if ds.meta.shape[1] != cfg.K:
@@ -46,9 +46,9 @@ def extract_features(params: ModelParams, ds: FleetDataset) -> np.ndarray:
     work, channels = float32_copy(params), ds.channels.astype(np.float32)
     X = np.empty((len(ds), cfg.H + cfg.K))
     X[:, cfg.H:] = ds.meta
-    for start in range(0, len(ds), FEATURE_BATCH):
-        X[start:start + FEATURE_BATCH, :cfg.H] = encode_batch(
-            channels[start:start + FEATURE_BATCH], work, cfg)
+    for start in range(0, len(ds), MICRO_BATCH):
+        X[start:start + MICRO_BATCH, :cfg.H] = encode_batch(
+            channels[start:start + MICRO_BATCH], work, cfg)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite feature for snippet {ds.snippet_ids[np.argmin(finite)]}")

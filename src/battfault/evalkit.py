@@ -170,44 +170,66 @@ PERPLEXITY_TOL = 1e-5
 PERPLEXITY_MAX_ITER = 200
 
 
-def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(X: np.ndarray, out: np.ndarray | None = None,
+                       gram: np.ndarray | None = None) -> np.ndarray:
+    """(n, n) squared distances floored at DIST_FLOOR, the diagonal too.
+
+    ``out`` and ``gram`` are optional (n, n) buffers for the result and for
+    X @ X.T; gram is left holding 2 X @ X.T.
+    """
     sq = (X * X).sum(axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(d, 0.0)
-    return np.maximum(d, DIST_FLOOR)
+    d = np.add(sq[:, None], sq[None, :], out=out)
+    G = np.matmul(X, X.T, out=gram)
+    G *= 2.0
+    d -= G
+    d.flat[::len(X) + 1] = 0.0
+    return np.maximum(d, DIST_FLOOR, out=d)
 
 
 def conditional_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
-    """Row-wise Gaussian affinities with precisions binary-searched to the target perplexity."""
+    """Row-wise Gaussian affinities with precisions binary-searched to the target perplexity.
+
+    All rows bisect at once; a row stops at the first step whose entropy is
+    within PERPLEXITY_TOL of log(perplexity) and keeps that step's affinities.
+    """
     n = X.shape[0]
     if n < 3 * perplexity:
         raise ValueError(f"perplexity {perplexity} infeasible for {n} points (need N >= 3*perplexity)")
-    dists = _pairwise_sq_dists(X)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    # row i holds the distances from point i to every other point, in index order
+    dists = _pairwise_sq_dists(X)[off_diagonal].reshape(n, n - 1)
     target_h = np.log(perplexity)
+    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    cond = np.empty((n, n - 1))
+    rows = np.arange(n)
+    for _ in range(PERPLEXITY_MAX_ITER):
+        p = np.exp(-dists[rows] * beta[rows, None])
+        s = p.sum(axis=1, keepdims=True)
+        np.divide(p, s, out=p, where=s > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -np.where(p > 0, p * np.log(p), 0.0).sum(axis=1)
+        cond[rows] = p
+        diff = h - target_h
+        searching = ~(np.abs(diff) < PERPLEXITY_TOL)
+        rows, up = rows[searching], diff[searching] > 0   # entropy too high -> sharpen
+        if not rows.size:
+            break
+        b = beta[rows]
+        lo[rows] = np.where(up, b, lo[rows])
+        hi[rows] = np.where(up, hi[rows], b)
+        grow = np.where(hi[rows] == np.inf, b * 2.0, 0.5 * (b + hi[rows]))
+        beta[rows] = np.where(up, grow, 0.5 * (b + lo[rows]))
     P = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(dists[i], i)
-        beta, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(PERPLEXITY_MAX_ITER):
-            p = np.exp(-row * beta)
-            s = p.sum()
-            p = p / s if s > 0 else p
-            h = -(p[p > 0] * np.log(p[p > 0])).sum()
-            diff = h - target_h
-            if abs(diff) < PERPLEXITY_TOL:
-                break
-            if diff > 0:            # entropy too high -> sharpen
-                lo = beta
-                beta = beta * 2.0 if hi == np.inf else 0.5 * (beta + hi)
-            else:
-                hi = beta
-                beta = 0.5 * (beta + lo)
-        P[i, np.arange(n) != i] = p
+    P[off_diagonal] = cond.ravel()
     return P
 
 
 def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000, seed: int = 0):
-    """Exact O(N^2) t-SNE to 2D. Returns (coords (N,2), kl_history)."""
+    """Exact O(N^2) t-SNE to 2D. Returns (coords (N,2), kl_history).
+
+    Each iteration builds its (n, n) matrices in three buffers reused across
+    iterations, and KL(P || Q) is sum(P log P), taken once, minus P . log Q.
+    """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n > TSNE_MAX_POINTS:
@@ -215,26 +237,37 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000, seed: 
     cond = conditional_affinities(X, perplexity)
     P = (cond + cond.T) / (2.0 * n)
     P = np.maximum(P, 1e-12)
+    P_exaggerated = EXAGGERATION * P
+    p_log_p = float((P * np.log(P)).sum())
 
     rng = SeededRng(seed, ("tsne",))
     Y = rng.normal((n, 2), std=1e-4)
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     kl_history = []
+    num, gram, Q = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
 
     for it in range(iterations):
-        exag = EXAGGERATION if it < EXAG_ITERS else 1.0
-        momentum = MOMENTUM_EARLY if it < EXAG_ITERS else MOMENTUM_LATE
+        early = it < EXAG_ITERS
+        momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
 
-        d = _pairwise_sq_dists(Y)
-        num = 1.0 / (1.0 + d)
-        np.fill_diagonal(num, 0.0)
-        Q = np.maximum(num / num.sum(), 1e-12)
+        # num = 1 / (1 + d), zero on the diagonal
+        _pairwise_sq_dists(Y, out=num, gram=gram)
+        num += 1.0
+        np.divide(1.0, num, out=num)
+        num.flat[::n + 1] = 0.0
+        np.divide(num, num.sum(), out=Q)
+        np.maximum(Q, 1e-12, out=Q)
 
-        kl_history.append(float((P * np.log(P / Q)).sum()))
+        # the gradient's Laplacian diag(PQ 1) - PQ, built in the Gram buffer
+        PQ = np.subtract(P_exaggerated if early else P, Q, out=gram)
+        PQ *= num
+        row_sums = PQ.sum(axis=1)
+        np.negative(PQ, out=PQ)
+        PQ.flat[::n + 1] = row_sums
+        grad = 4.0 * (PQ @ Y)
 
-        PQ = (exag * P - Q) * num
-        grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
+        kl_history.append(p_log_p - float(np.vecdot(P.ravel(), np.log(Q, out=Q).ravel())))
 
         flips = np.sign(grad) != np.sign(velocity)
         gains = np.clip(np.where(flips, gains + 0.2, gains * 0.8), 0.01, None)

@@ -20,6 +20,12 @@ dropout, so they hold one layer's activations at a time. A weight gradient
 sums its per-sample products in sample order, so its rounding does not
 depend on how BLAS splits a product across threads.
 
+No encoder pass runs on more than ``MICRO_BATCH`` snippets: the (B, A, T, T)
+attention tensors make a pass's activations grow with its batch, so a
+training step accumulates gradients over micro-batches (see
+``pretrain.run_pretrain``) and feature extraction encodes MICRO_BATCH
+snippets per ``encode_batch`` call.
+
 Every pass computes in the dtype of its input and weights: float64 for the
 gradient check, float32 for a training step (see ``pretrain.run_pretrain``)
 and for feature extraction (see ``downstream.extract_features``), each on a
@@ -55,6 +61,8 @@ TRAIN_BYTES_PER_PARAM = 4 * 8 + 4
 # What it holds per array beyond the data: the numpy headers and the shape-map
 # and dict entries of every copy (tracemalloc reads about 1.1 KB), doubled.
 ARRAY_OVERHEAD_BYTES = 2048
+# the most snippets that one encoder pass, training or eval, runs on
+MICRO_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,10 @@ def _dense(X: np.ndarray, W: np.ndarray, b: np.ndarray | None = None) -> np.ndar
 
 
 def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig, dropout_rng: SeededRng | None = None):
-    """(B, M, D) -> (B, M+1, H) with cache. Row 0 is the summary position."""
+    """(B, M, D) -> (B, M+1, H) with cache. Row 0 is the summary position.
+
+    Dropout draws from ``dropout_rng`` itself, not from a substream of it.
+    """
     _, M, D = X.shape
     if D != cfg.D:
         raise DimensionError(f"input has D={D}, config has D={cfg.D}")
@@ -228,8 +239,7 @@ def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig, dropout_rng: SeededRng 
     normed, ln_cache = layer_norm_fwd(pre, _vec(a["embed.ln_g"]), _vec(a["embed.ln_b"]))
     mask = None
     if dropout_rng is not None and cfg.dropout_rate > 0.0:
-        mask = dropout_mask(normed.shape, cfg.dropout_rate, dropout_rng.spawn("embed_dropout"),
-                            normed.dtype)
+        mask = dropout_mask(normed.shape, cfg.dropout_rate, dropout_rng, normed.dtype)
         normed = normed * mask
     return normed, (X, ln_cache, mask)
 

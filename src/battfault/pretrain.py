@@ -20,8 +20,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
-from .model import (ModelConfig, ModelParams, float32_copy, init_params, msm_backward, msm_forward,
-                    param_shapes)
+from .model import (MICRO_BATCH, ModelConfig, ModelParams, float32_copy, init_params, msm_backward,
+                    msm_forward, param_shapes)
 from .numcore import NonFiniteError, SeededRng
 
 CHECKPOINT_VERSION = 3
@@ -200,6 +200,44 @@ def transfer_init(source: ModelParams, target_cfg: ModelConfig, rng: SeededRng):
 # ---------------------------------------------------------------------------
 
 
+def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dropout_rng: SeededRng):
+    """(masked squared error, masked-MSE gradients) of one optimizer step over a float32 batch.
+
+    Forward and backward run MICRO_BATCH snippets at a time, and a
+    micro-batch's caches go before the next forward. Its gradients are
+    weighted by its share of the step's masked cells, so a step of one
+    micro-batch is one whole-batch pass bit for bit. The micro-batches draw
+    dropout from ``dropout_rng`` in turn, which draws the whole batch's rows.
+    """
+    cfg, cells = work.cfg, masks.sum()
+    masks32 = masks.astype(np.float32)
+    squared_error, grads = 0.0, None
+    for start in range(0, len(batch), MICRO_BATCH):
+        part = slice(start, start + MICRO_BATCH)
+        X, m = batch[part], masks32[part]
+        loss, cache = msm_forward(work, cfg, corrupt(X, m), X, m, dropout_rng)
+        part_cells = masks[part].sum()
+        squared_error += loss * part_cells
+        part_grads = msm_backward(cache, work, cfg)
+        del cache
+        for name, g in part_grads.items():
+            g *= part_cells / cells
+            if grads is not None:
+                g += grads[name]
+        grads = part_grads
+    return squared_error, grads
+
+
+def _validation_loss(work: ModelParams, X_val: np.ndarray, val_masks: np.ndarray) -> float:
+    """Masked MSE over the validation set, MICRO_BATCH snippets per cacheless forward."""
+    cells, val_loss = val_masks.sum(dtype=np.float64), 0.0
+    for start in range(0, len(X_val), MICRO_BATCH):
+        X, m = X_val[start:start + MICRO_BATCH], val_masks[start:start + MICRO_BATCH]
+        loss, _ = msm_forward(work, work.cfg, corrupt(X, m), X, m, keep_cache=False)
+        val_loss += loss * (m.sum(dtype=np.float64) / cells)
+    return float(val_loss)
+
+
 def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
                  pcfg: PretrainConfig, *, seed: int, log=None):
     """Train params in place with masked signal modeling; returns (provenance, history).
@@ -214,11 +252,12 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     arXiv:1710.03740, one precision level up). The master weights, gradients,
     Adam moments and losses stay float64.
 
-    The loop holds one training step's activations at a time: a step's
-    caches are dropped once its backward pass has read them, and the
-    validation forward builds none.
+    A step of ``pcfg.batch_size`` snippets accumulates its gradient over
+    passes of at most MICRO_BATCH snippets (the gradient accumulation of
+    BERT pretraining, Devlin et al. 2019, arXiv:1810.04805), so the loop
+    holds one micro-batch's activations at a time; the validation forward
+    runs in micro-batches too and builds no caches.
     """
-    cfg = params.cfg
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape
     rng = SeededRng(seed, ("pretrain",))
@@ -240,24 +279,19 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
             b_rng = ep_rng.spawn("batch", b_start)
             masks = np.stack([sample_mask(M, D, pcfg.mask_rate, b_rng.spawn("mask", int(i)))
                               for i in idx], axis=0)
-            work, masks32 = float32_copy(params), masks.astype(np.float32)
-            loss, cache = msm_forward(work, cfg, corrupt(batch, masks32), batch, masks32,
-                                      b_rng.spawn("dropout"))
-            if not np.isfinite(loss):
+            squared_error, grads = _step_gradients(float32_copy(params), batch, masks,
+                                                   b_rng.spawn("dropout", "embed_dropout"))
+            if not np.isfinite(squared_error):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {b_start}")
-            grads = msm_backward(cache, work, cfg)
-            # the step's activations go before the next forward builds its own
-            del cache
             opt.step(params, grads)
-            total_se += loss * masks.sum()
+            # the step's gradients go before the next step's passes allocate
+            del grads
+            total_se += squared_error
             total_cells += masks.sum()
         train_loss = total_se / total_cells
 
-        if val_masks is not None:
-            val_loss, _ = msm_forward(float32_copy(params), cfg, corrupt(X_val, val_masks), X_val,
-                                      val_masks, keep_cache=False)
-        else:
-            val_loss = float("nan")
+        val_loss = float("nan") if val_masks is None else \
+            _validation_loss(float32_copy(params), X_val, val_masks)
         history.append((epoch, float(train_loss), float(val_loss)))
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} val_loss={val_loss:.6f}")

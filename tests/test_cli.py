@@ -356,6 +356,28 @@ class TestTsne:
                      "--out", str(tmp_path / "o")]) == 2
         assert "--subsample must be <= 2000" in capsys.readouterr().err
 
+    def test_subsample_too_small_for_the_perplexity_exits_2_naming_key_and_flag(
+            self, workspace, tmp_path, capsys):
+        # the workspace config's perplexity 4.0 needs 12 points
+        assert main(["tsne", "--config", str(workspace["config"]),
+                     "--data", str(workspace["data"]), "--raw", "--subsample", "5",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "eval.tsne_perplexity" in err and str(workspace["config"]) in err
+        assert "--subsample keeps 5 points" in err
+
+    def test_perplexity_too_large_for_the_data_exits_2_before_any_encoding(
+            self, workspace, tmp_path, capsys):
+        config = tmp_path / "perplexity.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, eval={"tsne_perplexity": 100})))
+        # a checkpoint that does not exist would exit 3 if it were read first
+        assert main(["tsne", "--config", str(config), "--data", str(workspace["data"]),
+                     "--checkpoint", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "eval.tsne_perplexity" in err and str(config) in err
+        assert "the data has 16 snippets" in err
+
 
 class TestCost:
     def test_prints_cost(self, capsys):

@@ -346,9 +346,9 @@ class TestExtractFeatures:
 
     def test_batch_size_does_not_change_values(self, setup, monkeypatch):
         _, params, ds = setup
-        monkeypatch.setattr(downstream, "FEATURE_BATCH", 3)
+        monkeypatch.setattr(downstream, "MICRO_BATCH", 3)
         a = extract_features(params, ds)
-        monkeypatch.setattr(downstream, "FEATURE_BATCH", 64)
+        monkeypatch.setattr(downstream, "MICRO_BATCH", 64)
         np.testing.assert_allclose(a, extract_features(params, ds), atol=1e-12)
 
     def test_meta_dimension_checked(self, setup):

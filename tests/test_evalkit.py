@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from battfault import evalkit
 from battfault.evalkit import (
     CostParams,
     SingleClassError,
@@ -131,7 +132,96 @@ class TestVehicleScores:
             vehicle_scores([0.1], [0], ["a"], "median-of-means")
 
 
+def _row_by_row_affinities(X, perplexity):
+    """conditional_affinities as one binary search per row: the oracle for the batched search."""
+    sq = (X * X).sum(axis=1)
+    dists = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.fill_diagonal(dists, 0.0)
+    dists = np.maximum(dists, evalkit.DIST_FLOOR)
+    n, target_h = len(X), np.log(perplexity)
+    P = np.zeros((n, n))
+    for i in range(n):
+        row = np.delete(dists[i], i)
+        beta, lo, hi = 1.0, 0.0, np.inf
+        for _ in range(evalkit.PERPLEXITY_MAX_ITER):
+            p = np.exp(-row * beta)
+            s = p.sum()
+            p = p / s if s > 0 else p
+            h = -(p[p > 0] * np.log(p[p > 0])).sum()
+            diff = h - target_h
+            if abs(diff) < evalkit.PERPLEXITY_TOL:
+                break
+            if diff > 0:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else 0.5 * (beta + hi)
+            else:
+                hi = beta
+                beta = 0.5 * (beta + lo)
+        P[i, np.arange(n) != i] = p
+    return P
+
+
+def _reference_tsne(X, perplexity, iterations, seed):
+    """tsne's iteration with fresh arrays and no precomputed terms: the oracle for its buffers."""
+    n = len(X)
+    cond = _row_by_row_affinities(X, perplexity)
+    P = np.maximum((cond + cond.T) / (2.0 * n), 1e-12)
+    Y = SeededRng(seed, ("tsne",)).normal((n, 2), std=1e-4)
+    velocity, gains, kl = np.zeros_like(Y), np.ones_like(Y), []
+    for it in range(iterations):
+        early = it < evalkit.EXAG_ITERS
+        sq = (Y * Y).sum(axis=1)
+        d = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+        np.fill_diagonal(d, 0.0)
+        num = 1.0 / (1.0 + np.maximum(d, evalkit.DIST_FLOOR))
+        np.fill_diagonal(num, 0.0)
+        Q = np.maximum(num / num.sum(), 1e-12)
+        kl.append(float((P * np.log(P / Q)).sum()))
+        PQ = ((evalkit.EXAGGERATION if early else 1.0) * P - Q) * num
+        grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
+        flips = np.sign(grad) != np.sign(velocity)
+        gains = np.clip(np.where(flips, gains + 0.2, gains * 0.8), 0.01, None)
+        velocity = (evalkit.MOMENTUM_EARLY if early else evalkit.MOMENTUM_LATE) * velocity \
+            - evalkit.TSNE_ETA * gains * grad
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+    return Y, kl
+
+
+def _tsne_inputs():
+    rng = SeededRng(12)
+    gauss = rng.spawn("gauss").normal((120, 8))
+    return {
+        "gaussian": gauss,
+        # the affinities between clusters underflow to zero
+        "far_clusters": np.vstack([rng.spawn("cluster", k).normal((40, 6)) + 60.0 * k
+                                   for k in range(4)]),
+        "duplicated_points": np.vstack([gauss[:45], gauss[:45], gauss[45:75]]),
+        "tiny_scale": gauss * 1e-6,
+        "large_scale": gauss * 1e3,
+    }
+
+
+TSNE_CASES = [pytest.param(name, perplexity, id=f"{name}-{perplexity:g}")
+              for name in _tsne_inputs() for perplexity in (5.0, 12.0, 30.0)]
+
+
 class TestTsne:
+    @pytest.mark.parametrize("name,perplexity", TSNE_CASES)
+    def test_affinities_and_coordinates_equal_the_loop_oracles(self, name, perplexity):
+        X = _tsne_inputs()[name]
+        P = conditional_affinities(X, perplexity)
+        np.testing.assert_array_equal(P, _row_by_row_affinities(X, perplexity))
+        if name == "far_clusters":
+            assert (P == 0).sum() > len(X)
+        # through the exaggerated phase and into the plain one
+        iterations = evalkit.EXAG_ITERS + 10
+        Y, kl = tsne(X, perplexity, iterations, seed=3)
+        Y_ref, kl_ref = _reference_tsne(X, perplexity, iterations, 3)
+        np.testing.assert_array_equal(Y, Y_ref)
+        # KL is sum(P log P) - P . log Q, which rounds differently
+        np.testing.assert_allclose(kl, kl_ref, rtol=1e-12, atol=0)
+
     def test_perplexity_binary_search_hits_target(self):
         X = SeededRng(5).normal((40, 6))
         P = conditional_affinities(X, perplexity=8.0)

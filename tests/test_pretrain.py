@@ -14,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from battfault import dataio, pretrain
 from battfault.dataio import ParseError
+from battfault.downstream import extract_features
 from battfault.model import (
+    MICRO_BATCH,
     ModelConfig,
     ModelParams,
     encode_batch,
@@ -217,6 +219,59 @@ class TestRunPretrain:
         assert hist[-1][1] < hist[0][1]
 
 
+def _desk_step(n, seed):
+    """(desk float32 working weights, n float32 snippets, their float64 masks) for one step."""
+    cfg = ModelConfig.desk_default()
+    params = init_params(cfg, SeededRng(seed, ("init",)))
+    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=4), seed, 128)
+    X = dataio.apply_norm(fleet, dataio.fit_norm(fleet)).channels[:n].astype(np.float32)
+    rng = SeededRng(seed + 1)
+    masks = np.stack([sample_mask(128, cfg.D, 0.15, rng.spawn("mask", i)) for i in range(n)])
+    return float32_copy(params), X, masks
+
+
+def _whole_batch(work, X, masks, dropout_rng):
+    """(loss, cache, gradients) of one msm_forward/msm_backward pass over the whole batch."""
+    m = masks.astype(np.float32)
+    loss, cache = msm_forward(work, work.cfg, corrupt(X, m), X, m, dropout_rng)
+    return loss, cache, msm_backward(cache, work, work.cfg)
+
+
+class TestMicroBatches:
+    """An optimizer step accumulates its gradient over MICRO_BATCH-snippet passes."""
+
+    def test_a_step_of_one_micro_batch_is_one_whole_batch_pass(self):
+        work, X, masks = _desk_step(MICRO_BATCH // 2, 31)
+        rng = SeededRng(32)
+        squared_error, grads = pretrain._step_gradients(work, X, masks, rng.spawn("dropout"))
+        loss, _, expected = _whole_batch(work, X, masks, rng.spawn("dropout"))
+        assert squared_error == loss * masks.sum()
+        assert grads.keys() == expected.keys()
+        for name, g in expected.items():
+            np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+    def test_a_desk_step_of_two_micro_batches_matches_the_whole_batch(self, monkeypatch):
+        work, X, masks = _desk_step(2 * MICRO_BATCH, 33)
+        rng = SeededRng(34)
+        dropout = []
+
+        def recording_forward(*args, **kwargs):
+            loss, cache = msm_forward(*args, **kwargs)
+            dropout.append(cache[0][2])
+            return loss, cache
+
+        monkeypatch.setattr(pretrain, "msm_forward", recording_forward)
+        squared_error, grads = pretrain._step_gradients(work, X, masks, rng.spawn("dropout"))
+        assert len(dropout) == 2
+        loss, cache, expected = _whole_batch(work, X, masks, rng.spawn("dropout"))
+        # one RNG handed to each micro-batch in turn draws the whole batch's rows
+        np.testing.assert_array_equal(np.concatenate(dropout), cache[0][2])
+        assert squared_error / masks.sum() == pytest.approx(loss, rel=1e-6, abs=0)
+        norm = np.sqrt(sum(float((g * g).sum()) for g in expected.values()))
+        worst = max(float(np.abs(grads[name] - g).max()) for name, g in expected.items())
+        assert worst <= 1e-6 * norm, f"{worst} against a global norm of {norm}"
+
+
 class TestTrainingPrecision:
     """A training step runs in float32; the master weights and Adam stay float64."""
 
@@ -341,3 +396,24 @@ class TestActivationMemory:
         assert encode < 0.4 * forward, f"{encode} bytes against {forward} for msm_forward"
         no_cache = _traced_peak(lambda: msm_forward(work, cfg, X, X, masks, keep_cache=False))
         assert no_cache < 0.5 * forward, f"{no_cache} bytes against {forward} with caches"
+
+    def test_pretraining_peaks_near_one_micro_batch(self, default_fleet):
+        # a step of batch_size snippets holds one MICRO_BATCH pass's
+        # activations at a time; whole-batch passes peak at about 2.1x
+        train, val, _ = default_fleet
+        params = init_params(ModelConfig.desk_default(), SeededRng(1, ("init",)))
+        work, X, masks = _desk_step(MICRO_BATCH, 5)
+        one_pass = _traced_peak(lambda: _whole_batch(work, X, masks, SeededRng(6)))
+        run = _traced_peak(lambda: run_pretrain(train, val, params, PretrainConfig(epochs=2), seed=1))
+        assert run <= 1.25 * one_pass, f"{run} bytes against {one_pass} for one micro-batch"
+
+    def test_feature_extraction_peaks_near_one_micro_batch(self):
+        # 32-snippet encode_batch calls peak at about 4x one MICRO_BATCH call
+        fleet = dataio.synth_fleet(dataio.FleetConfig(), 7, 128)
+        assert len(fleet) == 160
+        params = init_params(ModelConfig.desk_default(), SeededRng(1, ("init",)))
+        work = float32_copy(params)
+        X = fleet.channels[:MICRO_BATCH].astype(np.float32)
+        one_call = _traced_peak(lambda: encode_batch(X, work, work.cfg))
+        features = _traced_peak(lambda: extract_features(params, fleet))
+        assert features <= 1.25 * one_call, f"{features} bytes against {one_call} for one call"
