@@ -14,9 +14,14 @@ Subpackages:
 import ctypes
 import platform
 
+import numpy  # noqa: F401  loads the OpenBLAS that _one_blas_thread looks for
+
 __version__ = "0.1.0"
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers (malloc.h)
+# glibc's mallopt parameter numbers (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
+# the thread-count setters of numpy's own OpenBLAS build and of a system one
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 def _keep_freed_pages():
@@ -25,7 +30,9 @@ def _keep_freed_pages():
     Under glibc's default thresholds the tens of MB of activations that a
     training step frees go back to the kernel, and the next step takes a page
     fault for every page it touches again. Here a block below 32 MiB comes
-    from the heap, and the heap keeps up to 512 MiB of free pages.
+    from the heap, and the heap keeps up to 512 MiB of free pages. Every
+    thread allocates from that one heap, so the pretraining pool's threads
+    reuse its kept pages instead of each growing an arena of their own.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -34,6 +41,38 @@ def _keep_freed_pages():
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, 32 << 20)
     mallopt(M_TRIM_THRESHOLD, 512 << 20)
+    mallopt(M_ARENA_MAX, 1)
+
+
+def _one_blas_thread() -> bool:
+    """On import: run the loaded OpenBLAS on one thread; False where that cannot be set.
+
+    Pretraining runs its encoder passes on a thread pool, one pass per usable
+    CPU (``pretrain.WORKERS``). BLAS threads on top of those would contend
+    for the same CPUs: two passes on a two-thread OpenBLAS ran a step loop
+    slower than one pass at a time. The library is found by name in the
+    process's memory map, which only Linux has.
+    """
+    try:
+        # surrogateescape hands a path's undecodable bytes back to CDLL as they were
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return False
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone, "<path> (deleted)"
+            continue
+        for symbol in OPENBLAS_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                setter(1)
+                return True
+    return False
 
 
 _keep_freed_pages()
+ONE_BLAS_THREAD = _one_blas_thread()

@@ -7,7 +7,8 @@ classifier's feature matrix, works on these arrays and selects rows with take.
 
 CSV formats (UTF-8, '.' decimals, LF or CRLF):
   snippets: snippet_id,vehicle_id,step,voltage,current,temperature[,extra...]
-            rows of one snippet contiguous and sorted by the 0-based step.
+            rows of one snippet contiguous, with increasing integer steps;
+            a snippet is resampled evenly in step, so its steps set its time axis.
   metadata: snippet_id,label,mileage_km,cycle_count  with label in {0,1}.
 
 Every file the package writes goes through write_text (UTF-8, LF line ends),
@@ -190,14 +191,18 @@ def _parse_float(cell: str, path, line_no: int, col: str) -> float:
     return value
 
 
-def _resample(channels: np.ndarray, target_len: int) -> np.ndarray:
-    """Linear resample each column to target_len rows over the original index."""
-    m = channels.shape[0]
-    if m == target_len:
-        return channels
-    src = np.arange(m, dtype=np.float64)
-    dst = np.linspace(0.0, m - 1.0, target_len)
-    return np.column_stack([np.interp(dst, src, channels[:, d]) for d in range(channels.shape[1])])
+def _resample(steps: list, channels: np.ndarray, target_len: int) -> np.ndarray:
+    """Linear resample each column to target_len rows evenly spaced in step.
+
+    The rows sit at their increasing integer ``steps``, so a snippet sampled
+    with gaps or changing spacing keeps its shape in time; the new rows run
+    from the first step to the last.
+    """
+    if len(steps) == target_len and steps[-1] - steps[0] == target_len - 1:
+        return channels  # consecutive steps: the rows are the grid already
+    s = np.array(steps, dtype=np.float64)
+    grid = np.linspace(s[0], s[-1], target_len)
+    return np.column_stack([np.interp(grid, s, channels[:, d]) for d in range(channels.shape[1])])
 
 
 def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
@@ -238,7 +243,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
 
         cur_id = None
         cur_vehicle = None
-        cur_rows = []
+        cur_rows, cur_steps = [], []
         first_line = None
         first_line_of = {}    # snippet_id -> line its rows start on
         vehicle_label = {}    # vehicle_id -> (label, snippet_id that set it)
@@ -256,7 +261,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                 raise ParseError(
                     f"{data_path}:{first_line}: snippet {cur_id!r} has label {label} in the metadata "
                     f"file but vehicle {cur_vehicle!r} has label {v_label} from snippet {v_sid!r}")
-            channels = _resample(np.array(cur_rows, dtype=np.float64), target_len)
+            channels = _resample(cur_steps, np.array(cur_rows, dtype=np.float64), target_len)
             snippets.append((cur_id, cur_vehicle, channels, meta, label))
 
         for line_no, row in enumerate(reader, start=2):
@@ -272,8 +277,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                         f"{data_path}:{line_no}: rows of snippet {sid!r} are not contiguous "
                         f"(its first block starts at line {first_line_of[sid]})")
                 first_line_of[sid] = line_no
-                cur_id, cur_vehicle, cur_rows, first_line = sid, vid, [], line_no
-                prev_step = None
+                cur_id, cur_vehicle, cur_rows, cur_steps, first_line = sid, vid, [], [], line_no
             elif vid != cur_vehicle:
                 raise ParseError(
                     f"{data_path}:{line_no}: snippet {sid!r} row has vehicle {vid!r} "
@@ -282,10 +286,10 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                 step = int(row[2])
             except ValueError:
                 raise ParseError(f"{data_path}:{line_no}: step {row[2]!r} is not an integer") from None
-            if prev_step is not None and step <= prev_step:
+            if cur_steps and step <= cur_steps[-1]:
                 raise ParseError(f"{data_path}:{line_no}: snippet {sid!r} step {step} "
-                                 f"does not follow its previous step {prev_step}")
-            prev_step = step
+                                 f"does not follow its previous step {cur_steps[-1]}")
+            cur_steps.append(step)
             # one pass over the row; only a row that fails it is parsed again
             # cell by cell, to name the bad cell (or to pass finite cells
             # whose sum overflowed)

@@ -33,22 +33,22 @@ def extract_features(params: ModelParams, ds: FleetDataset) -> np.ndarray:
     """(N, H+K) float64 matrix: each snippet's eval-mode summary vector, then its metadata.
 
     The dataset must already be normalized with statistics fit on the
-    training split. The encoder runs in float32, on copies of the weights and
-    the channels cast once per call, MICRO_BATCH snippets per encode_batch
-    call; the features then differ from a float64 encoding by float32
-    rounding (under 1e-6 at desk scale). The batch size moves a feature only
-    by that rounding, up to about 5e-7 when a last batch of one snippet takes
-    BLAS's one-row path.
+    training split. The encoder runs in float32, MICRO_BATCH snippets per
+    encode_batch call, on a copy of the weights cast once per call and on
+    each call's channels cast as it goes; the features then differ from a
+    float64 encoding by float32 rounding (under 1e-6 at desk scale). The
+    batch size moves a feature only by that rounding, up to about 5e-7 when
+    a last batch of one snippet takes BLAS's one-row path.
     """
     cfg = params.cfg
     if ds.meta.shape[1] != cfg.K:
         raise ValueError(f"metadata length {ds.meta.shape[1]} != cfg.K {cfg.K}")
-    work, channels = float32_copy(params), ds.channels.astype(np.float32)
+    work = float32_copy(params)
     X = np.empty((len(ds), cfg.H + cfg.K))
     X[:, cfg.H:] = ds.meta
     for start in range(0, len(ds), MICRO_BATCH):
         X[start:start + MICRO_BATCH, :cfg.H] = encode_batch(
-            channels[start:start + MICRO_BATCH], work, cfg)
+            ds.channels[start:start + MICRO_BATCH].astype(np.float32), work, cfg)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite feature for snippet {ds.snippet_ids[np.argmin(finite)]}")

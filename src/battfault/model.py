@@ -13,18 +13,22 @@ the stages before it run once. This is how the gradient check runs P
 perturbed copies of the network through the same forward that training uses.
 
 A forward pass keeps the per-layer caches a backward pass reads only for a
-caller that will run one, and draws dropout only when handed a dropout RNG:
-a training step's ``msm_forward`` does both. Eval encoding, the validation
-loss and the gradient check's perturbed losses keep no cache and draw no
-dropout, so they hold one layer's activations at a time. A weight gradient
-sums its per-sample products in sample order, so its rounding does not
-depend on how BLAS splits a product across threads.
+caller that will run one, and applies dropout only when handed a dropout
+multiplier (``embed_dropout``): a training step's ``msm_forward`` does both.
+Eval encoding, the validation loss and the gradient check's perturbed losses
+keep no cache and draw no dropout, so they hold one layer's activations at a
+time. The feed-forward
+cache keeps the GELU input and tanh term but not the GELU output, which the
+backward pass rebuilds bit for bit (the selective recomputation of
+Korthikanti et al. 2022, arXiv:2205.05198). A weight gradient sums its
+per-sample products in sample order, so its rounding does not depend on how
+BLAS splits a product across threads.
 
 No encoder pass runs on more than ``MICRO_BATCH`` snippets: the (B, A, T, T)
 attention tensors make a pass's activations grow with its batch, so a
-training step accumulates gradients over micro-batches (see
-``pretrain.run_pretrain``) and feature extraction encodes MICRO_BATCH
-snippets per ``encode_batch`` call.
+training step accumulates gradients over micro-batches, which run on one
+thread per usable CPU (see ``pretrain.run_pretrain``), and feature
+extraction encodes MICRO_BATCH snippets per ``encode_batch`` call.
 
 Every pass computes in the dtype of its input and weights: float64 for the
 gradient check, float32 for a training step (see ``pretrain.run_pretrain``)
@@ -62,7 +66,7 @@ TRAIN_BYTES_PER_PARAM = 4 * 8 + 4
 # and dict entries of every copy (tracemalloc reads about 1.1 KB), doubled.
 ARRAY_OVERHEAD_BYTES = 2048
 # the most snippets that one encoder pass, training or eval, runs on
-MICRO_BATCH = 8
+MICRO_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -218,10 +222,23 @@ def _dense(X: np.ndarray, W: np.ndarray, b: np.ndarray | None = None) -> np.ndar
     return Y + _vec(b)
 
 
-def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig, dropout_rng: SeededRng | None = None):
+def embed_dropout(X: np.ndarray, cfg: ModelConfig, rng: SeededRng) -> np.ndarray | None:
+    """The embedding-dropout multiplier of a training pass over X, drawn from ``rng`` itself.
+
+    (B, M+1, H) in X's dtype, or None at dropout rate 0. Philox draws
+    concatenate, so the rows of one batch-wide draw equal the draws that its
+    consecutive slices would make from the same RNG in turn.
+    """
+    if cfg.dropout_rate == 0.0:
+        return None
+    B, M, _ = X.shape
+    return dropout_mask((B, M + 1, cfg.H), cfg.dropout_rate, rng, X.dtype)
+
+
+def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig, dropout: np.ndarray | None = None):
     """(B, M, D) -> (B, M+1, H) with cache. Row 0 is the summary position.
 
-    Dropout draws from ``dropout_rng`` itself, not from a substream of it.
+    ``dropout`` is the (B, M+1, H) multiplier from ``embed_dropout``.
     """
     _, M, D = X.shape
     if D != cfg.D:
@@ -237,11 +254,9 @@ def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig, dropout_rng: SeededRng 
     pre[:, :1, :] = row0
     pre[:, 1:, :] = data
     normed, ln_cache = layer_norm_fwd(pre, _vec(a["embed.ln_g"]), _vec(a["embed.ln_b"]))
-    mask = None
-    if dropout_rng is not None and cfg.dropout_rate > 0.0:
-        mask = dropout_mask(normed.shape, cfg.dropout_rate, dropout_rng, normed.dtype)
-        normed = normed * mask
-    return normed, (X, ln_cache, mask)
+    if dropout is not None:
+        normed = normed * dropout
+    return normed, (X, ln_cache, dropout)
 
 
 def _outer_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -324,10 +339,11 @@ def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | 
     F1 = _dense(X1, a[p + "W1"], a[p + "b1"])
     G, tanh_term = gelu_fwd(F1)
     R2 = _dense(G, a[p + "W2"], a[p + "b2"])
+    del G
     R2 += X1
     X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]))
     if caches is not None:
-        caches.append((attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache))
+        caches.append((attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache))
     return X2
 
 
@@ -353,13 +369,18 @@ def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, caches: list | None =
 def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict):
     for i in reversed(range(cfg.L)):
         p = f"layer{i}."
-        attn_cache, ln1_cache, X1, F1, G, tanh_term, ln2_cache = caches[i]
+        attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache = caches[i]
 
         dR2, dg, db = layer_norm_bwd(dX, ln2_cache)
         grads[p + "ln2_g"] += dg
         grads[p + "ln2_b"] += db
-        # R2 = X1 + FFN(X1); dR2 is also the gradient of the FFN output
+        # R2 = X1 + FFN(X1); dR2 is also the gradient of the FFN output. The
+        # GELU output is rebuilt with gelu_fwd's own steps, so bit for bit
+        G = tanh_term + 1.0
+        G *= F1
+        G *= 0.5
         grads[p + "W2"] += _outer_sum(G, dR2)
+        del G
         grads[p + "b2"] += dR2.sum(axis=(0, 1))
         dF1 = gelu_grad(F1, tanh_term)
         dF1 *= _dense(dR2, a[p + "W2"].T)
@@ -395,12 +416,13 @@ def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nda
 
 def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
                 X_target: np.ndarray, masks: np.ndarray,
-                dropout_rng: SeededRng | None = None, *, keep_cache: bool = True):
+                dropout: np.ndarray | None = None, *, keep_cache: bool = True):
     """Masked-MSE forward over a batch; returns (loss, cache).
 
     X_corrupt / X_target / masks are (B, M, D); loss is total masked squared
     error over the batch divided by the total masked cell count. A training
-    step hands in ``dropout_rng``, and dropout runs only then. A caller
+    step hands in ``dropout``, the batch's (B, M+1, H) multiplier from
+    ``embed_dropout``, and dropout runs only then. A caller
     that runs no backward pass sets ``keep_cache=False``: the pass then
     builds no layer caches and returns (loss, None).
     """
@@ -409,7 +431,7 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     if total_masked < 1:
         raise ValueError("mask selects no cells")
     a = params.arrays
-    E, embed_cache = _embed_fwd(X_corrupt, a, cfg, dropout_rng)
+    E, embed_cache = _embed_fwd(X_corrupt, a, cfg, dropout)
     enc_caches = [] if keep_cache else None
     Hs = _encoder_fwd(E, a, cfg, enc_caches)
     recon = _head_fwd(Hs, a)

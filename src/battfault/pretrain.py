@@ -14,16 +14,23 @@ or decoding it is one bulk copy per tensor rather than one decimal per value.
 from __future__ import annotations
 
 import base64
+import functools
+import os
 import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import ONE_BLAS_THREAD
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
-from .model import (MICRO_BATCH, ModelConfig, ModelParams, float32_copy, init_params, msm_backward,
-                    msm_forward, param_shapes)
+from .model import (MICRO_BATCH, ModelConfig, ModelParams, embed_dropout, float32_copy, init_params,
+                    msm_backward, msm_forward, param_shapes)
 from .numcore import NonFiniteError, SeededRng
 
+# The encoder passes that run at once: one per usable CPU, each on the one
+# BLAS thread that importing battfault sets. Where that cannot be set, BLAS
+# keeps its own threads and the passes run one at a time, inline.
+WORKERS = len(os.sched_getaffinity(0)) if ONE_BLAS_THREAD else 1
 CHECKPOINT_VERSION = 3
 # the byte order and width of a checkpoint tensor's data, on every platform
 TENSOR_DTYPE = np.dtype("<f8")
@@ -200,29 +207,70 @@ def transfer_init(source: ModelParams, target_cfg: ModelConfig, rng: SeededRng):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _pool():
+    # imported on first use: concurrent.futures pulls in logging, which
+    # would add to the start-up of every command, synth included
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(WORKERS, thread_name_prefix="battfault-pass")
+
+
+def _in_pass_order(run_pass, n_items: int):
+    """Yield run_pass(c) for each MICRO_BATCH-item pass c over n_items, in pass order.
+
+    Passes run in rounds of up to WORKERS on the thread pool, and a round's
+    results are yielded before the next round starts, so no more than
+    WORKERS passes' activations and results are alive at once. With one
+    worker every pass runs inline.
+    """
+    n_passes = -(-n_items // MICRO_BATCH)
+    workers = min(WORKERS, n_passes)
+    for start in range(0, n_passes, workers):
+        if workers == 1:
+            yield run_pass(start)
+            continue
+        futures = [_pool().submit(run_pass, c) for c in range(start, min(start + workers, n_passes))]
+        try:
+            while futures:
+                yield futures.pop(0).result()
+        finally:
+            # when a pass raises, the rest of its round ends before the error
+            # leaves the step; the first error is the one raised
+            for future in futures:
+                if not future.cancel():
+                    future.exception()
+
+
 def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dropout_rng: SeededRng):
     """(masked squared error, masked-MSE gradients) of one optimizer step over a float32 batch.
 
-    Forward and backward run MICRO_BATCH snippets at a time, and a
-    micro-batch's caches go before the next forward. Its gradients are
-    weighted by its share of the step's masked cells, so a step of one
-    micro-batch is one whole-batch pass bit for bit. The micro-batches draw
-    dropout from ``dropout_rng`` in turn, which draws the whole batch's rows.
+    Forward and backward run MICRO_BATCH snippets per pass, and a pass's
+    caches go when its backward is done. Its gradients are weighted by its
+    share of the step's masked cells and summed in pass order, whichever
+    thread ran it, so a step of one pass is one whole-batch pass bit for bit.
+    The step's dropout multiplier is drawn once from ``dropout_rng``, and
+    each pass gets its rows.
     """
     cfg, cells = work.cfg, masks.sum()
     masks32 = masks.astype(np.float32)
-    squared_error, grads = 0.0, None
-    for start in range(0, len(batch), MICRO_BATCH):
-        part = slice(start, start + MICRO_BATCH)
+    dropout = embed_dropout(batch, cfg, dropout_rng)
+
+    def run_pass(c):
+        part = slice(c * MICRO_BATCH, (c + 1) * MICRO_BATCH)
         X, m = batch[part], masks32[part]
-        loss, cache = msm_forward(work, cfg, corrupt(X, m), X, m, dropout_rng)
+        loss, cache = msm_forward(work, cfg, corrupt(X, m), X, m,
+                                  None if dropout is None else dropout[part])
         part_cells = masks[part].sum()
-        squared_error += loss * part_cells
-        part_grads = msm_backward(cache, work, cfg)
-        del cache
-        for name, g in part_grads.items():
+        grads = msm_backward(cache, work, cfg)
+        for g in grads.values():
             g *= part_cells / cells
-            if grads is not None:
+        return loss * part_cells, grads
+
+    squared_error, grads = 0.0, None
+    for part_error, part_grads in _in_pass_order(run_pass, len(batch)):
+        squared_error += part_error
+        if grads is not None:
+            for name, g in part_grads.items():
                 g += grads[name]
         grads = part_grads
     return squared_error, grads
@@ -230,11 +278,17 @@ def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dro
 
 def _validation_loss(work: ModelParams, X_val: np.ndarray, val_masks: np.ndarray) -> float:
     """Masked MSE over the validation set, MICRO_BATCH snippets per cacheless forward."""
-    cells, val_loss = val_masks.sum(dtype=np.float64), 0.0
-    for start in range(0, len(X_val), MICRO_BATCH):
-        X, m = X_val[start:start + MICRO_BATCH], val_masks[start:start + MICRO_BATCH]
+    cells = val_masks.sum(dtype=np.float64)
+
+    def run_pass(c):
+        part = slice(c * MICRO_BATCH, (c + 1) * MICRO_BATCH)
+        X, m = X_val[part], val_masks[part]
         loss, _ = msm_forward(work, work.cfg, corrupt(X, m), X, m, keep_cache=False)
-        val_loss += loss * (m.sum(dtype=np.float64) / cells)
+        return loss * (m.sum(dtype=np.float64) / cells)
+
+    val_loss = 0.0
+    for part_loss in _in_pass_order(run_pass, len(X_val)):
+        val_loss += part_loss
     return float(val_loss)
 
 
@@ -254,9 +308,12 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
 
     A step of ``pcfg.batch_size`` snippets accumulates its gradient over
     passes of at most MICRO_BATCH snippets (the gradient accumulation of
-    BERT pretraining, Devlin et al. 2019, arXiv:1810.04805), so the loop
-    holds one micro-batch's activations at a time; the validation forward
-    runs in micro-batches too and builds no caches.
+    BERT pretraining, Devlin et al. 2019, arXiv:1810.04805); the validation
+    forward runs in such passes too and builds no caches. The passes run on
+    WORKERS threads, one per usable CPU, in rounds of WORKERS, and their
+    results are summed in pass order, so the loop holds at most WORKERS
+    passes' activations at a time and its bytes do not depend on the CPU
+    count.
     """
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape

@@ -221,6 +221,20 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=r"snippets\.csv:4: step '2\.5' is not an integer"):
             load_csv(data, meta, 32)
 
+    def test_steps_set_the_time_axis(self, tmp_path):
+        # 128 rows: steps 0-63, then every third step up to 253, with a
+        # voltage that ramps linearly in step by 1.01 V end to end. Spaced by
+        # row index instead of by step, it loads up to 0.251 V off
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        steps = np.concatenate([np.arange(64), 64 + 3 * np.arange(64)])
+        voltage = 3.2 + 1.01 * steps / 253
+        data.write_text("snippet_id,vehicle_id,step,voltage,current,temperature\n" + "".join(
+            f"s0,ev0,{step},{float(v)!r},1.5,25.0\n" for step, v in zip(steps, voltage)))
+        meta.write_text("snippet_id,label,mileage_km,cycle_count\ns0,0,1000.0,10.0\n")
+        back = load_csv(data, meta, 64)
+        np.testing.assert_allclose(back.channels[0, :, 0], 3.2 + 1.01 * np.linspace(0, 253, 64) / 253,
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_reports_line_and_column(self, small_fleet, tmp_path, cell):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from battfault.model import ModelConfig, _embed_fwd, init_params
+from battfault.model import ModelConfig, _embed_fwd, embed_dropout, init_params
 from battfault.numcore import (
     GELU_CUBIC,
     SQRT_2_OVER_PI,
@@ -202,14 +202,14 @@ class TestGelu:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        # dropout is drawn only when a dropout RNG is given: an embedding without
-        # one equals one with an RNG and the rate set to zero
+        # dropout runs only when a dropout multiplier is given: an embedding
+        # without one equals one with the rate set to zero
         cfg = ModelConfig(D=3, H=8, L=1, A=2, FF=8, M_max=5, dropout_rate=0.5)
         a = init_params(cfg, SeededRng(6, ("init",))).arrays
         X = SeededRng(6).normal((2, 4, 3))
         out, (_, _, mask) = _embed_fwd(X, a, cfg)
-        off, _ = _embed_fwd(X, a, dataclasses.replace(cfg, dropout_rate=0.0),
-                            dropout_rng=SeededRng(0))
+        off_cfg = dataclasses.replace(cfg, dropout_rate=0.0)
+        off, _ = _embed_fwd(X, a, off_cfg, dropout=embed_dropout(X, off_cfg, SeededRng(0)))
         assert mask is None
         np.testing.assert_array_equal(out, off)
 

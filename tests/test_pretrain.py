@@ -19,6 +19,7 @@ from battfault.model import (
     MICRO_BATCH,
     ModelConfig,
     ModelParams,
+    embed_dropout,
     encode_batch,
     float32_copy,
     init_params,
@@ -26,7 +27,7 @@ from battfault.model import (
     msm_forward,
     param_shapes,
 )
-from battfault.numcore import SeededRng
+from battfault.numcore import NonFiniteError, SeededRng
 from battfault.pretrain import (
     PretrainConfig,
     checkpoint_document,
@@ -233,7 +234,8 @@ def _desk_step(n, seed):
 def _whole_batch(work, X, masks, dropout_rng):
     """(loss, cache, gradients) of one msm_forward/msm_backward pass over the whole batch."""
     m = masks.astype(np.float32)
-    loss, cache = msm_forward(work, work.cfg, corrupt(X, m), X, m, dropout_rng)
+    loss, cache = msm_forward(work, work.cfg, corrupt(X, m), X, m,
+                              embed_dropout(X, work.cfg, dropout_rng))
     return loss, cache, msm_backward(cache, work, work.cfg)
 
 
@@ -253,23 +255,44 @@ class TestMicroBatches:
     def test_a_desk_step_of_two_micro_batches_matches_the_whole_batch(self, monkeypatch):
         work, X, masks = _desk_step(2 * MICRO_BATCH, 33)
         rng = SeededRng(34)
-        dropout = []
+        drawn, passes = [], []
+
+        def recording_dropout(*args):
+            drawn.append(embed_dropout(*args))
+            return drawn[-1]
 
         def recording_forward(*args, **kwargs):
-            loss, cache = msm_forward(*args, **kwargs)
-            dropout.append(cache[0][2])
-            return loss, cache
+            # (target snippets, dropout rows) of each pass, from whichever thread runs it
+            passes.append((args[3], args[5]))
+            return msm_forward(*args, **kwargs)
 
+        monkeypatch.setattr(pretrain, "embed_dropout", recording_dropout)
         monkeypatch.setattr(pretrain, "msm_forward", recording_forward)
         squared_error, grads = pretrain._step_gradients(work, X, masks, rng.spawn("dropout"))
-        assert len(dropout) == 2
+        assert len(drawn) == 1 and len(passes) == 2
         loss, cache, expected = _whole_batch(work, X, masks, rng.spawn("dropout"))
-        # one RNG handed to each micro-batch in turn draws the whole batch's rows
-        np.testing.assert_array_equal(np.concatenate(dropout), cache[0][2])
+        # the step's multiplier, drawn once before its passes, is the whole
+        # batch's draw, and each pass gets the rows of its own snippets
+        np.testing.assert_array_equal(drawn[0], cache[0][2])
+        for target, rows in passes:
+            c = next(c for c in range(2) if np.array_equal(target, X[c * MICRO_BATCH:(c + 1) * MICRO_BATCH]))
+            np.testing.assert_array_equal(rows, drawn[0][c * MICRO_BATCH:(c + 1) * MICRO_BATCH])
         assert squared_error / masks.sum() == pytest.approx(loss, rel=1e-6, abs=0)
         norm = np.sqrt(sum(float((g * g).sum()) for g in expected.values()))
         worst = max(float(np.abs(grads[name] - g).max()) for name, g in expected.items())
         assert worst <= 1e-6 * norm, f"{worst} against a global norm of {norm}"
+
+    def test_a_pass_that_raises_fails_the_step(self, monkeypatch):
+        work, X, masks = _desk_step(2 * MICRO_BATCH, 35)
+
+        def failing_forward(*args, **kwargs):
+            if np.array_equal(args[3], X[MICRO_BATCH:]):
+                raise NonFiniteError("second pass")
+            return msm_forward(*args, **kwargs)
+
+        monkeypatch.setattr(pretrain, "msm_forward", failing_forward)
+        with pytest.raises(NonFiniteError, match="second pass"):
+            pretrain._step_gradients(work, X, masks, SeededRng(36))
 
 
 class TestTrainingPrecision:
@@ -289,7 +312,7 @@ class TestTrainingPrecision:
             work = float32_copy(params) if dtype == np.float32 else params
             x, m = X.astype(dtype), masks.astype(dtype)
             _, cache = msm_forward(work, cfg, corrupt(x, m), x, m,
-                                   dropout_rng=rng.spawn("dropout"))
+                                   dropout=embed_dropout(x, cfg, rng.spawn("dropout")))
             # the activations are of the step's dtype, the gradients float64
             assert cache[2].dtype == cache[3].dtype == dtype
             grads[dtype] = msm_backward(cache, work, cfg)
@@ -324,16 +347,26 @@ class TestTrainingPrecision:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def _cli_pretrain(root, threads):
-    """Bytes of checkpoint.json and loss_history.csv from synth + pretrain on ``threads`` BLAS threads."""
+def _cli_pretrain(root, threads, cpus=None):
+    """Bytes of checkpoint.json and loss_history.csv from synth + pretrain.
+
+    ``threads`` goes to the BLAS thread variables; ``cpus``, when given, is
+    the set of CPUs that the commands may run on.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    command = [sys.executable, "-m", "battfault.cli"]
+    if cpus is not None:
+        # the child sets its affinity and execs the command, which keeps it; a
+        # preexec_fn would run between fork and exec of this threaded process
+        command = [sys.executable, "-c", f"import os, sys; os.sched_setaffinity(0, {set(cpus)!r}); "
+                   "os.execv(sys.argv[1], sys.argv[1:])", *command]
     root.mkdir()
     config = root / "config.json"
     config.write_text(json.dumps(SMALL_PRETRAIN_CONFIG))
     for argv in (["synth", "--out", str(root / "data")],
                  ["pretrain", "--data", str(root / "data"), "--out", str(root / "run")]):
-        result = subprocess.run([sys.executable, "-m", "battfault.cli", *argv, "--config", str(config)],
+        result = subprocess.run([*command, *argv, "--config", str(config)],
                                 env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
     return {name: (root / "run" / name).read_bytes()
@@ -344,6 +377,17 @@ def test_pretrain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every weight gradient sums its samples in index order, so a BLAS that
     # splits a long inner axis across threads cannot reorder the rounding
     assert _cli_pretrain(tmp_path / "one", 1) == _cli_pretrain(tmp_path / "two", 2)
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs at least 2 usable CPUs")
+def test_pretrain_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # on one CPU the passes of a step run inline, here on 2 BLAS threads as
+    # far as the environment goes; on every usable CPU they run on the
+    # thread pool, and the gradients are summed in pass order either way
+    usable = os.sched_getaffinity(0)
+    one_cpu = _cli_pretrain(tmp_path / "one", 2, cpus={min(usable)})
+    assert one_cpu == _cli_pretrain(tmp_path / "every", len(usable))
 
 
 def _traced_peak(fn):
@@ -376,7 +420,7 @@ class TestActivationMemory:
         def step():
             work = float32_copy(params)
             _, cache = msm_forward(work, cfg, corrupt(X, masks), X, masks,
-                                   dropout_rng=rng.spawn("dropout"))
+                                   dropout=embed_dropout(X, cfg, rng.spawn("dropout")))
             msm_backward(cache, work, cfg)
 
         one_step = _traced_peak(step)
@@ -398,14 +442,18 @@ class TestActivationMemory:
         assert no_cache < 0.5 * forward, f"{no_cache} bytes against {forward} with caches"
 
     def test_pretraining_peaks_near_one_micro_batch(self, default_fleet):
-        # a step of batch_size snippets holds one MICRO_BATCH pass's
-        # activations at a time; whole-batch passes peak at about 2.1x
+        # a step of batch_size snippets holds the activations of the passes
+        # in flight at once, min(WORKERS, passes) of MICRO_BATCH snippets,
+        # as much as one whole-batch pass over their snippets; 16-snippet
+        # passes peak at about 2.1x an 8-snippet one
         train, val, _ = default_fleet
         params = init_params(ModelConfig.desk_default(), SeededRng(1, ("init",)))
-        work, X, masks = _desk_step(MICRO_BATCH, 5)
+        pcfg = PretrainConfig(epochs=2)
+        in_flight = min(pretrain.WORKERS, -(-pcfg.batch_size // MICRO_BATCH))
+        work, X, masks = _desk_step(in_flight * MICRO_BATCH, 5)
         one_pass = _traced_peak(lambda: _whole_batch(work, X, masks, SeededRng(6)))
-        run = _traced_peak(lambda: run_pretrain(train, val, params, PretrainConfig(epochs=2), seed=1))
-        assert run <= 1.25 * one_pass, f"{run} bytes against {one_pass} for one micro-batch"
+        run = _traced_peak(lambda: run_pretrain(train, val, params, pcfg, seed=1))
+        assert run <= 1.25 * one_pass, f"{run} bytes against {one_pass} for one {len(X)}-snippet pass"
 
     def test_feature_extraction_peaks_near_one_micro_batch(self):
         # 32-snippet encode_batch calls peak at about 4x one MICRO_BATCH call
