@@ -14,14 +14,10 @@ Subpackages:
 import ctypes
 import platform
 
-import numpy  # noqa: F401  loads the OpenBLAS that _one_blas_thread looks for
-
 __version__ = "0.1.0"
 
 # glibc's mallopt parameter numbers (malloc.h)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
-# the thread-count setters of numpy's own OpenBLAS build and of a system one
-OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 def _keep_freed_pages():
@@ -44,35 +40,4 @@ def _keep_freed_pages():
     mallopt(M_ARENA_MAX, 1)
 
 
-def _one_blas_thread() -> bool:
-    """On import: run the loaded OpenBLAS on one thread; False where that cannot be set.
-
-    Pretraining runs its encoder passes on a thread pool, one pass per usable
-    CPU (``pretrain.WORKERS``). BLAS threads on top of those would contend
-    for the same CPUs: two passes on a two-thread OpenBLAS ran a step loop
-    slower than one pass at a time. The library is found by name in the
-    process's memory map, which only Linux has.
-    """
-    try:
-        # surrogateescape hands a path's undecodable bytes back to CDLL as they were
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return False
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone, "<path> (deleted)"
-            continue
-        for symbol in OPENBLAS_SETTERS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = (ctypes.c_int,)
-                setter.restype = None
-                setter(1)
-                return True
-    return False
-
-
 _keep_freed_pages()
-ONE_BLAS_THREAD = _one_blas_thread()

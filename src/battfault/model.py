@@ -17,17 +17,17 @@ caller that will run one, and applies dropout only when handed a dropout
 multiplier (``embed_dropout``): a training step's ``msm_forward`` does both.
 Eval encoding, the validation loss and the gradient check's perturbed losses
 keep no cache and draw no dropout, so they hold one layer's activations at a
-time. The feed-forward
-cache keeps the GELU input and tanh term but not the GELU output, which the
-backward pass rebuilds bit for bit (the selective recomputation of
-Korthikanti et al. 2022, arXiv:2205.05198). A weight gradient sums its
+time. The feed-forward cache keeps the GELU input and tanh term but not the
+GELU output, which the backward pass rebuilds bit for bit with
+``gelu_from_tanh`` (the selective recomputation of Korthikanti et al. 2022,
+arXiv:2205.05198). A weight gradient sums its
 per-sample products in sample order, so its rounding does not depend on how
 BLAS splits a product across threads.
 
 No encoder pass runs on more than ``MICRO_BATCH`` snippets: the (B, A, T, T)
 attention tensors make a pass's activations grow with its batch, so a
-training step accumulates gradients over micro-batches, which run on one
-thread per usable CPU (see ``pretrain.run_pretrain``), and feature
+training step accumulates gradients over micro-batches, which run on a
+thread pool (see ``pretrain.run_pretrain``), and feature
 extraction encodes MICRO_BATCH snippets per ``encode_batch`` call.
 
 Every pass computes in the dtype of its input and weights: float64 for the
@@ -50,6 +50,7 @@ from .numcore import (
     DimensionError,
     dropout_mask,
     gelu_fwd,
+    gelu_from_tanh,
     gelu_grad,
     layer_norm_bwd,
     layer_norm_fwd,
@@ -374,13 +375,8 @@ def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict)
         dR2, dg, db = layer_norm_bwd(dX, ln2_cache)
         grads[p + "ln2_g"] += dg
         grads[p + "ln2_b"] += db
-        # R2 = X1 + FFN(X1); dR2 is also the gradient of the FFN output. The
-        # GELU output is rebuilt with gelu_fwd's own steps, so bit for bit
-        G = tanh_term + 1.0
-        G *= F1
-        G *= 0.5
-        grads[p + "W2"] += _outer_sum(G, dR2)
-        del G
+        # R2 = X1 + FFN(X1); dR2 is also the gradient of the FFN output
+        grads[p + "W2"] += _outer_sum(gelu_from_tanh(F1, tanh_term), dR2)
         grads[p + "b2"] += dR2.sum(axis=(0, 1))
         dF1 = gelu_grad(F1, tanh_term)
         dF1 *= _dense(dR2, a[p + "W2"].T)

@@ -162,10 +162,19 @@ def gelu_fwd(x: np.ndarray):
     t += x
     t *= SQRT_2_OVER_PI
     np.tanh(t, out=t)
+    return gelu_from_tanh(x, t), t
+
+
+def gelu_from_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's value 0.5 * x * (1 + t) from its input and gelu_fwd's tanh term.
+
+    gelu_fwd returns through this, so a backward pass that keeps only x and
+    t rebuilds the value bit for bit.
+    """
     y = t + 1.0
     y *= x
     y *= 0.5
-    return y, t
+    return y
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ or decoding it is one bulk copy per tensor rather than one decimal per value.
 from __future__ import annotations
 
 import base64
+import ctypes
 import functools
 import os
 import zlib
@@ -21,16 +22,52 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import ONE_BLAS_THREAD
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
 from .model import (MICRO_BATCH, ModelConfig, ModelParams, embed_dropout, float32_copy, init_params,
                     msm_backward, msm_forward, param_shapes)
 from .numcore import NonFiniteError, SeededRng
 
-# The encoder passes that run at once: one per usable CPU, each on the one
-# BLAS thread that importing battfault sets. Where that cannot be set, BLAS
-# keeps its own threads and the passes run one at a time, inline.
-WORKERS = len(os.sched_getaffinity(0)) if ONE_BLAS_THREAD else 1
+# the thread-count getters and setters of numpy's own OpenBLAS build and of a system one
+OPENBLAS_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                         ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None where they cannot be found.
+
+    The library is found by name in the process's memory map, which only
+    Linux has; numpy, imported above, has loaded it. Nothing is called here.
+    """
+    try:
+        # surrogateescape hands a path's undecodable bytes back to CDLL as they were
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone, "<path> (deleted)"
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_CALLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+OPENBLAS_THREADS = _openblas_threads()
+# The most snippets that the encoder passes in flight hold at once: the one
+# 8-snippet pass of a step whose passes ran one at a time.
+SNIPPETS_IN_FLIGHT = 8
+# The encoder passes that run at once, one per usable CPU up to that budget
+# (2 of MICRO_BATCH snippets). Where OpenBLAS's thread count cannot be set,
+# its threads would contend with the pool's, and the passes run one at a
+# time, inline.
+WORKERS = (min(len(os.sched_getaffinity(0)), SNIPPETS_IN_FLIGHT // MICRO_BATCH)
+           if OPENBLAS_THREADS is not None else 1)
 CHECKPOINT_VERSION = 3
 # the byte order and width of a checkpoint tensor's data, on every platform
 TENSOR_DTYPE = np.dtype("<f8")
@@ -220,25 +257,35 @@ def _in_pass_order(run_pass, n_items: int):
 
     Passes run in rounds of up to WORKERS on the thread pool, and a round's
     results are yielded before the next round starts, so no more than
-    WORKERS passes' activations and results are alive at once. With one
-    worker every pass runs inline.
+    WORKERS passes' activations and results are alive at once. Meanwhile
+    OpenBLAS runs on one thread, and it gets its own count back once the
+    passes are done: two passes on a two-thread OpenBLAS ran a step loop
+    slower than one pass at a time. With one worker every pass runs inline,
+    on OpenBLAS's own count.
     """
     n_passes = -(-n_items // MICRO_BATCH)
     workers = min(WORKERS, n_passes)
-    for start in range(0, n_passes, workers):
-        if workers == 1:
-            yield run_pass(start)
-            continue
-        futures = [_pool().submit(run_pass, c) for c in range(start, min(start + workers, n_passes))]
-        try:
-            while futures:
-                yield futures.pop(0).result()
-        finally:
-            # when a pass raises, the rest of its round ends before the error
-            # leaves the step; the first error is the one raised
-            for future in futures:
-                if not future.cancel():
-                    future.exception()
+    if workers == 1:
+        for c in range(n_passes):
+            yield run_pass(c)
+        return
+    get_blas_threads, set_blas_threads = OPENBLAS_THREADS
+    blas_threads = get_blas_threads()
+    set_blas_threads(1)
+    try:
+        for start in range(0, n_passes, workers):
+            futures = [_pool().submit(run_pass, c) for c in range(start, min(start + workers, n_passes))]
+            try:
+                while futures:
+                    yield futures.pop(0).result()
+            finally:
+                # when a pass raises, the rest of its round ends before the
+                # error leaves the step; the first error is the one raised
+                for future in futures:
+                    if not future.cancel():
+                        future.exception()
+    finally:
+        set_blas_threads(blas_threads)
 
 
 def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dropout_rng: SeededRng):
@@ -310,10 +357,10 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     passes of at most MICRO_BATCH snippets (the gradient accumulation of
     BERT pretraining, Devlin et al. 2019, arXiv:1810.04805); the validation
     forward runs in such passes too and builds no caches. The passes run on
-    WORKERS threads, one per usable CPU, in rounds of WORKERS, and their
-    results are summed in pass order, so the loop holds at most WORKERS
-    passes' activations at a time and its bytes do not depend on the CPU
-    count.
+    WORKERS threads, one per usable CPU up to SNIPPETS_IN_FLIGHT //
+    MICRO_BATCH, in rounds of WORKERS, and their results are summed in pass
+    order, so the loop holds at most SNIPPETS_IN_FLIGHT snippets' activations
+    at a time and its bytes do not depend on the CPU count.
     """
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape

@@ -12,6 +12,7 @@ from battfault.numcore import (
     SQRT_2_OVER_PI,
     SeededRng,
     dropout_mask,
+    gelu_from_tanh,
     gelu_fwd,
     gelu_grad,
     layer_norm_bwd,
@@ -171,6 +172,8 @@ class TestGelu:
         x = SeededRng(5).normal(64)
         y, t = gelu_fwd(x)
         np.testing.assert_array_equal(y, 0.5 * x * (1.0 + t))
+        # the value a backward pass rebuilds from x and t
+        np.testing.assert_array_equal(gelu_from_tanh(x, t), y)
         np.testing.assert_allclose(t, np.tanh(SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)),
                                    rtol=1e-15, atol=0)
 

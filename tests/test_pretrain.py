@@ -379,12 +379,47 @@ def test_pretrain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert _cli_pretrain(tmp_path / "one", 1) == _cli_pretrain(tmp_path / "two", 2)
 
 
+@pytest.mark.skipif(pretrain.OPENBLAS_THREADS is None,
+                    reason="needs an OpenBLAS whose thread count can be set")
+def test_pretrain_bytes_do_not_depend_on_the_blas_threads_of_a_pass(monkeypatch):
+    # inline passes on a two-thread OpenBLAS against pool passes, which run
+    # on one BLAS thread; the backward passes record the count they ran on
+    get_threads, set_threads = pretrain.OPENBLAS_THREADS
+    fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=10), 31, 64)
+    train, val, _ = dataio.vehicle_split(fleet, 0.7, 31)
+    seen = []
+
+    def recording_backward(*args):
+        seen.append(get_threads())
+        return msm_backward(*args)
+
+    def run(workers):
+        monkeypatch.setattr(pretrain, "WORKERS", workers)
+        seen.clear()
+        set_threads(2)
+        params = init_params(ModelConfig.desk_default(), SeededRng(9, ("init",)))
+        provenance, history = run_pretrain(train, val, params, PretrainConfig(epochs=1), seed=9)
+        # the pool hands OpenBLAS its own count back when its passes are done
+        assert get_threads() == 2
+        return checkpoint_document(params, provenance), history, set(seen)
+
+    monkeypatch.setattr(pretrain, "msm_backward", recording_backward)
+    before = get_threads()
+    try:
+        inline, pooled = run(1), run(2)
+    finally:
+        set_threads(before)
+    assert inline[2] == {2} and pooled[2] == {1}
+    assert inline[:2] == pooled[:2]
+
+
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                     reason="needs at least 2 usable CPUs")
 def test_pretrain_bytes_do_not_depend_on_the_cpu_count(tmp_path):
-    # on one CPU the passes of a step run inline, here on 2 BLAS threads as
-    # far as the environment goes; on every usable CPU they run on the
-    # thread pool, and the gradients are summed in pass order either way
+    # on one CPU the passes of a step run inline (OpenBLAS caps its threads
+    # at the usable CPUs, so on one BLAS thread whatever the environment
+    # says); on every usable CPU they run on the thread pool, and the
+    # gradients are summed in pass order either way
     usable = os.sched_getaffinity(0)
     one_cpu = _cli_pretrain(tmp_path / "one", 2, cpus={min(usable)})
     assert one_cpu == _cli_pretrain(tmp_path / "every", len(usable))
@@ -443,16 +478,14 @@ class TestActivationMemory:
 
     def test_pretraining_peaks_near_one_micro_batch(self, default_fleet):
         # a step of batch_size snippets holds the activations of the passes
-        # in flight at once, min(WORKERS, passes) of MICRO_BATCH snippets,
-        # as much as one whole-batch pass over their snippets; 16-snippet
-        # passes peak at about 2.1x an 8-snippet one
+        # in flight, at most SNIPPETS_IN_FLIGHT snippets on any CPU count, as
+        # much as one whole-batch pass over that many; 16-snippet passes
+        # peak at about 2.1x an 8-snippet one
         train, val, _ = default_fleet
         params = init_params(ModelConfig.desk_default(), SeededRng(1, ("init",)))
-        pcfg = PretrainConfig(epochs=2)
-        in_flight = min(pretrain.WORKERS, -(-pcfg.batch_size // MICRO_BATCH))
-        work, X, masks = _desk_step(in_flight * MICRO_BATCH, 5)
+        work, X, masks = _desk_step(pretrain.SNIPPETS_IN_FLIGHT, 5)
         one_pass = _traced_peak(lambda: _whole_batch(work, X, masks, SeededRng(6)))
-        run = _traced_peak(lambda: run_pretrain(train, val, params, pcfg, seed=1))
+        run = _traced_peak(lambda: run_pretrain(train, val, params, PretrainConfig(epochs=2), seed=1))
         assert run <= 1.25 * one_pass, f"{run} bytes against {one_pass} for one {len(X)}-snippet pass"
 
     def test_feature_extraction_peaks_near_one_micro_batch(self):
