@@ -440,6 +440,16 @@ class FleetConfig:
             raise ValueError(f"fault_fraction must be in [0,1], got {self.fault_fraction}")
         if self.noise_std < 0 or self.jitter < 0:
             raise ValueError("noise_std and jitter must be nonnegative")
+        if self.dip_len < 1:
+            raise ValueError(f"dip_len must be >= 1, got {self.dip_len}")
+        if self.dips_per_snippet < 0:
+            raise ValueError(f"dips_per_snippet must be >= 0, got {self.dips_per_snippet}")
+        for name in ("tau_voltage", "tau_current"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # the thermal lag scales each step by 1 - 1/temp_tau, which must stay inside (-1, 1)
+        if not self.temp_tau > 0.5:
+            raise ValueError(f"temp_tau must be > 0.5, got {self.temp_tau}")
         for name in ("mileage_range", "cycle_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:

@@ -60,6 +60,10 @@ from .numcore import (
 
 INIT_STD = 0.02
 GRAD_CHECK_STEP = 5e-4
+# the gate's bound on each entry's relative error (criterion 1), and the entries
+# it perturbs per stacked forward: of 8-192, the fastest on criterion 1's snippet
+GRAD_CHECK_TOL = 1e-4
+GRAD_CHECK_CHUNK = 32
 # What a training step holds per parameter: the float64 master weights,
 # gradients and two Adam moments, and the float32 working copy.
 TRAIN_BYTES_PER_PARAM = 4 * 8 + 4
@@ -476,12 +480,11 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
 class GradCheckReport:
     """Per-parameter relative errors from a central-difference gradient check."""
 
-    tol: float
     rel_error: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> list:
-        return [name for name, err in self.rel_error.items() if err > self.tol]
+        return [name for name, err in self.rel_error.items() if err > GRAD_CHECK_TOL]
 
     @property
     def max_rel_error(self) -> float:
@@ -492,8 +495,7 @@ class GradCheckReport:
         return not self.failed
 
 
-def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndarray,
-                   mask: np.ndarray, tol: float = 1e-4, chunk: int = 192):
+def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndarray, mask: np.ndarray):
     """Check analytic gradients of the masked loss on one (M, D) snippet.
 
     Uses the 4th-order central stencil (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
@@ -505,9 +507,9 @@ def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndar
     the weights sum to 1.5/h in absolute value, so rounding alone moves n by
     up to kappa*eps*|loss0|/h (kappa = 8 also covers the forward's own
     rounding), and floor = kappa*eps*|loss0| / (h*tol) scores any such error
-    under tol. Evaluating the loss once per perturbed scalar is
-    Python-overhead bound, so P perturbed copies of one array are stacked
-    along a leading axis and run through the training forward at once.
+    under tol = GRAD_CHECK_TOL. Evaluating the loss once per perturbed scalar
+    is Python-overhead bound, so 4 copies of each of GRAD_CHECK_CHUNK entries
+    of one array are stacked and run through the training forward at once.
     """
     if not X_corrupt.ndim == X_target.ndim == mask.ndim == 2:
         raise ValueError(f"gradient check takes one (M, D) snippet, got input of shape {X_corrupt.shape}")
@@ -515,19 +517,19 @@ def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndar
     X_in = X_corrupt[None]
     loss0, cache = msm_forward(params, cfg, X_in, X_target[None], mask[None])
     analytic = msm_backward(cache, params, cfg)
-    floor = 8.0 * np.finfo(np.float64).eps * abs(loss0) / (GRAD_CHECK_STEP * tol)
+    floor = 8.0 * np.finfo(np.float64).eps * abs(loss0) / (GRAD_CHECK_STEP * GRAD_CHECK_TOL)
 
     stencil = np.array([2.0, 1.0, -1.0, -2.0]) * GRAD_CHECK_STEP
     weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * GRAD_CHECK_STEP)
-    report = GradCheckReport(tol=tol)
+    report = GradCheckReport()
     base_arrays = params.arrays
 
     for name, base in base_arrays.items():
         grad_flat = analytic[name].reshape(-1)
         n = base.size
         worst = 0.0
-        for start in range(0, n, chunk):
-            idx = np.arange(start, min(start + chunk, n))
+        for start in range(0, n, GRAD_CHECK_CHUNK):
+            idx = np.arange(start, min(start + GRAD_CHECK_CHUNK, n))
             m = idx.size
             P = 4 * m
             stacked = np.broadcast_to(base, (P,) + base.shape).copy()

@@ -91,6 +91,11 @@ class PretrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate < 0 or self.clip_norm <= 0:
             raise ValueError("invalid learning_rate or clip_norm")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0,1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_01_gradient_check_full_model():
     X_corrupt = pretrain.corrupt(X, mask)
 
     t0 = time.monotonic()
-    report = model.msm_grad_check(params, X_corrupt, X, mask, tol=1e-4, chunk=1024)
+    report = model.msm_grad_check(params, X_corrupt, X, mask)
     elapsed = time.monotonic() - t0
 
     assert report.ok, f"failed params: {report.failed}"

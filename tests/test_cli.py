@@ -111,6 +111,21 @@ class TestSynth:
         ({"model": {"H": 1, "A": 1, "FF": 1, "L": 40000000}}, "'model'"),
         # a fleet past physical memory: rejected before synth allocates it
         ({"generator": {"n_vehicles": 1000000000000}}, "'generator'"),
+        # values the generator or the optimizer cannot run with, rejected
+        # rather than clamped, run silently or failed on without the key
+        ({"generator": {"dip_len": -3}}, "'generator': dip_len"),
+        ({"generator": {"dips_per_snippet": -2}}, "'generator': dips_per_snippet"),
+        ({"generator": {"tau_voltage": -5}}, "'generator': tau_voltage"),
+        ({"generator": {"tau_current": 0}}, "'generator': tau_current"),
+        ({"generator": {"temp_tau": 0}}, "'generator': temp_tau"),
+        # the thermal lag's factor 1 - 1/0.3 grows temperatures to 1e45
+        ({"generator": {"temp_tau": 0.3}}, "'generator': temp_tau"),
+        ({"pretrain": {"beta1": -0.5}}, "'pretrain': beta1"),
+        ({"pretrain": {"beta2": 1.5}}, "'pretrain': beta2"),
+        ({"pretrain": {"adam_eps": -1e-8}}, "'pretrain': adam_eps"),
+        # not a non-finite loss (exit 4) after the first bias correction
+        ({"pretrain": {"beta1": 1.0}}, "'pretrain': beta1"),
+        ({"pretrain": {"beta2": 1.0}}, "'pretrain': beta2"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"

@@ -43,8 +43,6 @@ ALLOWED = {
 # Defaulted parameters that only tests, the benchmark harness or the command
 # line set.
 TEST_SET_DEFAULTS = {
-    "msm_grad_check(tol)",    # criterion 1 states its bound on the ALLOWED oracle
-    "msm_grad_check(chunk)",  # the perturbed copies per forward, a time and memory trade
     "synth_fleet(id_prefix)",  # test_08 merges two fleets, whose vehicle ids must differ
     "main(argv)",             # tests and the benchmark harness pass argv; the shell, sys.argv
 }
