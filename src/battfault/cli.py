@@ -44,7 +44,6 @@ class EvalConfig:
     inspection_cost_cny: float = evalkit.CostParams.c_r
     tsne_perplexity: float = 12.0
     tsne_iterations: int = 500
-    tsne_max_points: int = 600
 
     def __post_init__(self):
         if self.aggregator not in evalkit.AGGREGATORS:
@@ -52,11 +51,8 @@ class EvalConfig:
                              f"got {self.aggregator!r}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError(f"split_ratio must be in (0,1), got {self.split_ratio}")
-        if self.tsne_perplexity <= 0 or self.tsne_iterations < 1 or self.tsne_max_points < 1:
-            raise ValueError("tsne_perplexity, tsne_iterations and tsne_max_points must be positive")
-        if self.tsne_max_points > evalkit.TSNE_MAX_POINTS:
-            raise ValueError(f"tsne_max_points must be <= {evalkit.TSNE_MAX_POINTS}, the exact "
-                             f"t-SNE bound, got {self.tsne_max_points}")
+        if self.tsne_perplexity <= 0 or self.tsne_iterations < 1:
+            raise ValueError("tsne_perplexity and tsne_iterations must be positive")
         self.cost_params()  # checks fault_rate and the two costs
 
     def cost_params(self) -> evalkit.CostParams:
@@ -131,8 +127,8 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.seed)
-    train_n, val_n, stats = dataio.vehicle_split(_load_dataset(cfg, args.data),
-                                                 cfg.eval.split_ratio, cfg.seed)
+    train_n, val_n, _ = dataio.vehicle_split(_load_dataset(cfg, args.data),
+                                             cfg.eval.split_ratio, cfg.seed)
 
     rng = SeededRng(cfg.seed, ("init",))
     if args.init_from:
@@ -152,8 +148,6 @@ def cmd_pretrain(args) -> int:
     pretrain.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"), provenance)
     dataio.write_text(os.path.join(args.out, "loss_history.csv"), "epoch,train_loss,val_loss\n" + "".join(
         f"{epoch},{tr!r},{va!r}\n" for epoch, tr, va in history))
-    dataio.write_text(os.path.join(args.out, "norm_stats.json"), dataio.json_text(
-        {k: v.tolist() for k, v in dataclasses.asdict(stats).items()}))
     print(f"final train loss {history[-1][1]:.6f}, val loss {history[-1][2]:.6f}")
     return 0
 
@@ -193,9 +187,9 @@ def cmd_tsne(args) -> int:
     ds_n = dataio.apply_norm(ds, dataio.vehicle_split(ds, cfg.eval.split_ratio, cfg.seed)[2])
 
     n = len(ds_n)
-    limit = cfg.eval.tsne_max_points
-    if n > limit and not args.subsample:
-        raise ConfigError(f"{n} snippets exceeds t-SNE bound {limit}; pass --subsample N")
+    if n > evalkit.TSNE_MAX_POINTS and not args.subsample:
+        raise ConfigError(f"{n} snippets exceeds t-SNE bound {evalkit.TSNE_MAX_POINTS}; "
+                          f"pass --subsample N")
     subsampled = bool(args.subsample) and n > args.subsample
     if subsampled:
         keep = SeededRng(cfg.seed, ("tsne_subsample",)).choice(n, size=args.subsample)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FleetDataset, json_text, read_document, read_value, write_text
+from .dataio import FleetDataset, json_text, write_text
 from .evalkit import SingleClassError
 from .model import MICRO_BATCH, ModelParams, encode_batch, float32_copy
 from .numcore import NonFiniteError
@@ -249,25 +249,8 @@ def _node_to_dict(node: TreeNode) -> dict:
             "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
 
 
-def _read(d: dict, key: str, kind):
-    return read_value(d[key], kind, repr(key))
-
-
-def _node_from_dict(d: dict, n_features: int, max_depth: int) -> TreeNode:
-    """The tree below d, which may split at most max_depth more times on any path."""
-    if "weight" in d:
-        return TreeNode(weight=_read(d, "weight", float))
-    if max_depth < 1:
-        raise ValueError("a tree is deeper than max_depth")
-    feature = _read(d, "feature", int)
-    if not 0 <= feature < n_features:
-        raise ValueError(f"split feature {feature!r} outside [0, {n_features})")
-    return TreeNode(feature=feature, threshold=_read(d, "threshold", float),
-                    left=_node_from_dict(d["left"], n_features, max_depth - 1),
-                    right=_node_from_dict(d["right"], n_features, max_depth - 1))
-
-
 def save_gbdt(model: GbdtModel, path):
+    """Write model as canonical JSON: detect's record of its classifier, like report.json."""
     write_text(path, json_text({
         "format_version": GBDT_FORMAT_VERSION,
         "base_score": model.base_score,
@@ -276,20 +259,3 @@ def save_gbdt(model: GbdtModel, path):
         "trees": [_node_to_dict(t) for t in model.trees],
     }))
 
-
-def _read_gbdt(doc: dict) -> GbdtModel:
-    c = doc["config"]
-    n_features, max_depth, rounds = (_read(c, k, int) for k in ("n_features", "max_depth", "rounds"))
-    if min(n_features, max_depth, rounds) < 1:
-        raise ValueError(f"n_features, max_depth and rounds must be positive, got "
-                         f"{n_features}, {max_depth} and {rounds}")
-    if len(doc["trees"]) != rounds:
-        raise ValueError(f"{len(doc['trees'])} trees for rounds={rounds}")
-    return GbdtModel(_read(doc, "base_score", float),
-                     [_node_from_dict(t, n_features, max_depth) for t in doc["trees"]],
-                     _read(c, "shrinkage", float), max_depth, n_features)
-
-
-def load_gbdt(path) -> GbdtModel:
-    """Read a classifier; a malformed document is a ParseError naming path."""
-    return read_document(path, "classifier", _read_gbdt, GBDT_FORMAT_VERSION)

@@ -3,10 +3,10 @@
 Tensors are plain ``numpy.ndarray`` and are treated as immutable values by
 every public operation. A block computes in its input's float dtype (float64
 or float32) and returns that dtype; every constant is a Python float, which
-numpy casts to the array's dtype instead of upcasting the array. Integer and
-list input is read as float64. All randomness flows through
-:class:`SeededRng`, a counter-based (Philox) generator keyed by an explicit
-seed plus named substreams, so any computation is reproducible from its seed.
+numpy casts to the array's dtype instead of upcasting the array. All
+randomness flows through :class:`SeededRng`, a counter-based (Philox)
+generator keyed by an explicit seed plus named substreams, so any computation
+is reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -112,19 +112,12 @@ def layer_norm_bwd(dy: np.ndarray, cache):
     return buf, dgamma, dbeta
 
 
-def _floating(x) -> np.ndarray:
-    """x as an array of its own float dtype, or as float64 when it has none."""
-    x = np.asarray(x)
-    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
-
-
 def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stable softmax along the last axis (max-subtraction).
 
     As with a numpy ufunc, ``out`` receives the result; by default it is a
     new array and ``x`` is left unchanged. ``out=x`` reuses x's own buffer.
     """
-    x = _floating(x)
     # the shift writes one buffer (out, or a new array); exp and the divide run in it
     e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
@@ -152,7 +145,6 @@ def gelu_fwd(x: np.ndarray):
     The tanh term is the expensive part of the derivative, so callers that
     will run a backward pass should keep it and hand it to gelu_grad.
     """
-    x = _floating(x)
     # tanh(sqrt(2/pi) * (x + c*x^3)), built up in one buffer. The cube is
     # x * x * x: numpy sends x ** 3 through libm pow, several times slower.
     # An explicit out= keeps a 0-d input an array, so the in-place steps hold.
@@ -179,7 +171,6 @@ def gelu_from_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Elementwise derivative of the tanh-form GELU; ``t`` is gelu_fwd's tanh term."""
-    x = _floating(x)
     # 0.5 * (1 + t) + 0.5 * x * du * (1 - t^2), du = sqrt(2/pi) * (1 + 3c * x^2),
     # as 0.5 * (1 + t) * (1 + x * du * (1 - t)) in g, with s holding 1 - t, then 1 + t
     g = np.multiply(x, x, out=np.empty_like(x))

@@ -260,35 +260,24 @@ def _pool():
 def _in_pass_order(run_pass, n_items: int):
     """Yield run_pass(c) for each MICRO_BATCH-item pass c over n_items, in pass order.
 
-    Passes run in rounds of up to WORKERS on the thread pool, and a round's
-    results are yielded before the next round starts, so no more than
-    WORKERS passes' activations and results are alive at once. Meanwhile
+    Passes run on the thread pool, at most WORKERS at once, and Executor.map
+    yields their results in submission order; when a pass raises or the
+    caller stops early, the passes not yet started are cancelled. Meanwhile
     OpenBLAS runs on one thread, and it gets its own count back once the
     passes are done: two passes on a two-thread OpenBLAS ran a step loop
     slower than one pass at a time. With one worker every pass runs inline,
     on OpenBLAS's own count.
     """
-    n_passes = -(-n_items // MICRO_BATCH)
-    workers = min(WORKERS, n_passes)
-    if workers == 1:
-        for c in range(n_passes):
+    passes = range(-(-n_items // MICRO_BATCH))
+    if min(WORKERS, len(passes)) == 1:
+        for c in passes:
             yield run_pass(c)
         return
     get_blas_threads, set_blas_threads = OPENBLAS_THREADS
     blas_threads = get_blas_threads()
     set_blas_threads(1)
     try:
-        for start in range(0, n_passes, workers):
-            futures = [_pool().submit(run_pass, c) for c in range(start, min(start + workers, n_passes))]
-            try:
-                while futures:
-                    yield futures.pop(0).result()
-            finally:
-                # when a pass raises, the rest of its round ends before the
-                # error leaves the step; the first error is the one raised
-                for future in futures:
-                    if not future.cancel():
-                        future.exception()
+        yield from _pool().map(run_pass, passes)
     finally:
         set_blas_threads(blas_threads)
 
@@ -363,9 +352,9 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     BERT pretraining, Devlin et al. 2019, arXiv:1810.04805); the validation
     forward runs in such passes too and builds no caches. The passes run on
     WORKERS threads, one per usable CPU up to SNIPPETS_IN_FLIGHT //
-    MICRO_BATCH, in rounds of WORKERS, and their results are summed in pass
-    order, so the loop holds at most SNIPPETS_IN_FLIGHT snippets' activations
-    at a time and its bytes do not depend on the CPU count.
+    MICRO_BATCH, and their results are summed in pass order, so the loop
+    holds at most SNIPPETS_IN_FLIGHT snippets' activations at a time and its
+    bytes do not depend on the CPU count.
     """
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape

@@ -105,7 +105,8 @@ class TestSynth:
         ({"model": {"A": 0}}, "'model'"),
         # parameters past physical memory: rejected before any command builds them
         ({"model": {"L": 1e16}}, "'model'"),
-        # past the bound of the exact t-SNE, which would fail naming neither
+        # a key that is gone (tsne's one size bound is the exact t-SNE's):
+        # unknown, and still named
         ({"eval": {"tsne_max_points": 3000}}, "tsne_max_points"),
         # parameters that fit, but not with what a training step holds besides
         ({"model": {"H": 1, "A": 1, "FF": 1, "L": 40000000}}, "'model'"),
@@ -184,7 +185,8 @@ class TestPretrain:
     def test_artifacts_exist(self, workspace):
         run = workspace["run"]
         assert (run / "checkpoint.json").exists()
-        assert (run / "norm_stats.json").exists()
+        # the normalization statistics are refit from the data by every command
+        assert not (run / "norm_stats.json").exists()
         history = (run / "loss_history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) == 1 + TINY_CONFIG["pretrain"]["epochs"]
@@ -370,6 +372,17 @@ class TestTsne:
                      "--data", str(workspace["data"]), "--raw", "--subsample", "2100",
                      "--out", str(tmp_path / "o")]) == 2
         assert "--subsample must be <= 2000" in capsys.readouterr().err
+
+    def test_fleet_past_the_tsne_bound_exits_2_asking_for_subsample(self, tmp_path, capsys):
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({"seq_len": 4, "generator": {"n_vehicles": 101,
+                                                                   "snippets_per_vehicle": 20}}))
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+        assert main(["tsne", "--config", str(config), "--data", str(data), "--raw",
+                     "--out", str(out)]) == 2
+        assert "2020 snippets exceeds t-SNE bound 2000; pass --subsample N" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_subsample_too_small_for_the_perplexity_exits_2_naming_key_and_flag(
             self, workspace, tmp_path, capsys):

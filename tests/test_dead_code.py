@@ -36,7 +36,6 @@ ALLOWED = {
     "msm_grad_check",    # finite-difference gradient gate, criterion 1
     "GradCheckReport.ok",             # its verdict
     "GradCheckReport.max_rel_error",  # and its worst entry
-    "load_gbdt",         # reads back the classifier `battfault detect` writes
     "ModelConfig.full_scale",  # the paper's ~110M-parameter encoder, criterion 11
 }
 
