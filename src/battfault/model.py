@@ -10,7 +10,8 @@ The forward and backward passes are batched over a leading axis. Any one
 parameter array may also carry a leading P axis of variants; the forward then
 broadcasts to P outputs from the first stage that reads that array on, and
 the stages before it run once. This is how the gradient check runs P
-perturbed copies of the network through the same forward that training uses.
+perturbed copies of the network through the encoder forward that training
+uses, on every row.
 
 A forward pass keeps the per-layer caches a backward pass reads only for a
 caller that will run one, and applies dropout only when handed a dropout
@@ -23,6 +24,12 @@ GELU output, which the backward pass rebuilds bit for bit with
 arXiv:2205.05198). A weight gradient sums its
 per-sample products in sample order, so its rounding does not depend on how
 BLAS splits a product across threads.
+
+A pass runs its last layer and the head only on the rows that something
+reads, the ``rows`` of ``_encoder_fwd``: eval encoding reads the summary row,
+and the masked loss the data rows that hold a masked cell. That layer takes
+its queries from those rows and its keys and values from every row; its
+backward scatters the query and residual gradients back to those rows.
 
 No encoder pass runs on more than ``MICRO_BATCH`` snippets: the (B, A, T, T)
 attention tensors make a pass's activations grow with its batch, so a
@@ -275,9 +282,13 @@ def _outer_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.matmul(X.swapaxes(1, 2), Y).sum(axis=0)
 
 
-def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
-                   summary_only: bool = False):
-    """Multi-head self-attention over (B, T, H); ``summary_only`` queries from row 0 alone."""
+def _at(rows: np.ndarray):
+    """Index of the (B, R) ``rows`` of a (B, T, ...) array, row rows[b, r] of sample b."""
+    return np.arange(len(rows))[:, None], rows
+
+
+def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig, rows: np.ndarray | None):
+    """Multi-head self-attention over (B, T, H); queries from ``rows`` alone when given."""
     H, A, dh = cfg.H, cfg.A, cfg.head_dim
     # a Python float: an np.float64 scalar would upcast float32 queries
     scale = 1.0 / math.sqrt(dh)
@@ -288,7 +299,7 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
 
     # one projection; Q, K and V are column views of it
     QKV = _dense(X, a[prefix + "Wqkv"], a[prefix + "bqkv"])
-    Q = QKV[:, :1, :H] if summary_only else QKV[..., :H]
+    Q = QKV[..., :H] if rows is None else QKV[..., :H][_at(rows)]
     # the scale goes into Q, so the (B, A, T, T) scores never take a pass for it
     Q *= scale
     Q, K, V = heads(Q), heads(QKV[..., H:2 * H]), heads(QKV[..., 2 * H:])
@@ -300,25 +311,31 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig,
     return out, (X, Q, K, V, probs, context, scale)
 
 
-def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConfig, grads: dict):
+def _attention_bwd(dout: np.ndarray, cache, rows: np.ndarray | None, a: dict, prefix: str,
+                   cfg: ModelConfig, grads: dict):
+    """dX over every row of X from ``dout``, the gradient of the query rows' outputs."""
     X, Q, K, V, probs, context, scale = cache
     B, T, H = X.shape
     A, dh = cfg.A, cfg.head_dim
 
     grads[prefix + "Wo"] += _outer_sum(context, dout)
     grads[prefix + "bo"] += dout.sum(axis=(0, 1))
-    dcontext = _dense(dout, a[prefix + "Wo"].T).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
+    dcontext = _dense(dout, a[prefix + "Wo"].T).reshape(B, -1, A, dh).transpose(0, 2, 1, 3)
 
     # dQ, dK and dV are written as heads into one (B, T, 3H) buffer laid out
     # like Wqkv's columns: one weight-gradient sum, one bias sum, one dX GEMM
     dQKV = np.empty((B, T, 3, A, dh), dtype=dout.dtype)
     dQ, dK, dV = (dQKV[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
     np.matmul(probs.transpose(0, 1, 3, 2), dcontext, out=dV)
-    # the fresh (B, A, T, T) product becomes the score gradient, with no copy
+    # the fresh (B, A, R, T) product becomes the score gradient, with no copy
     dprobs = dcontext @ V.transpose(0, 1, 3, 2)
     dscores = softmax_bwd(dprobs, probs, out=dprobs)
-    np.matmul(dscores, K, out=dQ)
-    dQ *= scale  # Q carries the scale, so dK has it already
+    dQ_rows = np.matmul(dscores, K, out=dQ if rows is None else None)
+    dQ_rows *= scale  # Q carries the scale, so dK has it already
+    if rows is not None:
+        # a row that asks no query gets no query gradient
+        dQ[...] = 0
+        dQKV[_at(rows) + (0,)] = dQ_rows.transpose(0, 2, 1, 3)
     np.matmul(dscores.transpose(0, 1, 3, 2), Q, out=dK)
 
     dQKV = dQKV.reshape(B, T, 3 * H)
@@ -328,18 +345,18 @@ def _attention_bwd(dout: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConf
 
 
 def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | None,
-               one_row: bool) -> np.ndarray:
-    """One post-norm layer, (B, T, H) -> (B, T, H), or (B, 1, H) with ``one_row``.
+               rows: np.ndarray | None) -> np.ndarray:
+    """One post-norm layer, (B, T, H) -> (B, T, H), or (B, R, H) on the (B, R) ``rows``.
 
     Appends the layer's cache to ``caches`` when given a list. Otherwise the
     attention probabilities go before the feed-forward block allocates, and
     the rest of the activations when the layer returns.
     """
     # the residual adds run in place, in the new attention and FFN outputs
-    R1, attn_cache = _attention_fwd(X, a, p, cfg, summary_only=one_row)
+    R1, attn_cache = _attention_fwd(X, a, p, cfg, rows)
     if caches is None:
         attn_cache = None
-    R1 += X[:, :1] if one_row else X
+    R1 += X if rows is None else X[_at(rows)]
     X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]))
     F1 = _dense(X1, a[p + "W1"], a[p + "b1"])
     G, tanh_term = gelu_fwd(F1)
@@ -348,33 +365,36 @@ def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | 
     R2 += X1
     X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]))
     if caches is not None:
-        caches.append((attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache))
+        caches.append((rows, attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache))
     return X2
 
 
 def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, caches: list | None = None,
-                 summary_only: bool = False) -> np.ndarray:
-    """(B, T, H) -> (B, T, H) through L post-norm layers.
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """(B, T, H) -> (B, T, H) through L post-norm layers, or (B, R, H) with ``rows``.
 
     A caller that will run a backward pass hands in an empty list
     ``caches``, which receives one cache per layer. Without one the pass
     keeps no cache and holds one layer's activations at a time.
 
-    With ``summary_only`` the last layer computes row 0 alone: its queries
-    come from the summary row, its keys and values from every row, and the
-    output is (B, 1, H). Eval encoding reads nothing else; the backward pass
-    needs the full-row caches.
+    ``rows`` is a (B, R) array of row indices, distinct within a sample, and
+    the output holds those rows alone. The last layer computes them alone:
+    its queries come from those rows, its keys and values from every row,
+    and its residual, FFN and layer norms run on those rows. Eval encoding
+    reads row 0, and the masked loss the rows that hold a masked cell. With
+    no layer (L = 0) the output is those rows of E.
     """
     X = E
     for i in range(cfg.L):
-        X = _layer_fwd(X, a, f"layer{i}.", cfg, caches, summary_only and i == cfg.L - 1)
-    return X
+        X = _layer_fwd(X, a, f"layer{i}.", cfg, caches, rows if i == cfg.L - 1 else None)
+    return X if rows is None or cfg.L else X[_at(rows)]
 
 
 def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict):
+    """dE over every row from dX, the gradient of the rows that the forward returned."""
     for i in reversed(range(cfg.L)):
         p = f"layer{i}."
-        attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache = caches[i]
+        rows, attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache = caches[i]
 
         dR2, dg, db = layer_norm_bwd(dX, ln2_cache)
         grads[p + "ln2_g"] += dg
@@ -392,9 +412,12 @@ def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict)
         dR1, dg, db = layer_norm_bwd(dX1, ln1_cache)
         grads[p + "ln1_g"] += dg
         grads[p + "ln1_b"] += db
-        # R1 = X + Attn(X)
-        dX = _attention_bwd(dR1, attn_cache, a, p, cfg, grads)
-        dX += dR1
+        # R1 = X + Attn(X), on the layer's rows
+        dX = _attention_bwd(dR1, attn_cache, rows, a, p, cfg, grads)
+        if rows is None:
+            dX += dR1
+        else:
+            dX[_at(rows)] += dR1
     return dX
 
 
@@ -406,7 +429,7 @@ def _head_fwd(Hs: np.ndarray, a: dict):
 def encode_batch(X: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     """Eval-mode summary vectors for a batch: (B, M, D) -> (B, H)."""
     E = _embed_fwd(X, params.arrays, cfg)[0]
-    return _encoder_fwd(E, params.arrays, cfg, summary_only=True)[:, 0, :]
+    return _encoder_fwd(E, params.arrays, cfg, rows=np.zeros((len(X), 1), dtype=np.intp))[:, 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +448,10 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
     ``embed_dropout``, and dropout runs only then. A caller
     that runs no backward pass sets ``keep_cache=False``: the pass then
     builds no layer caches and returns (loss, None).
+
+    The last layer and the head run on each snippet's data rows that hold a
+    masked cell (BERT's masked-position output, arXiv:1810.04805), padded to
+    the pass's longest list with rows that hold none, whose mask is 0.
     """
     # Python floats, so that neither upcasts a float32 pass
     total_masked = float(masks.sum(dtype=np.float64))
@@ -432,31 +459,38 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
         raise ValueError("mask selects no cells")
     a = params.arrays
     E, embed_cache = _embed_fwd(X_corrupt, a, cfg, dropout)
+    hit = masks.any(axis=2)
+    # per snippet, its hit rows in order, then the rest; no row repeats
+    order = np.argsort(~hit, axis=1, kind="stable")[:, :int(hit.sum(axis=1).max())]
+    rows = order + 1
     enc_caches = [] if keep_cache else None
-    Hs = _encoder_fwd(E, a, cfg, enc_caches)
-    recon = _head_fwd(Hs, a)
-    diff = recon - X_target
+    Hs = _encoder_fwd(E, a, cfg, enc_caches, rows)
+    recon = _dense(Hs, a["head.W"], a["head.b"])
+    masks = masks[_at(order)]
+    diff = recon - X_target[_at(order)]
     loss = float((masks * diff * diff).sum(dtype=np.float64) / total_masked)
     if not keep_cache:
         return loss, None
-    return loss, (embed_cache, enc_caches, Hs, diff, masks, total_masked)
+    return loss, (embed_cache, enc_caches, Hs, diff, masks, total_masked, rows)
 
 
 def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
     """Gradients of the masked-MSE loss w.r.t. every parameter array."""
-    embed_cache, enc_caches, Hs, diff, masks, total_masked = cache
+    embed_cache, enc_caches, Hs, diff, masks, total_masked, rows = cache
     a = params.arrays
     grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
 
     drecon = 2.0 * masks * diff / total_masked
-    grads["head.W"] += _outer_sum(Hs[:, 1:, :], drecon)
+    grads["head.W"] += _outer_sum(Hs, drecon)
     grads["head.b"] += drecon.sum(axis=(0, 1))
-    dHs = np.zeros_like(Hs)
-    dHs[:, 1:, :] = _dense(drecon, a["head.W"].T)
-
-    dE = _encoder_bwd(dHs, enc_caches, a, cfg, grads)
+    dHs = _dense(drecon, a["head.W"].T)
 
     X, ln_cache, drop_mask = embed_cache
+    if cfg.L:
+        dE = _encoder_bwd(dHs, enc_caches, a, cfg, grads)
+    else:
+        dE = np.zeros((len(X), X.shape[1] + 1, cfg.H), dtype=dHs.dtype)
+        dE[_at(rows)] = dHs
     if drop_mask is not None:
         dE = dE * drop_mask
     dpre, dg, db = layer_norm_bwd(dE, ln_cache)
@@ -509,7 +543,8 @@ def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndar
     rounding), and floor = kappa*eps*|loss0| / (h*tol) scores any such error
     under tol = GRAD_CHECK_TOL. Evaluating the loss once per perturbed scalar
     is Python-overhead bound, so 4 copies of each of GRAD_CHECK_CHUNK entries
-    of one array are stacked and run through the training forward at once.
+    of one array are stacked and run through the encoder forward at once, on
+    every row, so the numbers do not share the analytic pass's row selection.
     """
     if not X_corrupt.ndim == X_target.ndim == mask.ndim == 2:
         raise ValueError(f"gradient check takes one (M, D) snippet, got input of shape {X_corrupt.shape}")

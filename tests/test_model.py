@@ -167,6 +167,74 @@ class TestMsmLoss:
         assert abs(batch_loss - se / mask.sum()) < 1e-12
 
 
+def full_row_loss(params, Xc, X, mask):
+    """The masked loss with the last layer and the head run on every row."""
+    a, cfg = params.arrays, params.cfg
+    diff = _head_fwd(_encoder_fwd(_embed_fwd(Xc, a, cfg)[0], a, cfg), a) - X
+    return float((mask * diff * diff).sum() / mask.sum())
+
+
+class TestMaskedRows:
+    """The last layer and the head run only on the data rows that hold a masked cell."""
+
+    def three_snippets(self, cfg):
+        # 5, 2 and 1 hit rows: the second and third snippet are padded, and
+        # the third holds one masked cell
+        rng = SeededRng(31)
+        X = rng.spawn("x").normal((3, cfg.M_max - 1, cfg.D))
+        mask = np.zeros_like(X)
+        mask[0, [0, 2, 3, 5, 7], 1] = 1.0
+        mask[0, 3] = 1.0
+        mask[1, [1, 6]] = 1.0
+        mask[2, 4, 2] = 1.0
+        return X * (1 - mask), X, mask
+
+    def test_padded_pass_loss_equals_the_full_row_loss(self, tiny):
+        cfg, params = tiny
+        Xc, X, mask = self.three_snippets(cfg)
+        assert mask.any(axis=2).sum(axis=1).tolist() == [5, 2, 1]
+        loss = msm_forward(params, cfg, Xc, X, mask)[0]
+        assert loss == pytest.approx(full_row_loss(params, Xc, X, mask), rel=1e-12, abs=0)
+
+    def test_padded_pass_gradients_sum_the_single_snippet_passes(self, tiny):
+        cfg, params = tiny
+        Xc, X, mask = self.three_snippets(cfg)
+        grads = msm_backward(msm_forward(params, cfg, Xc, X, mask)[1], params, cfg)
+        expected = {name: np.zeros_like(g) for name, g in grads.items()}
+        for b in range(3):
+            one = slice(b, b + 1)
+            cache = msm_forward(params, cfg, Xc[one], X[one], mask[one])[1]
+            part = msm_backward(cache, params, cfg)
+            for name, g in part.items():
+                expected[name] += g * (mask[b].sum() / mask.sum())
+        norm = np.sqrt(sum(float((g * g).sum()) for g in expected.values()))
+        worst = max(float(np.abs(grads[name] - g).max()) for name, g in expected.items())
+        assert worst <= 1e-12 * norm, f"{worst} against a global norm of {norm}"
+
+    def test_gate_passes_on_a_one_cell_mask(self, tiny):
+        # every last-layer row but one is skipped by the analytic pass, and
+        # the finite differences run every row
+        cfg, params = tiny
+        Xc, X, _ = random_instance(cfg, 32)
+        mask = np.zeros_like(X)
+        mask[0, 5, 1] = 1.0
+        report = model.msm_grad_check(params, X[0] * (1 - mask[0]), X[0], mask[0])
+        assert report.max_rel_error <= model.GRAD_CHECK_TOL, report.failed
+
+    def test_no_layer_reads_the_masked_embedding_rows(self):
+        # with L = 0 the head reads the embedding rows that hold a masked cell
+        cfg = ModelConfig(D=3, H=8, L=0, A=2, FF=8, M_max=17, K=0)
+        params = init_params(cfg, SeededRng(33, ("init",)))
+        Xc, X, mask = random_instance(cfg, 34, B=2)
+        loss = msm_forward(params, cfg, Xc, X, mask)[0]
+        E, _ = _embed_fwd(Xc, params.arrays, cfg)
+        recon = _head_fwd(_encoder_fwd(E, params.arrays, cfg), params.arrays)
+        total = sum((recon[b, t, d] - X[b, t, d]) ** 2 for b, t, d in zip(*np.nonzero(mask)))
+        assert abs(loss - total / mask.sum()) < 1e-12
+        report = model.msm_grad_check(params, Xc[0], X[0], mask[0])
+        assert report.ok, report.failed
+
+
 class TestBackward:
     def test_grads_cover_all_params_and_are_finite(self, tiny):
         cfg, params = tiny
