@@ -18,12 +18,14 @@ caller that will run one, and applies dropout only when handed a dropout
 multiplier (``embed_dropout``): a training step's ``msm_forward`` does both.
 Eval encoding, the validation loss and the gradient check's perturbed losses
 keep no cache and draw no dropout, so they hold one layer's activations at a
-time. The feed-forward cache keeps the GELU input and tanh term but not the
-GELU output, which the backward pass rebuilds bit for bit with
-``gelu_from_tanh`` (the selective recomputation of Korthikanti et al. 2022,
-arXiv:2205.05198). A weight gradient sums its
-per-sample products in sample order, so its rounding does not depend on how
-BLAS splits a product across threads.
+time. The backward pass consumes the caches, each one once it has read it, so
+it holds little more than the forward left (the memory sharing of Chen et al.
+2016, arXiv:1604.06174). The feed-forward cache keeps the GELU input and tanh
+term but not the GELU output, which the backward pass rebuilds bit for bit
+with ``gelu_from_tanh`` (the selective recomputation of Korthikanti et al.
+2022, arXiv:2205.05198). A weight gradient sums its per-sample products in
+sample order, so its rounding does not depend on how BLAS splits a product
+across threads.
 
 A pass runs its last layer and the head only on the rows that something
 reads, the ``rows`` of ``_encoder_fwd``: eval encoding reads the summary row,
@@ -40,8 +42,8 @@ extraction encodes MICRO_BATCH snippets per ``encode_batch`` call.
 Every pass computes in the dtype of its input and weights: float64 for the
 gradient check, float32 for a training step (see ``pretrain.run_pretrain``)
 and for feature extraction (see ``downstream.extract_features``), each on a
-working copy from ``float32_copy``. Gradients accumulate into float64 arrays
-either way, and the loss is summed in float64.
+working copy from ``float32_copy``. A pass's gradients are of that dtype too,
+and its loss is summed in float64.
 """
 
 from __future__ import annotations
@@ -308,23 +310,22 @@ def _attention_fwd(X: np.ndarray, a: dict, prefix: str, cfg: ModelConfig, rows: 
     probs = softmax_rows(scores, out=scores)
     context = (probs @ V).transpose(0, 2, 1, 3).reshape(-1, Q.shape[2], H)
     out = _dense(context, a[prefix + "Wo"], a[prefix + "bo"])
-    return out, (X, Q, K, V, probs, context, scale)
+    return out, (X, rows, Q, K, V, probs, context, scale)
 
 
-def _attention_bwd(dout: np.ndarray, cache, rows: np.ndarray | None, a: dict, prefix: str,
-                   cfg: ModelConfig, grads: dict):
-    """dX over every row of X from ``dout``, the gradient of the query rows' outputs."""
-    X, Q, K, V, probs, context, scale = cache
+def _attention_bwd(dR1: np.ndarray, cache, a: dict, prefix: str, cfg: ModelConfig, grads: dict):
+    """dX over every row of X from ``dR1``, the gradient of R1 = X + Attn(X) on the query rows."""
+    X, rows, Q, K, V, probs, context, scale = cache
     B, T, H = X.shape
     A, dh = cfg.A, cfg.head_dim
 
-    grads[prefix + "Wo"] += _outer_sum(context, dout)
-    grads[prefix + "bo"] += dout.sum(axis=(0, 1))
-    dcontext = _dense(dout, a[prefix + "Wo"].T).reshape(B, -1, A, dh).transpose(0, 2, 1, 3)
+    grads[prefix + "Wo"] += _outer_sum(context, dR1)
+    grads[prefix + "bo"] += dR1.sum(axis=(0, 1))
+    dcontext = _dense(dR1, a[prefix + "Wo"].T).reshape(B, -1, A, dh).transpose(0, 2, 1, 3)
 
     # dQ, dK and dV are written as heads into one (B, T, 3H) buffer laid out
     # like Wqkv's columns: one weight-gradient sum, one bias sum, one dX GEMM
-    dQKV = np.empty((B, T, 3, A, dh), dtype=dout.dtype)
+    dQKV = np.empty((B, T, 3, A, dh), dtype=dR1.dtype)
     dQ, dK, dV = (dQKV[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
     np.matmul(probs.transpose(0, 1, 3, 2), dcontext, out=dV)
     # the fresh (B, A, R, T) product becomes the score gradient, with no copy
@@ -341,16 +342,22 @@ def _attention_bwd(dout: np.ndarray, cache, rows: np.ndarray | None, a: dict, pr
     dQKV = dQKV.reshape(B, T, 3 * H)
     grads[prefix + "Wqkv"] += _outer_sum(X, dQKV)
     grads[prefix + "bqkv"] += dQKV.sum(axis=(0, 1))
-    return _dense(dQKV, a[prefix + "Wqkv"].T)
+    dX = _dense(dQKV, a[prefix + "Wqkv"].T)
+    if rows is None:
+        dX += dR1
+    else:
+        dX[_at(rows)] += dR1
+    return dX
 
 
 def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | None,
                rows: np.ndarray | None) -> np.ndarray:
     """One post-norm layer, (B, T, H) -> (B, T, H), or (B, R, H) on the (B, R) ``rows``.
 
-    Appends the layer's cache to ``caches`` when given a list. Otherwise the
-    attention probabilities go before the feed-forward block allocates, and
-    the rest of the activations when the layer returns.
+    Appends the layer's attention cache, then its feed-forward cache, to
+    ``caches`` when given a list. Otherwise the attention probabilities go
+    before the feed-forward block allocates, and the rest of the activations
+    when the layer returns.
     """
     # the residual adds run in place, in the new attention and FFN outputs
     R1, attn_cache = _attention_fwd(X, a, p, cfg, rows)
@@ -365,7 +372,7 @@ def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | 
     R2 += X1
     X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]))
     if caches is not None:
-        caches.append((rows, attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache))
+        caches += [attn_cache, (ln1_cache, X1, F1, tanh_term, ln2_cache)]
     return X2
 
 
@@ -374,8 +381,10 @@ def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, caches: list | None =
     """(B, T, H) -> (B, T, H) through L post-norm layers, or (B, R, H) with ``rows``.
 
     A caller that will run a backward pass hands in an empty list
-    ``caches``, which receives one cache per layer. Without one the pass
-    keeps no cache and holds one layer's activations at a time.
+    ``caches``, which receives each layer's attention and feed-forward
+    caches in forward order; ``_encoder_bwd`` takes them off its end as it
+    reads them. Without one the pass keeps no cache and holds one layer's
+    activations at a time.
 
     ``rows`` is a (B, R) array of row indices, distinct within a sample, and
     the output holds those rows alone. The last layer computes them alone:
@@ -390,34 +399,40 @@ def _encoder_fwd(E: np.ndarray, a: dict, cfg: ModelConfig, caches: list | None =
     return X if rows is None or cfg.L else X[_at(rows)]
 
 
-def _encoder_bwd(dX: np.ndarray, caches, a: dict, cfg: ModelConfig, grads: dict):
-    """dE over every row from dX, the gradient of the rows that the forward returned."""
+def _ffn_bwd(dX: np.ndarray, cache, a: dict, p: str, grads: dict) -> np.ndarray:
+    """dR1 from dX through a layer's feed-forward block and both its layer norms."""
+    ln1_cache, X1, F1, tanh_term, ln2_cache = cache
+    dR2, dg, db = layer_norm_bwd(dX, ln2_cache)
+    grads[p + "ln2_g"] += dg
+    grads[p + "ln2_b"] += db
+    # R2 = X1 + FFN(X1); dR2 is also the gradient of the FFN output
+    grads[p + "W2"] += _outer_sum(gelu_from_tanh(F1, tanh_term), dR2)
+    grads[p + "b2"] += dR2.sum(axis=(0, 1))
+    dF1 = gelu_grad(F1, tanh_term)
+    dF1 *= _dense(dR2, a[p + "W2"].T)
+    grads[p + "W1"] += _outer_sum(X1, dF1)
+    grads[p + "b1"] += dF1.sum(axis=(0, 1))
+    dX1 = _dense(dF1, a[p + "W1"].T)
+    dX1 += dR2
+
+    dR1, dg, db = layer_norm_bwd(dX1, ln1_cache)
+    grads[p + "ln1_g"] += dg
+    grads[p + "ln1_b"] += db
+    return dR1
+
+
+def _encoder_bwd(dX: np.ndarray, caches: list, a: dict, cfg: ModelConfig, grads: dict):
+    """dE over every row from dX, the gradient of the rows that the forward returned.
+
+    Takes each cache off the end of ``caches`` as it reads it, and holds it
+    only in the call that reads it: a layer's feed-forward activations go
+    before its attention backward allocates, and a layer's attention
+    activations before the layer below it runs.
+    """
     for i in reversed(range(cfg.L)):
         p = f"layer{i}."
-        rows, attn_cache, ln1_cache, X1, F1, tanh_term, ln2_cache = caches[i]
-
-        dR2, dg, db = layer_norm_bwd(dX, ln2_cache)
-        grads[p + "ln2_g"] += dg
-        grads[p + "ln2_b"] += db
-        # R2 = X1 + FFN(X1); dR2 is also the gradient of the FFN output
-        grads[p + "W2"] += _outer_sum(gelu_from_tanh(F1, tanh_term), dR2)
-        grads[p + "b2"] += dR2.sum(axis=(0, 1))
-        dF1 = gelu_grad(F1, tanh_term)
-        dF1 *= _dense(dR2, a[p + "W2"].T)
-        grads[p + "W1"] += _outer_sum(X1, dF1)
-        grads[p + "b1"] += dF1.sum(axis=(0, 1))
-        dX1 = _dense(dF1, a[p + "W1"].T)
-        dX1 += dR2
-
-        dR1, dg, db = layer_norm_bwd(dX1, ln1_cache)
-        grads[p + "ln1_g"] += dg
-        grads[p + "ln1_b"] += db
-        # R1 = X + Attn(X), on the layer's rows
-        dX = _attention_bwd(dR1, attn_cache, rows, a, p, cfg, grads)
-        if rows is None:
-            dX += dR1
-        else:
-            dX[_at(rows)] += dR1
+        dR1 = _ffn_bwd(dX, caches.pop(), a, p, grads)
+        dX = _attention_bwd(dR1, caches.pop(), a, p, cfg, grads)
     return dX
 
 
@@ -475,10 +490,19 @@ def msm_forward(params: ModelParams, cfg: ModelConfig, X_corrupt: np.ndarray,
 
 
 def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
-    """Gradients of the masked-MSE loss w.r.t. every parameter array."""
+    """Gradients of the masked-MSE loss w.r.t. every parameter array, in the pass's dtype.
+
+    Consumes ``cache``: the backward takes each layer's caches off it as it
+    reads them, so a layer's activations go once its backward is done, and
+    a second call on the same cache raises ValueError. (With no layer, L = 0,
+    there is nothing to consume.)
+    """
     embed_cache, enc_caches, Hs, diff, masks, total_masked, rows = cache
+    if len(enc_caches) != 2 * cfg.L:
+        raise ValueError("msm_backward was handed a cache that an earlier msm_backward consumed; "
+                         "run msm_forward again for another backward pass")
     a = params.arrays
-    grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    grads = {name: np.zeros(shape, dtype=Hs.dtype) for name, shape in param_shapes(cfg).items()}
 
     drecon = 2.0 * masks * diff / total_masked
     grads["head.W"] += _outer_sum(Hs, drecon)

@@ -285,10 +285,11 @@ def _in_pass_order(run_pass, n_items: int):
 def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dropout_rng: SeededRng):
     """(masked squared error, masked-MSE gradients) of one optimizer step over a float32 batch.
 
-    Forward and backward run MICRO_BATCH snippets per pass, and a pass's
-    caches go when its backward is done. Its gradients are weighted by its
-    share of the step's masked cells and summed in pass order, whichever
-    thread ran it, so a step of one pass is one whole-batch pass bit for bit.
+    Forward and backward run MICRO_BATCH snippets per pass, and the backward
+    frees each of the pass's caches once it has read it. A pass's float32
+    gradients are widened to float64 as they are weighted by its share of the
+    step's masked cells, and summed in pass order, whichever thread ran it,
+    so a step of one pass is one whole-batch pass bit for bit.
     The step's dropout multiplier is drawn once from ``dropout_rng``, and
     each pass gets its rows.
     """
@@ -302,9 +303,12 @@ def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dro
         loss, cache = msm_forward(work, cfg, corrupt(X, m), X, m,
                                   None if dropout is None else dropout[part])
         part_cells = masks[part].sum()
-        grads = msm_backward(cache, work, cfg)
-        for g in grads.values():
-            g *= part_cells / cells
+        share = part_cells / cells
+        # msm_backward adds one float32 term to each entry, so an entry is
+        # that term exactly, and widening it while scaling gives the bits of
+        # a float64 gradient array scaled in place
+        grads = {name: g.astype(np.float64) * share
+                 for name, g in msm_backward(cache, work, cfg).items()}
         return loss * part_cells, grads
 
     squared_error, grads = 0.0, None
@@ -344,8 +348,9 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
 
     Each forward and backward runs in float32 on a copy of the weights cast
     once per step (the master-weight scheme of Micikevicius et al. 2018,
-    arXiv:1710.03740, one precision level up). The master weights, gradients,
-    Adam moments and losses stay float64.
+    arXiv:1710.03740, one precision level up), and a pass's gradients are
+    float32. The step's weighted gradient sum, the master weights, the Adam
+    moments and the losses are float64.
 
     A step of ``pcfg.batch_size`` snippets accumulates its gradient over
     passes of at most MICRO_BATCH snippets (the gradient accumulation of

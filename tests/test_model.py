@@ -246,6 +246,17 @@ class TestBackward:
             assert g.shape == params.arrays[name].shape
             assert np.isfinite(g).all(), name
 
+    def test_a_consumed_cache_is_refused(self, tiny):
+        # the backward takes the layer caches off the forward's cache as it
+        # reads them, so the cache serves one backward pass
+        cfg, params = tiny
+        Xc, X, mask = random_instance(cfg, 11, B=2)
+        _, cache = msm_forward(params, cfg, Xc, X, mask)
+        msm_backward(cache, params, cfg)
+        assert cache[1] == []
+        with pytest.raises(ValueError, match="an earlier msm_backward consumed"):
+            msm_backward(cache, params, cfg)
+
     def test_bk_gradient_vanishes(self, tiny):
         # softmax is shift-invariant, so the key biases (bqkv's middle block) get
         # zero gradient up to float cancellation residue

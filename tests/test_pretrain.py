@@ -313,10 +313,10 @@ class TestTrainingPrecision:
             x, m = X.astype(dtype), masks.astype(dtype)
             _, cache = msm_forward(work, cfg, corrupt(x, m), x, m,
                                    dropout=embed_dropout(x, cfg, rng.spawn("dropout")))
-            # the activations are of the step's dtype, the gradients float64
+            # the activations and the pass's gradients are of the step's dtype
             assert cache[2].dtype == cache[3].dtype == dtype
             grads[dtype] = msm_backward(cache, work, cfg)
-            assert {g.dtype for g in grads[dtype].values()} == {np.dtype(np.float64)}
+            assert {g.dtype for g in grads[dtype].values()} == {np.dtype(dtype)}
 
         norm = np.sqrt(sum(float((g * g).sum()) for g in grads[np.float64].values()))
         worst = max(float(np.abs(grads[np.float32][k] - g).max())
@@ -466,8 +466,8 @@ class TestActivationMemory:
     def test_pretraining_peaks_near_one_micro_batch(self, default_fleet):
         # a step of batch_size snippets holds the activations of the passes
         # in flight, at most SNIPPETS_IN_FLIGHT snippets on any CPU count, as
-        # much as one whole-batch pass over that many; 16-snippet passes
-        # peak at about 2.1x an 8-snippet one
+        # much as one whole-batch pass over that many (the run peaks at about
+        # 0.97x it); 16-snippet passes peak at about 2.0x an 8-snippet one
         train, val, _ = default_fleet
         params = init_params(ModelConfig.desk_default(), SeededRng(1, ("init",)))
         work, X, masks = _desk_step(pretrain.SNIPPETS_IN_FLIGHT, 5)
@@ -477,12 +477,24 @@ class TestActivationMemory:
 
     def test_a_pass_holds_only_the_rows_with_a_masked_cell(self):
         # at a 15% mask about 40% of the data rows hold a masked cell, and the
-        # last layer keeps activations for those alone: about 0.83x the peak
+        # last layer keeps activations for those alone: about 0.72x the peak
         # of a pass whose mask hits every row
         work, X, masks = _desk_step(pretrain.SNIPPETS_IN_FLIGHT, 5)
         every_row = _traced_peak(lambda: _whole_batch(work, X, _every_row(masks), SeededRng(6)))
         masked_rows = _traced_peak(lambda: _whole_batch(work, X, masks, SeededRng(6)))
         assert masked_rows <= 0.9 * every_row, f"{masked_rows} bytes against {every_row}"
+
+    def test_a_backward_frees_each_layer_cache_once_it_has_read_it(self):
+        # the backward takes each cache off the forward's list as it reads
+        # it, so a forward plus backward peaks at about 1.13x the forward's
+        # own peak with caches; a backward that held every cache to its end
+        # read 1.58x
+        work, X, masks = _desk_step(pretrain.SNIPPETS_IN_FLIGHT, 5)
+        m = masks.astype(np.float32)
+        forward = _traced_peak(lambda: msm_forward(work, work.cfg, corrupt(X, m), X, m,
+                                                   embed_dropout(X, work.cfg, SeededRng(6))))
+        whole = _traced_peak(lambda: _whole_batch(work, X, masks, SeededRng(6)))
+        assert whole <= 1.3 * forward, f"{whole} bytes against {forward} for the forward"
 
     def test_feature_extraction_peaks_near_one_micro_batch(self):
         # 32-snippet encode_batch calls peak at about 4x one MICRO_BATCH call
