@@ -56,8 +56,9 @@ def main():
     print("=== benchmark summary ===")
     print(f"vehicle AUROC       {report['vehicle_auroc']:.4f}")
     print(f"snippet AUROC       {report['snippet_auroc']:.4f}")
+    threshold = report["min_cost_threshold"]
     print(f"min expected cost   {report['min_expected_cost']:.2f} CNY "
-          f"(threshold {report['min_cost_threshold']})")
+          + ("(flag no vehicle)" if threshold is None else f"(threshold {threshold})"))
     print(f"artifacts under     {args.out}")
 
 

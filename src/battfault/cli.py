@@ -167,9 +167,10 @@ def cmd_detect(args) -> int:
          "seeds": {"seed": cfg.seed}},
         args.out)
     downstream.save_gbdt(gbdt, os.path.join(args.out, "classifier.json"))
+    threshold = report["min_cost_threshold"]
     print(f"vehicle AUROC {report['vehicle_auroc']:.4f}, snippet AUROC "
           f"{report['snippet_auroc']:.4f}, min expected cost {report['min_expected_cost']:.2f} "
-          f"CNY at threshold {report['min_cost_threshold']}")
+          f"CNY " + ("(flag no vehicle)" if threshold is None else f"at threshold {threshold}"))
     return 0
 
 
@@ -213,11 +214,9 @@ def cmd_tsne(args) -> int:
 
     coords, kl = evalkit.tsne(X, cfg.eval.tsne_perplexity, cfg.eval.tsne_iterations, cfg.seed)
     score = evalkit.mixing_score(X, ds_n.vehicle_ids)
-    rows = [(float(c[0]), float(c[1]), vid, label)
-            for c, vid, label in zip(coords, ds_n.vehicle_ids, ds_n.labels.tolist())]
     os.makedirs(args.out, exist_ok=True)
-    evalkit.write_tsne_outputs(rows, args.out, stem=f"tsne_{mode}")
-    print(f"mode={mode} points={len(rows)} mixing_score={score:.4f} final_kl={kl[-1]:.4f}")
+    evalkit.write_tsne_outputs(coords, ds_n.vehicle_ids, ds_n.labels, args.out, f"tsne_{mode}")
+    print(f"mode={mode} points={n} mixing_score={score:.4f} final_kl={kl[-1]:.4f}")
     return 0
 
 

@@ -45,8 +45,8 @@ def write_text(path, text: str):
 
 
 def json_text(doc) -> str:
-    """Canonical JSON text: sorted keys, one-space indent, a final newline."""
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, one-space indent, a final newline; NaN or inf raise."""
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def read_document(path, what: str, read, version=None):

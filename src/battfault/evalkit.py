@@ -1,7 +1,8 @@
 """Evaluation suite: AUROC, ROC/cost analysis, exact t-SNE, mixing diagnostics.
 
 AUROC uses the rank (Mann-Whitney) form with half credit for ties; roc_points
-provides the threshold sweep whose trapezoidal area must agree with it. The
+provides the threshold sweep, as (thresholds, q_tp, q_fp) arrays, whose
+trapezoidal area must agree with it. Both refuse NaN and infinite scores. The
 expected direct cost combines missed-fault and inspection costs at an
 operating point; defaults follow the fleet statistics the cost model was
 published with (fault rate 0.038%, 5M CNY per missed fault, 8k CNY per
@@ -21,13 +22,6 @@ from .numcore import SeededRng
 
 class SingleClassError(ValueError):
     """Metric undefined because only one label class is present."""
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    q_tp: float
-    q_fp: float
 
 
 @dataclass(frozen=True)
@@ -56,55 +50,51 @@ def _check_two_classes(labels: np.ndarray):
     return n_pos, n_neg
 
 
+def _finite_scores(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():  # no tie group or rank can hold a NaN
+        raise ValueError("scores must be finite, without NaN or infinity")
+    return scores
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, a tie group sharing the mean of its ranks (Sun & Xu's midranks)."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC: P(random positive outranks random negative), ties half."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = np.asarray(labels)
     n_pos, n_neg = _check_two_classes(labels)
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank for ties
-        i = j + 1
-    rank_sum_pos = ranks[labels == 1].sum()
+    rank_sum_pos = _midranks(scores)[labels == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def roc_points(scores, labels) -> list:
-    """Threshold sweep: one point per distinct score plus the (0,0) endpoint.
-
-    Predicting positive means score >= threshold; points run from (0,0) at
-    threshold +inf down to (1,1) at the minimum score.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
+def roc_points(scores, labels):
+    """Threshold sweep as (thresholds, q_tp, q_fp) arrays: one point per distinct score plus
+    (0,0) at threshold +inf. Predicting positive means score >= threshold; the points run
+    down to (1,1) at the minimum score."""
+    scores = _finite_scores(scores)
     labels = np.asarray(labels)
     n_pos, n_neg = _check_two_classes(labels)
     order = np.argsort(-scores, kind="stable")
-    points = [RocPoint(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < scores.size:
-        thr = scores[order[i]]
-        while i < scores.size and scores[order[i]] == thr:
-            if labels[order[i]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append(RocPoint(float(thr), tp / n_pos, fp / n_neg))
-    return points
+    s, positive = scores[order], labels[order] == 1
+    first = np.r_[True, s[1:] != s[:-1]]       # first row of each tie group
+    last = np.r_[first[1:], True]
+    thresholds = np.r_[np.inf, s[first]]
+    q_tp = np.r_[0.0, np.cumsum(positive)[last] / n_pos]
+    q_fp = np.r_[0.0, np.cumsum(~positive)[last] / n_neg]
+    return thresholds, q_tp, q_fp
 
 
-def trapezoid_auroc(points: list) -> float:
+def trapezoid_auroc(sweep) -> float:
     """Area under a roc_points sweep; the independent check against auroc()."""
+    _, q_tp, q_fp = sweep
     area = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        area += (b.q_fp - a.q_fp) * (a.q_tp + b.q_tp) / 2.0
+    for i in range(1, len(q_tp)):
+        area += (q_fp[i] - q_fp[i - 1]) * (q_tp[i - 1] + q_tp[i]) / 2.0
     return float(area)
 
 
@@ -113,46 +103,51 @@ def trapezoid_auroc(points: list) -> float:
 # ---------------------------------------------------------------------------
 
 
-def expected_cost(params: CostParams, q_tp: float, q_fp: float) -> float:
-    """Per-vehicle expected direct cost at an operating point (CNY)."""
-    if not (0.0 <= q_tp <= 1.0 and 0.0 <= q_fp <= 1.0):
+def expected_cost(params: CostParams, q_tp, q_fp):
+    """Per-vehicle expected direct cost (CNY) at one operating point, or at arrays of them."""
+    if not np.all((0.0 <= q_tp) & (q_tp <= 1.0) & (0.0 <= q_fp) & (q_fp <= 1.0)):
         raise ValueError(f"rates must be in [0,1], got q_tp={q_tp}, q_fp={q_fp}")
     p = params.p
     return p * (1.0 - q_tp) * params.c_f + (p * q_tp + (1.0 - p) * q_fp) * params.c_r
 
 
-def min_expected_cost(points: list, params: CostParams = CostParams()):
+def min_expected_cost(sweep, params: CostParams):
     """Expected cost at every point of a roc_points sweep, and its minimum.
 
-    Returns (cost, threshold, RocPoint, costs), costs[i] being the cost at
-    points[i]; cost ties break toward lower q_fp. Note this is a sweep
-    minimum: any other operating-point convention can be read off the
-    emitted cost curve.
+    Returns (cost, index, costs), costs[i] being the cost at point i and
+    index that of the minimum; cost ties break toward lower q_fp, then toward
+    the earlier point. Note this is a sweep minimum: any other operating-point
+    convention can be read off the emitted cost curve.
     """
-    costs = [expected_cost(params, pt.q_tp, pt.q_fp) for pt in points]
-    best = min(range(len(points)), key=lambda i: (costs[i], points[i].q_fp))
-    return costs[best], points[best].threshold, points[best], costs
+    _, q_tp, q_fp = sweep
+    costs = expected_cost(params, q_tp, q_fp)
+    best = int(np.lexsort((q_fp, costs))[0])
+    return float(costs[best]), best, costs
 
 
 AGGREGATORS = {"mean": np.mean, "max": np.max}
 
 
-def vehicle_scores(scores, labels, vehicle_ids, aggregator: str = "mean"):
+def vehicle_scores(scores, labels, vehicle_ids, aggregator: str):
     """Aggregate snippet scores (mean or max) and labels to one per vehicle.
 
     Returns (ids, scores, labels): the vehicle ids sorted, and arrays of each
     vehicle's score and label in that order. A vehicle is labelled faulty
-    when any of its snippets is (in a loaded fleet, all of them are).
+    when any of its snippets is (in a loaded fleet, all of them are). The
+    aggregator runs once per vehicle on its snippet scores in row order:
+    np.mean sums pairwise, so a grouped running sum would round differently.
     """
     if aggregator not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    groups, label_of = {}, {}
-    for s, y, v in zip(scores, labels, vehicle_ids):
-        groups.setdefault(v, []).append(float(s))
-        label_of[v] = max(label_of.get(v, 0), int(y))
-    ids = sorted(groups)
-    agg = AGGREGATORS[aggregator]
-    return ids, np.array([float(agg(groups[v])) for v in ids]), np.array([label_of[v] for v in ids])
+    scores = _finite_scores(scores)
+    ids, inverse, counts = np.unique(np.asarray(vehicle_ids), return_inverse=True,
+                                     return_counts=True)
+    order = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(counts)
+    groups = np.split(scores[order], ends)[:-1]   # the piece after the last end is empty
+    veh_scores = np.array(list(map(AGGREGATORS[aggregator], groups)), dtype=np.float64)
+    veh_labels = np.maximum.reduceat(np.asarray(labels, dtype=np.int64)[order], ends - counts)
+    return ids, veh_scores, veh_labels
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +219,7 @@ def conditional_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     return P
 
 
-def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000, seed: int = 0):
+def tsne(X: np.ndarray, perplexity: float, iterations: int, seed: int):
     """Exact O(N^2) t-SNE to 2D. Returns (coords (N,2), kl_history).
 
     Each iteration builds its (n, n) matrices in three buffers reused across
@@ -309,10 +304,13 @@ def mixing_score(embeddings: np.ndarray, group_ids) -> float:
 # ---------------------------------------------------------------------------
 
 FIGURE_SIZE = 480
+PALETTE = np.array(["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
+                    "#8c564b", "#e377c2", "#7f7f7f"])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv(header: str, *columns) -> str:
+    """The header line, then one line per row of the columns; a float cell is its repr."""
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in zip(*columns))
 
 
 def _svg_document(body) -> str:
@@ -321,12 +319,13 @@ def _svg_document(body) -> str:
             f'\n<rect width="{n}" height="{n}" fill="white"/>\n' + body + "</svg>\n")
 
 
-def roc_svg(points: list) -> str:
-    """Minimal ROC curve figure (deterministic bytes)."""
+def roc_svg(sweep) -> str:
+    """Minimal ROC curve figure of a roc_points sweep (deterministic bytes)."""
     n, pad = FIGURE_SIZE, 40
     sx = lambda v: pad + v * (n - 2 * pad)
     sy = lambda v: n - pad - v * (n - 2 * pad)
-    coords = " ".join(f"{sx(p.q_fp):.2f},{sy(p.q_tp):.2f}" for p in points)
+    _, q_tp, q_fp = sweep
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(q_fp).tolist(), sy(q_tp).tolist()))
     body = (f'<line x1="{sx(0):.2f}" y1="{sy(0):.2f}" x2="{sx(1):.2f}" y2="{sy(1):.2f}" '
             'stroke="#bbbbbb" stroke-dasharray="4 4"/>\n'
             f'<polyline points="{coords}" fill="none" stroke="#1f77b4" stroke-width="2"/>\n'
@@ -337,33 +336,30 @@ def roc_svg(points: list) -> str:
     return _svg_document(body)
 
 
-def scatter_svg(rows: list) -> str:
-    """Minimal 2D scatter: rows of (x, y, group, label); color by group hash."""
+def scatter_svg(coords: np.ndarray, groups, labels) -> str:
+    """Minimal 2D scatter of coords (n, 2): the k-th group to appear in ``groups`` takes
+    PALETTE[k % len(PALETTE)], and a point whose label is nonzero is outlined in black."""
     n, pad = FIGURE_SIZE, 30
-    xs = np.array([r[0] for r in rows], dtype=np.float64)
-    ys = np.array([r[1] for r in rows], dtype=np.float64)
+    xs, ys = coords[:, 0], coords[:, 1]
     span_x = max(xs.max() - xs.min(), 1e-12)
     span_y = max(ys.max() - ys.min(), 1e-12)
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
-               "#8c564b", "#e377c2", "#7f7f7f"]
-    groups = []
-    body = []
-    for x, y, group, label in rows:
-        if group not in groups:
-            groups.append(group)
-        color = palette[groups.index(group) % len(palette)]
-        px = pad + (x - xs.min()) / span_x * (n - 2 * pad)
-        py = n - pad - (y - ys.min()) / span_y * (n - 2 * pad)
-        shape = 'stroke="black" stroke-width="0.8"' if label else ""
-        body.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{color}" {shape}/>')
-    return _svg_document("\n".join(body) + "\n")
+    px = pad + (xs - xs.min()) / span_x * (n - 2 * pad)
+    py = n - pad - (ys - ys.min()) / span_y * (n - 2 * pad)
+    _, first, inverse = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
+    appearance = np.argsort(np.argsort(first))   # group k is the appearance[k]-th to appear
+    colors = PALETTE[appearance[inverse] % len(PALETTE)]
+    outline = np.where(np.asarray(labels) != 0, 'stroke="black" stroke-width="0.8"', "")
+    return _svg_document("".join(
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" {shape}/>\n'
+        for x, y, color, shape in zip(px.tolist(), py.tolist(), colors, outline)))
 
 
-def write_tsne_outputs(rows: list, out_dir, stem: str = "tsne"):
-    """Write tsne CSV + scatter SVG for rows of (x, y, vehicle_id, label)."""
-    write_text(os.path.join(out_dir, f"{stem}.csv"), "x,y,vehicle_id,label\n" + "".join(
-        f"{_fmt(x)},{_fmt(y)},{vid},{int(label)}\n" for x, y, vid, label in rows))
-    write_text(os.path.join(out_dir, f"{stem}.svg"), scatter_svg(rows))
+def write_tsne_outputs(coords: np.ndarray, vehicle_ids, labels, out_dir, stem: str):
+    """Write <stem>.csv and the scatter <stem>.svg of coords (n, 2), each row's id and label."""
+    labels = np.asarray(labels, dtype=np.int64)
+    write_text(os.path.join(out_dir, f"{stem}.csv"),
+               _csv("x,y,vehicle_id,label", *coords.T.tolist(), vehicle_ids, labels.tolist()))
+    write_text(os.path.join(out_dir, f"{stem}.svg"), scatter_svg(coords, vehicle_ids, labels))
 
 
 def emit_report(scores, labels: np.ndarray, vehicle_ids, aggregator: str,
@@ -371,18 +367,21 @@ def emit_report(scores, labels: np.ndarray, vehicle_ids, aggregator: str,
     """Evaluate snippet scores; write roc.csv (+ cost column), roc.svg and report.json.
 
     The ROC sweep and the expected cost are taken over vehicle scores
-    aggregated from the snippet scores. ``echo`` adds its keys to the report
-    as given. Returns the report.
+    aggregated from the snippet scores. If the cheapest point flags no vehicle,
+    its threshold (+inf) is null in report.json and inf in roc.csv. ``echo``
+    adds its keys to the report as given. Returns the report.
     """
     _, veh_scores, veh_labels = vehicle_scores(scores, labels, vehicle_ids, aggregator)
-    points = roc_points(veh_scores, veh_labels)
-    cost, threshold, point, costs = min_expected_cost(points, cost_params)
+    sweep = thresholds, q_tp, q_fp = roc_points(veh_scores, veh_labels)
+    cost, best, costs = min_expected_cost(sweep, cost_params)
+    threshold = float(thresholds[best]) if best else None
     report = {
         "snippet_auroc": auroc(scores, labels),
         "vehicle_auroc": auroc(veh_scores, veh_labels),
         "min_expected_cost": cost,
         "min_cost_threshold": threshold,
-        "min_cost_point": asdict(point),
+        "min_cost_point": {"threshold": threshold, "q_tp": float(q_tp[best]),
+                           "q_fp": float(q_fp[best])},
         "min_cost_convention": "minimum of the expected cost over all ROC operating points",
         "n_pos_vehicles": int(veh_labels.sum()),
         "n_neg_vehicles": int((veh_labels == 0).sum()),
@@ -392,9 +391,8 @@ def emit_report(scores, labels: np.ndarray, vehicle_ids, aggregator: str,
         **echo,
     }
     os.makedirs(out_dir, exist_ok=True)
-    write_text(os.path.join(out_dir, "roc.csv"), "threshold,q_tp,q_fp,expected_cost_cny\n" + "".join(
-        f"{_fmt(pt.threshold)},{_fmt(pt.q_tp)},{_fmt(pt.q_fp)},{_fmt(c)}\n"
-        for pt, c in zip(points, costs)))
-    write_text(os.path.join(out_dir, "roc.svg"), roc_svg(points))
+    write_text(os.path.join(out_dir, "roc.csv"), _csv("threshold,q_tp,q_fp,expected_cost_cny",
+                                                      *np.vstack([*sweep, costs]).tolist()))
+    write_text(os.path.join(out_dir, "roc.svg"), roc_svg(sweep))
     write_text(os.path.join(out_dir, "report.json"), json_text(report))
     return report

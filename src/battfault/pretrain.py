@@ -361,6 +361,8 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     holds at most SNIPPETS_IN_FLIGHT snippets' activations at a time and its
     bytes do not depend on the CPU count.
     """
+    if not len(val):
+        raise ValueError("run_pretrain needs at least one validation snippet")
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape
     rng = SeededRng(seed, ("pretrain",))
@@ -368,7 +370,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
 
     val_masks = np.stack(
         [sample_mask(M, D, pcfg.mask_rate, _validation_mask_rng(sid, seed))
-         for sid in val.snippet_ids], axis=0).astype(np.float32) if len(val) else None
+         for sid in val.snippet_ids], axis=0).astype(np.float32)
 
     history = []
     for epoch in range(1, pcfg.epochs + 1):
@@ -393,8 +395,7 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
             total_cells += masks.sum()
         train_loss = total_se / total_cells
 
-        val_loss = float("nan") if val_masks is None else \
-            _validation_loss(float32_copy(params), X_val, val_masks)
+        val_loss = _validation_loss(float32_copy(params), X_val, val_masks)
         history.append((epoch, float(train_loss), float(val_loss)))
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} val_loss={val_loss:.6f}")

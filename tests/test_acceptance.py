@@ -220,9 +220,7 @@ def test_08_representation_alignment(tmp_path):
     # t-SNE outputs for both feature spaces
     for stem, X in (("tsne_raw", raw), ("tsne_embedding", emb)):
         coords, _ = evalkit.tsne(X, perplexity=10.0, iterations=300, seed=4)
-        rows = [(float(c[0]), float(c[1]), vid, label)
-                for c, vid, label in zip(coords, fleet_n.vehicle_ids, fleet_n.labels)]
-        evalkit.write_tsne_outputs(rows, tmp_path, stem=stem)
+        evalkit.write_tsne_outputs(coords, fleet_n.vehicle_ids, fleet_n.labels, tmp_path, stem)
         assert (tmp_path / f"{stem}.csv").exists()
         assert (tmp_path / f"{stem}.svg").exists()
     _ok("8 representation-alignment",
@@ -243,9 +241,11 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
         _, scores = downstream.detect_scores(params, train_n, val_n, downstream.GbdtConfig())
         _, veh_scores, veh_labels = evalkit.vehicle_scores(
             scores, val_n.labels, val_n.vehicle_ids, "mean")
+        sweep = evalkit.roc_points(veh_scores, veh_labels)
         results[tag] = {
             "auroc": evalkit.auroc(veh_scores, veh_labels),
-            "cost": evalkit.min_expected_cost(evalkit.roc_points(veh_scores, veh_labels)),
+            "cost": evalkit.min_expected_cost(sweep, evalkit.CostParams()),
+            "thresholds": sweep[0],
         }
     elapsed = time.monotonic() - t0
     total = pretrain_run["elapsed_s"] + elapsed
@@ -253,7 +253,8 @@ def test_09_detection_pipeline(default_fleet, pretrain_run):
     assert results["pretrained"]["auroc"] >= 0.85
     assert results["pretrained"]["auroc"] >= results["random"]["auroc"]
     assert total < 900.0, f"pipeline took {total:.0f}s"
-    cost, thr, _, _ = results["pretrained"]["cost"]
+    cost, best, _ = results["pretrained"]["cost"]
+    thr = results["pretrained"]["thresholds"][best]
     assert math.isfinite(cost)
     _ok("9 detection-pipeline",
         f"vehicle AUROC pretrained {results['pretrained']['auroc']:.4f} >= 0.85 and "

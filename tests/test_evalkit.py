@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,19 +70,18 @@ class TestAuroc:
 
 class TestRocPoints:
     def test_endpoints(self):
-        pts = roc_points([0.2, 0.6, 0.8], [0, 1, 1])
-        assert (pts[0].q_tp, pts[0].q_fp) == (0.0, 0.0)
-        assert pts[0].threshold == math.inf
-        assert (pts[-1].q_tp, pts[-1].q_fp) == (1.0, 1.0)
+        thresholds, q_tp, q_fp = roc_points([0.2, 0.6, 0.8], [0, 1, 1])
+        assert (q_tp[0], q_fp[0]) == (0.0, 0.0)
+        assert thresholds[0] == math.inf
+        assert (q_tp[-1], q_fp[-1]) == (1.0, 1.0)
 
     def test_monotone_rates(self):
         rng = SeededRng(2)
         scores = rng.spawn("s").normal(50)
         labels = (rng.spawn("l").uniform(50) > 0.6).astype(int)
-        pts = roc_points(scores, labels)
-        for a, b in zip(pts, pts[1:]):
-            assert b.q_tp >= a.q_tp and b.q_fp >= a.q_fp
-            assert b.threshold < a.threshold
+        thresholds, q_tp, q_fp = roc_points(scores, labels)
+        assert (np.diff(q_tp) >= 0).all() and (np.diff(q_fp) >= 0).all()
+        assert (np.diff(thresholds) < 0).all()
 
     def test_trapezoid_equals_mann_whitney(self):
         rng = SeededRng(3)
@@ -109,12 +113,12 @@ class TestExpectedCost:
         rng = SeededRng(4)
         scores = rng.spawn("s").normal(30)
         labels = (rng.spawn("l").uniform(30) > 0.5).astype(int)
-        cost, thr, pt, _ = min_expected_cost(roc_points(scores, labels))
         cp = CostParams()
+        thresholds, q_tp, q_fp = sweep = roc_points(scores, labels)
+        cost, best, _ = min_expected_cost(sweep, cp)
         assert cost <= expected_cost(cp, 0.0, 0.0) + 1e-12
         assert cost <= expected_cost(cp, 1.0, 1.0) + 1e-12
-        assert cost == pytest.approx(expected_cost(cp, pt.q_tp, pt.q_fp), abs=1e-12)
-        assert thr == pt.threshold
+        assert cost == pytest.approx(expected_cost(cp, q_tp[best], q_fp[best]), abs=1e-12)
 
 
 class TestVehicleScores:
@@ -259,7 +263,7 @@ class TestTsne:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            tsne(np.zeros((2001, 2)))
+            tsne(np.zeros((2001, 2)), perplexity=30.0, iterations=1, seed=0)
 
 
 class TestMixingScore:
@@ -289,13 +293,192 @@ class TestSvgAndFiles:
         assert roc_svg(pts).startswith("<svg")
 
     def test_scatter_svg_deterministic(self):
-        rows = [(0.0, 1.0, "v1", 0), (2.0, -1.0, "v2", 1)]
-        assert scatter_svg(rows) == scatter_svg(rows)
+        coords, groups, labels = np.array([[0.0, 1.0], [2.0, -1.0]]), ("v1", "v2"), [0, 1]
+        assert scatter_svg(coords, groups, labels) == scatter_svg(coords, groups, labels)
+
+    def test_scatter_colours_follow_first_appearance(self):
+        groups = ["v9", "v1", "v9", "v5"] + [f"w{k}" for k in range(8)]
+        svg = scatter_svg(SeededRng(15).normal((12, 2)), groups, [0] * 12)
+        palette = evalkit.PALETTE.tolist()
+        assert re.findall(r'fill="(#[0-9a-f]{6})"', svg) == \
+            [palette[0], palette[1], palette[0], palette[2]] + palette[3:] + palette[:3]
 
     def test_write_tsne_outputs(self, tmp_path):
-        rows = [(0.25, -1.5, "v1", 0), (2.0, 3.5, "v2", 1)]
-        write_tsne_outputs(rows, tmp_path)
+        write_tsne_outputs(np.array([[0.25, -1.5], [2.0, 3.5]]), ("v1", "v2"), [0, 1], tmp_path,
+                           "tsne")
         csv_text = (tmp_path / "tsne.csv").read_text()
         assert csv_text.splitlines()[0] == "x,y,vehicle_id,label"
         assert len(csv_text.splitlines()) == 3
         assert (tmp_path / "tsne.svg").exists()
+
+
+# ---------------------------------------------------------------------------
+# The per-point loops the array code replaced, kept as its oracles
+# ---------------------------------------------------------------------------
+
+
+def _loop_midranks(scores):
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank for ties
+        i = j + 1
+    return ranks
+
+
+def _loop_auroc(scores, labels):
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    rank_sum_pos = _loop_midranks(scores)[labels == 1].sum()
+    return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _loop_sweep(scores, labels):
+    """(threshold, q_tp, q_fp) per point, one walk down the scores per threshold."""
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    order = np.argsort(-scores, kind="stable")
+    points = [(float("inf"), 0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < scores.size:
+        thr = scores[order[i]]
+        while i < scores.size and scores[order[i]] == thr:
+            if labels[order[i]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        points.append((float(thr), tp / n_pos, fp / n_neg))
+    return points
+
+
+def _loop_min_cost(points, params):
+    costs = [expected_cost(params, q_tp, q_fp) for _, q_tp, q_fp in points]
+    best = min(range(len(points)), key=lambda i: (costs[i], points[i][2]))
+    return costs[best], best, costs
+
+
+def _dict_vehicle_scores(scores, labels, vehicle_ids, aggregator):
+    groups, label_of = {}, {}
+    for s, y, v in zip(scores, labels, vehicle_ids):
+        groups.setdefault(v, []).append(float(s))
+        label_of[v] = max(label_of.get(v, 0), int(y))
+    ids = sorted(groups)
+    agg = evalkit.AGGREGATORS[aggregator]
+    return ids, [float(agg(groups[v])) for v in ids], [label_of[v] for v in ids]
+
+
+def _score_sets():
+    rng = SeededRng(13)
+    normal = rng.spawn("s").normal(60)
+    labels = (rng.spawn("l").uniform(60) > 0.6).astype(int)
+    one_positive = np.zeros(60, dtype=int)
+    one_positive[17] = 1
+    return {
+        "untied": (normal, labels),
+        "tied": (np.round(normal, 1), labels),
+        "all_tied": (np.full(60, 0.25), labels),
+        "single_positive": (np.round(normal, 1), one_positive),
+        "signed_zeros": (np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.5]), np.array([1, 0, 1, 1, 0, 0])),
+    }
+
+
+SCORE_SETS = sorted(_score_sets())
+
+
+class TestArrayCodeEqualsTheLoops:
+    @pytest.mark.parametrize("name", SCORE_SETS)
+    def test_midranks_and_auroc(self, name):
+        scores, labels = _score_sets()[name]
+        assert (evalkit._midranks(scores) == _loop_midranks(scores)).all()
+        assert auroc(scores, labels) == _loop_auroc(scores, labels)
+
+    @pytest.mark.parametrize("name", SCORE_SETS)
+    def test_sweep_and_min_cost(self, name):
+        scores, labels = _score_sets()[name]
+        points = _loop_sweep(scores, labels)
+        sweep = roc_points(scores, labels)
+        # repr tells -0.0 from 0.0, as the files that print thresholds do
+        assert [list(map(repr, p)) for p in zip(*(a.tolist() for a in sweep))] == \
+            [list(map(repr, p)) for p in points]
+        cost, best, costs = min_expected_cost(sweep, CostParams())
+        assert (cost, best, costs.tolist()) == _loop_min_cost(points, CostParams())
+
+    def test_a_cost_tie_breaks_toward_lower_q_fp(self):
+        # p = 1/2, c_f = 4, c_r = 2: cost = 2 - q_tp + q_fp, exact for these rates
+        params = CostParams(p=0.5, c_f=4.0, c_r=2.0)
+        sweep = (np.array([0.9, 0.8, 0.7]), np.array([0.5, 1.0, 0.5]), np.array([0.5, 0.5, 0.0]))
+        cost, best, costs = min_expected_cost(sweep, params)
+        assert costs.tolist() == [2.0, 1.5, 1.5]
+        assert (cost, best) == (1.5, 2)
+        assert (cost, best, costs.tolist()) == _loop_min_cost(list(zip(*sweep)), params)
+
+    @pytest.mark.parametrize("per_vehicle", [8, 129])
+    @pytest.mark.parametrize("aggregator", sorted(evalkit.AGGREGATORS))
+    def test_vehicle_scores(self, per_vehicle, aggregator):
+        rng = SeededRng(14, (per_vehicle,))
+        n = 9 * per_vehicle
+        # the rows of nine vehicles, interleaved in a random order
+        vehicle_ids = [f"v{k}" for k in (rng.spawn("order").permutation(n) % 9).tolist()]
+        scores = rng.spawn("s").uniform(n)
+        labels = [int(v in ("v2", "v5")) for v in vehicle_ids]
+        ids, veh_scores, veh_labels = vehicle_scores(scores, labels, vehicle_ids, aggregator)
+        ids_ref, scores_ref, labels_ref = _dict_vehicle_scores(scores, labels, vehicle_ids,
+                                                               aggregator)
+        assert ids.tolist() == ids_ref
+        assert veh_scores.tolist() == scores_ref
+        assert veh_labels.tolist() == labels_ref
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_auroc_refuses(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auroc([0.1, bad, 0.3, 0.2], [0, 1, 1, 0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_vehicle_scores_refuses(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            vehicle_scores([0.1, bad, 0.3], [0, 1, 1], ["a", "b", "b"], "mean")
+
+    def test_roc_points_refuses_without_hanging(self):
+        # a NaN threshold never equals itself, so a sweep that walks each tie
+        # group with == stops moving and appends points without end: run it
+        # where a timeout and a 512 MiB address-space cap can end it
+        code = ("import resource\n"
+                "from battfault.evalkit import roc_points\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+                "for bad in (float('nan'), float('inf'), float('-inf')):\n"
+                "    try:\n"
+                "        roc_points([0.1, bad, bad, 0.2], [0, 1, 1, 0])\n"
+                "    except ValueError as exc:\n"
+                "        assert 'finite' in str(exc), exc\n"
+                "    else:\n"
+                "        raise SystemExit(f'roc_points accepted {bad}')\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=30)
+        assert result.returncode == 0, result.stderr
+
+
+class TestReport:
+    def test_flagging_no_vehicle_writes_a_null_threshold(self, tmp_path):
+        # at the default costs flagging none costs 1900 CNY, and every point
+        # that catches the faulty vehicle, ranked third of eight, costs more
+        scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]
+        labels = np.array([0, 0, 1, 0, 0, 0, 0, 0])
+        report = evalkit.emit_report(scores, labels, [f"v{i}" for i in range(8)], "mean",
+                                     CostParams(), {}, tmp_path)
+        assert report["min_expected_cost"] == 1900.0
+        assert report["min_cost_threshold"] is None
+        assert report["min_cost_point"] == {"threshold": None, "q_tp": 0.0, "q_fp": 0.0}
+        text = (tmp_path / "report.json").read_text()
+        assert "Infinity" not in text and '"min_cost_threshold": null' in text
+        assert (tmp_path / "roc.csv").read_text().splitlines()[1] == "inf,0.0,0.0,1900.0"

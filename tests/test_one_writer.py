@@ -7,11 +7,17 @@ write_text owns the UTF-8/LF convention and json_text the canonical JSON form
 mode or a ``json.dumps``/``json.dump`` anywhere else in src/ or scripts/ is a
 second writer that can drift from them. read_document owns decoding, the
 object and version checks and the "malformed <what> <path>" error, so a
-``json.load``/``json.loads`` anywhere else is a second reader.
+``json.load``/``json.loads`` anywhere else is a second reader. json_text
+refuses NaN and the infinities, which RFC 8259 JSON cannot hold.
 """
 
 import ast
+import math
 from pathlib import Path
+
+import pytest
+
+from battfault.dataio import json_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "battfault").glob("*.py")) + sorted(
@@ -79,3 +85,11 @@ def test_every_json_read_goes_through_the_one_reader():
     assert not strays, "JSON decoding outside read_document: " + ", ".join(strays)
     # the reader is found, so the scan itself works
     assert sorted((name, owner) for name, _, owner in calls) == sorted(READERS)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_text_refuses_what_json_cannot_hold(value):
+    with pytest.raises(ValueError):
+        json_text({"threshold": value})
+    with pytest.raises(ValueError):
+        json_text({"nested": [0.5, {"loss": value}]})

@@ -219,6 +219,13 @@ class TestRunPretrain:
         hist = tiny_run(6)[2]
         assert hist[-1][1] < hist[0][1]
 
+    def test_an_empty_validation_side_is_refused(self):
+        # its loss would be NaN, which the checkpoint's JSON cannot hold
+        fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=6, snippets_per_vehicle=2), 31, 16)
+        params = init_params(TINY, SeededRng(9, ("init",)))
+        with pytest.raises(ValueError, match="validation"):
+            run_pretrain(fleet, fleet.take(np.arange(0)), params, PretrainConfig(epochs=1), seed=9)
+
 
 def _desk_step(n, seed):
     """(desk float32 working weights, n float32 snippets, their float64 masks) for one step."""
