@@ -146,8 +146,8 @@ def cmd_pretrain(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     pretrain.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"), provenance)
-    dataio.write_text(os.path.join(args.out, "loss_history.csv"), "epoch,train_loss,val_loss\n" + "".join(
-        f"{epoch},{tr!r},{va!r}\n" for epoch, tr, va in history))
+    dataio.write_text(os.path.join(args.out, "loss_history.csv"),
+                      dataio.csv_text(("epoch", "train_loss", "val_loss"), *zip(*history)))
     print(f"final train loss {history[-1][1]:.6f}, val loss {history[-1][2]:.6f}")
     return 0
 

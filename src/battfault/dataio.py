@@ -10,16 +10,19 @@ CSV formats (UTF-8, '.' decimals, LF or CRLF):
             rows of one snippet contiguous, with increasing integer steps;
             a snippet is resampled evenly in step, so its steps set its time axis.
   metadata: snippet_id,label,mileage_km,cycle_count  with label in {0,1}.
+  A snippet or vehicle id holds no comma, double quote, CR or LF, so every
+  CSV output that names it (the fleet files, tsne_*.csv) keeps its columns.
 
 Every file the package writes goes through write_text (UTF-8, LF line ends),
-and every JSON document through json_text (the one canonical form). Every
-JSON document it reads goes through read_document, every field of one
-through read_value.
+every JSON document through json_text (the one canonical form) and every CSV
+file through csv_text (a float cell is its repr). Every JSON document it reads
+goes through read_document, every field of one through read_value.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import sys
@@ -32,6 +35,7 @@ from .numcore import SeededRng
 
 STD_FLOOR = 1e-8
 META_NAMES = ["mileage_km", "cycle_count"]
+CSV_UNSAFE = (",", '"', "\r", "\n")  # what an unquoted CSV cell cannot hold
 
 
 class ParseError(ValueError):
@@ -47,6 +51,26 @@ def write_text(path, text: str):
 def json_text(doc) -> str:
     """Canonical JSON text: sorted keys, one-space indent, a final newline; NaN or inf raise."""
     return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _refuse_csv_unsafe(cells, where: str, error):
+    """Raise ``error`` naming ``where`` and the first text cell that holds a comma, a double
+    quote, CR or LF. The cells are searched joined, so cells that hold none cost one scan."""
+    joined = "".join(cells)
+    if any(c in joined for c in CSV_UNSAFE):
+        cell = next(cell for cell in cells if any(c in cell for c in CSV_UNSAFE))
+        raise error(f"{where} {cell!r} holds a comma, a double quote, CR or LF")
+
+
+def csv_text(header, *columns) -> str:
+    """The header line of the names in ``header``, then one line per row of the columns.
+    A cell is its ``str``, so a float cell is its repr; a text cell holding a comma, a double
+    quote, CR or LF raises ValueError."""
+    for name, column in zip(header, columns):
+        if column and isinstance(column[0], str):
+            _refuse_csv_unsafe(column, f"column {name!r} cell", ValueError)
+    line = ",".join(["{}"] * len(header)) + "\n"  # format(cell, "") is str(cell)
+    return line.format(*header) + "".join(map(line.format, *columns))
 
 
 def read_document(path, what: str, read, version=None):
@@ -222,6 +246,7 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
             if len(row) < 4:
                 raise ParseError(f"{meta_path}:{line_no}: expected 4 columns, got {len(row)}")
             sid = row[0].strip()
+            _refuse_csv_unsafe((sid,), f"{meta_path}:{line_no}: id", ParseError)
             label = row[1].strip()
             if label not in ("0", "1"):
                 raise ParseError(f"{meta_path}:{line_no}: label must be 0 or 1, got {label!r}")
@@ -241,68 +266,58 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
         if not channel_names:
             raise ParseError(f"{data_path}:1: no channel columns")
 
-        cur_id = None
-        cur_vehicle = None
-        cur_rows, cur_steps = [], []
-        first_line = None
         first_line_of = {}    # snippet_id -> line its rows start on
         vehicle_label = {}    # vehicle_id -> (label, snippet_id that set it)
-
-        def flush():
-            if cur_id is None:
-                return
-            if len(cur_rows) < 2:
-                raise ParseError(f"{data_path}:{first_line}: snippet {cur_id!r} has fewer than 2 rows")
-            if cur_id not in meta_by_id:
-                raise ParseError(f"{data_path}:{first_line}: snippet {cur_id!r} missing from metadata file")
-            label, meta, _ = meta_by_id[cur_id]
-            v_label, v_sid = vehicle_label.setdefault(cur_vehicle, (label, cur_id))
+        lines = ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+        for sid, group in itertools.groupby(lines, key=lambda line: line[1][0].strip()):
+            steps, rows = [], []
+            for line_no, row in group:
+                if len(row) != len(header):
+                    raise ParseError(f"{data_path}:{line_no}: expected {len(header)} columns, got {len(row)}")
+                vid = row[1].strip()
+                if not steps:  # the snippet's first row
+                    if sid in first_line_of:
+                        raise ParseError(
+                            f"{data_path}:{line_no}: rows of snippet {sid!r} are not contiguous "
+                            f"(its first block starts at line {first_line_of[sid]})")
+                    _refuse_csv_unsafe((sid, vid), f"{data_path}:{line_no}: id", ParseError)
+                    first_line_of[sid] = first_line = line_no
+                    vehicle = vid
+                elif vid != vehicle:
+                    raise ParseError(
+                        f"{data_path}:{line_no}: snippet {sid!r} row has vehicle {vid!r} "
+                        f"but its first row (line {first_line}) has vehicle {vehicle!r}")
+                try:
+                    step = int(row[2])
+                except ValueError:
+                    raise ParseError(f"{data_path}:{line_no}: step {row[2]!r} is not an integer") from None
+                if steps and step <= steps[-1]:
+                    raise ParseError(f"{data_path}:{line_no}: snippet {sid!r} step {step} "
+                                     f"does not follow its previous step {steps[-1]}")
+                steps.append(step)
+                # one pass over the row; only a row that fails it is parsed again cell by
+                # cell, to name the bad cell (or to pass finite cells whose sum overflowed)
+                try:
+                    values = list(map(float, row[3:]))
+                    ok = math.isfinite(sum(values))
+                except ValueError:
+                    ok = False
+                if not ok:
+                    values = [_parse_float(cell, data_path, line_no, name)
+                              for cell, name in zip(row[3:], channel_names)]
+                rows.append(values)
+            if len(rows) < 2:
+                raise ParseError(f"{data_path}:{first_line}: snippet {sid!r} has fewer than 2 rows")
+            if sid not in meta_by_id:
+                raise ParseError(f"{data_path}:{first_line}: snippet {sid!r} missing from metadata file")
+            label, meta, _ = meta_by_id[sid]
+            v_label, v_sid = vehicle_label.setdefault(vehicle, (label, sid))
             if label != v_label:
                 raise ParseError(
-                    f"{data_path}:{first_line}: snippet {cur_id!r} has label {label} in the metadata "
-                    f"file but vehicle {cur_vehicle!r} has label {v_label} from snippet {v_sid!r}")
-            channels = _resample(cur_steps, np.array(cur_rows, dtype=np.float64), target_len)
-            snippets.append((cur_id, cur_vehicle, channels, meta, label))
-
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + len(channel_names):
-                raise ParseError(f"{data_path}:{line_no}: expected {3 + len(channel_names)} columns, got {len(row)}")
-            sid, vid = row[0].strip(), row[1].strip()
-            if sid != cur_id:
-                flush()
-                if sid in first_line_of:
-                    raise ParseError(
-                        f"{data_path}:{line_no}: rows of snippet {sid!r} are not contiguous "
-                        f"(its first block starts at line {first_line_of[sid]})")
-                first_line_of[sid] = line_no
-                cur_id, cur_vehicle, cur_rows, cur_steps, first_line = sid, vid, [], [], line_no
-            elif vid != cur_vehicle:
-                raise ParseError(
-                    f"{data_path}:{line_no}: snippet {sid!r} row has vehicle {vid!r} "
-                    f"but its first row (line {first_line}) has vehicle {cur_vehicle!r}")
-            try:
-                step = int(row[2])
-            except ValueError:
-                raise ParseError(f"{data_path}:{line_no}: step {row[2]!r} is not an integer") from None
-            if cur_steps and step <= cur_steps[-1]:
-                raise ParseError(f"{data_path}:{line_no}: snippet {sid!r} step {step} "
-                                 f"does not follow its previous step {cur_steps[-1]}")
-            cur_steps.append(step)
-            # one pass over the row; only a row that fails it is parsed again
-            # cell by cell, to name the bad cell (or to pass finite cells
-            # whose sum overflowed)
-            try:
-                values = list(map(float, row[3:]))
-                ok = math.isfinite(sum(values))
-            except ValueError:
-                ok = False
-            if not ok:
-                values = [_parse_float(cell, data_path, line_no, name)
-                          for cell, name in zip(row[3:], channel_names)]
-            cur_rows.append(values)
-        flush()
+                    f"{data_path}:{first_line}: snippet {sid!r} has label {label} in the metadata "
+                    f"file but vehicle {vehicle!r} has label {v_label} from snippet {v_sid!r}")
+            channels = _resample(steps, np.array(rows, dtype=np.float64), target_len)
+            snippets.append((sid, vehicle, channels, meta, label))
 
     for sid, (_, _, line_no) in meta_by_id.items():
         if sid not in first_line_of:
@@ -457,8 +472,8 @@ class FleetConfig:
 
 
 CHANNEL_NAMES = ("voltage", "current", "temperature")
-# synth_fleet + write_csv peak per channel value: 107-119 B under tracemalloc
-SYNTH_BYTES_PER_VALUE = 120
+# synth_fleet + write_csv peak per channel value: 119-132 B under tracemalloc
+SYNTH_BYTES_PER_VALUE = 132
 
 
 def _synth_snippet(cfg: FleetConfig, m: int, rng: SeededRng, resistance: float,
@@ -541,10 +556,10 @@ def merge_fleets(a: FleetDataset, b: FleetDataset) -> FleetDataset:
 
 def write_csv(ds: FleetDataset, data_path, meta_path):
     """Write a dataset in the ingestion CSV formats (deterministic bytes)."""
-    write_text(data_path, "snippet_id,vehicle_id,step," + ",".join(ds.channel_names) + "\n" + "".join(
-        f"{sid},{vid},{step}," + ",".join(map(repr, row)) + "\n"
-        for sid, vid, rows in zip(ds.snippet_ids, ds.vehicle_ids, ds.channels.tolist())
-        for step, row in enumerate(rows)))
-    write_text(meta_path, "snippet_id,label,mileage_km,cycle_count\n" + "".join(
-        f"{sid},{label}," + ",".join(map(repr, meta)) + "\n"
-        for sid, label, meta in zip(ds.snippet_ids, ds.labels.tolist(), ds.meta.tolist())))
+    n, m, d = ds.channels.shape
+    write_text(data_path, csv_text(("snippet_id", "vehicle_id", "step", *ds.channel_names),
+                                   [sid for sid in ds.snippet_ids for _ in range(m)],
+                                   [vid for vid in ds.vehicle_ids for _ in range(m)],
+                                   list(range(m)) * n, *ds.channels.reshape(n * m, d).T.tolist()))
+    write_text(meta_path, csv_text(("snippet_id", "label", *META_NAMES), ds.snippet_ids,
+                                   ds.labels.tolist(), *ds.meta.T.tolist()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataio import json_text, write_text
+from .dataio import csv_text, json_text, write_text
 from .numcore import SeededRng
 
 
@@ -308,11 +308,6 @@ PALETTE = np.array(["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                     "#8c564b", "#e377c2", "#7f7f7f"])
 
 
-def _csv(header: str, *columns) -> str:
-    """The header line, then one line per row of the columns; a float cell is its repr."""
-    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in zip(*columns))
-
-
 def _svg_document(body) -> str:
     n = FIGURE_SIZE
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{n}" height="{n}" viewBox="0 0 {n} {n}">'
@@ -357,8 +352,8 @@ def scatter_svg(coords: np.ndarray, groups, labels) -> str:
 def write_tsne_outputs(coords: np.ndarray, vehicle_ids, labels, out_dir, stem: str):
     """Write <stem>.csv and the scatter <stem>.svg of coords (n, 2), each row's id and label."""
     labels = np.asarray(labels, dtype=np.int64)
-    write_text(os.path.join(out_dir, f"{stem}.csv"),
-               _csv("x,y,vehicle_id,label", *coords.T.tolist(), vehicle_ids, labels.tolist()))
+    write_text(os.path.join(out_dir, f"{stem}.csv"), csv_text(
+        ("x", "y", "vehicle_id", "label"), *coords.T.tolist(), vehicle_ids, labels.tolist()))
     write_text(os.path.join(out_dir, f"{stem}.svg"), scatter_svg(coords, vehicle_ids, labels))
 
 
@@ -391,8 +386,8 @@ def emit_report(scores, labels: np.ndarray, vehicle_ids, aggregator: str,
         **echo,
     }
     os.makedirs(out_dir, exist_ok=True)
-    write_text(os.path.join(out_dir, "roc.csv"), _csv("threshold,q_tp,q_fp,expected_cost_cny",
-                                                      *np.vstack([*sweep, costs]).tolist()))
+    write_text(os.path.join(out_dir, "roc.csv"), csv_text(
+        ("threshold", "q_tp", "q_fp", "expected_cost_cny"), *np.vstack([*sweep, costs]).tolist()))
     write_text(os.path.join(out_dir, "roc.svg"), roc_svg(sweep))
     write_text(os.path.join(out_dir, "report.json"), json_text(report))
     return report

@@ -115,15 +115,16 @@ class ModelConfig:
 
     @property
     def n_params(self) -> int:
-        """Learnable parameter count, param_shapes(self) summed in closed form."""
-        H, FF = self.H, self.FF
-        layer = 4 * H * H + 2 * H * FF + 9 * H + FF
-        return 2 * self.D * H + self.M_max * H + 4 * H + self.D + self.L * layer
+        """Learnable parameter count: the sizes of param_shapes(self), one layer's times L."""
+        embed, layer, head = _shape_parts(self)
+        size = lambda shapes: sum(map(math.prod, shapes.values()))
+        return size(embed) + self.L * size(layer) + size(head)
 
     @property
     def n_arrays(self) -> int:
-        """Learnable array count, len(param_shapes(self)): 12 per layer and 8 more."""
-        return 8 + 12 * self.L
+        """Learnable array count, len(param_shapes(self))."""
+        embed, layer, head = _shape_parts(self)
+        return len(embed) + self.L * len(layer) + len(head)
 
     @property
     def head_dim(self) -> int:
@@ -141,33 +142,21 @@ class ModelConfig:
         return cls(D=3, H=768, L=12, A=12, FF=3072, M_max=32768, dropout_rate=0.1, K=2)
 
 
+def _shape_parts(cfg: ModelConfig):
+    """Name -> shape maps of the embedding, of one encoder layer (unprefixed) and of the head."""
+    H, D, FF = cfg.H, cfg.D, cfg.FF
+    embed = {"embed.W_e": (D, H), "embed.b_e": (H,), "embed.pos": (cfg.M_max, H),
+             "embed.cls": (H,), "embed.ln_g": (H,), "embed.ln_b": (H,)}
+    layer = {"Wqkv": (H, 3 * H), "bqkv": (3 * H,), "Wo": (H, H), "bo": (H,), "ln1_g": (H,), "ln1_b": (H,),
+             "W1": (H, FF), "b1": (FF,), "W2": (FF, H), "b2": (H,), "ln2_g": (H,), "ln2_b": (H,)}
+    return embed, layer, {"head.W": (H, D), "head.b": (D,)}
+
+
 def param_shapes(cfg: ModelConfig) -> dict:
     """Ordered name -> shape map of every learnable array."""
-    shapes = {
-        "embed.W_e": (cfg.D, cfg.H),
-        "embed.b_e": (cfg.H,),
-        "embed.pos": (cfg.M_max, cfg.H),
-        "embed.cls": (cfg.H,),
-        "embed.ln_g": (cfg.H,),
-        "embed.ln_b": (cfg.H,),
-    }
-    for i in range(cfg.L):
-        p = f"layer{i}."
-        shapes[p + "Wqkv"] = (cfg.H, 3 * cfg.H)
-        shapes[p + "bqkv"] = (3 * cfg.H,)
-        shapes[p + "Wo"] = (cfg.H, cfg.H)
-        shapes[p + "bo"] = (cfg.H,)
-        shapes[p + "ln1_g"] = (cfg.H,)
-        shapes[p + "ln1_b"] = (cfg.H,)
-        shapes[p + "W1"] = (cfg.H, cfg.FF)
-        shapes[p + "b1"] = (cfg.FF,)
-        shapes[p + "W2"] = (cfg.FF, cfg.H)
-        shapes[p + "b2"] = (cfg.H,)
-        shapes[p + "ln2_g"] = (cfg.H,)
-        shapes[p + "ln2_b"] = (cfg.H,)
-    shapes["head.W"] = (cfg.H, cfg.D)
-    shapes["head.b"] = (cfg.D,)
-    return shapes
+    embed, layer, head = _shape_parts(cfg)
+    return {**embed, **{f"layer{i}.{name}": shape for i in range(cfg.L)
+                        for name, shape in layer.items()}, **head}
 
 
 @dataclass

@@ -54,10 +54,10 @@ class SeededRng:
         return SeededRng(self.seed, self.stream + tuple(names))
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
-        return self._gen.normal(0.0, std, size=shape).astype(np.float64)
+        return self._gen.normal(0.0, std, size=shape)
 
     def uniform(self, shape) -> np.ndarray:
-        return self._gen.uniform(0.0, 1.0, size=shape).astype(np.float64)
+        return self._gen.uniform(0.0, 1.0, size=shape)
 
     def integers(self, low, high):
         return self._gen.integers(low, high)
@@ -189,5 +189,5 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def dropout_mask(shape, rate: float, rng: SeededRng, dtype) -> np.ndarray:
     """Inverted-dropout multiplier of the given dtype: entries are 0 or 1/(1-rate)."""
-    keep = rng.uniform(shape) >= rate
-    return keep.astype(dtype) / (1.0 - rate)
+    keep = (rng.uniform(shape) >= rate).astype(dtype)
+    return np.divide(keep, 1.0 - rate, out=keep)

@@ -406,6 +406,23 @@ class TestTsne:
         assert "eval.tsne_perplexity" in err and str(config) in err
         assert "the data has 16 snippets" in err
 
+    def test_vehicle_id_no_csv_output_can_hold_exits_2_naming_the_line(self, tmp_path, capsys):
+        # the quoted cell reads as the id ev,0000, which would split a tsne_raw.csv row in five
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "seq_len": 16, "generator": {"n_vehicles": 12},
+                                      "eval": {"tsne_perplexity": 5, "tsne_iterations": 50}}))
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+        snippets = data / "snippets.csv"
+        lines = snippets.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.split(",")[1] == "ev0000")
+        lines = [line.replace(",ev0000,", ',"ev,0000",') for line in lines]
+        snippets.write_text("\n".join(lines) + "\n")
+        assert main(["tsne", "--config", str(config), "--data", str(data), "--raw",
+                     "--out", str(out)]) == 2
+        assert f"snippets.csv:{first + 1}: id 'ev,0000' holds a comma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCost:
     def test_prints_cost(self, capsys):

@@ -114,6 +114,56 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.channels, small_fleet.channels)
         np.testing.assert_array_equal(back.meta, small_fleet.meta)
 
+    def test_written_files_load_and_write_back_to_the_same_bytes(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        again = tmp_path / "again.csv", tmp_path / "again_meta.csv"
+        write_csv(load_csv(data, meta, 32), *again)
+        assert again[0].read_bytes() == data.read_bytes()
+        assert again[1].read_bytes() == meta.read_bytes()
+
+    def test_blank_line_inside_a_snippet_is_skipped(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = data.read_text().splitlines()
+        lines.insert(3, "")  # between the first snippet's second and third rows
+        data.write_text("\n".join(lines) + "\n")
+        back = load_csv(data, meta, 32)
+        assert back.snippet_ids == small_fleet.snippet_ids
+        np.testing.assert_array_equal(back.channels, small_fleet.channels)
+        # a row after the blank line names the line it is on
+        cols = lines[4].split(",")  # the first snippet's third row, now on line 5
+        cols[2] = "2.5"
+        data.write_text("\n".join([*lines[:4], ",".join(cols), *lines[5:]]) + "\n")
+        with pytest.raises(ParseError, match=r"snippets\.csv:5: step '2\.5' is not an integer"):
+            load_csv(data, meta, 32)
+        # and so does a snippet after it: the second, now from line 35
+        data.write_text("\n".join(lines) + "\n")
+        meta_lines = meta.read_text().splitlines()
+        sid, label, rest = meta_lines[2].split(",", 2)
+        meta_lines[2] = ",".join([sid, "1" if label == "0" else "0", rest])
+        meta.write_text("\n".join(meta_lines) + "\n")
+        with pytest.raises(ParseError, match=rf"snippets\.csv:35: snippet '{sid}' has label"):
+            load_csv(data, meta, 32)
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_id_that_no_csv_output_can_hold_rejected(self, small_fleet, tmp_path, column, char):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        old = small_fleet.snippet_ids[1] if column == 0 else small_fleet.vehicle_ids[0]
+        new = '"' + old[:2] + char.replace('"', '""') + old[2:] + '"'
+        data.write_text(data.read_text().replace(f"{old},", f"{new},"))
+        # the second snippet starts on line 34; the first vehicle's rows on line 2
+        line = 34 if column == 0 else 2
+        with pytest.raises(ParseError, match=rf"snippets\.csv:{line}: id .* holds a comma, a double "
+                                             r"quote, CR or LF"):
+            load_csv(data, meta, 32)
+        if column == 0:
+            meta.write_text(meta.read_text().replace(f"{old},", f"{new},"))
+            with pytest.raises(ParseError, match=r"meta\.csv:3: id .* holds a comma"):
+                load_csv(data, meta, 32)
+
     def test_write_is_byte_deterministic(self, small_fleet, tmp_path):
         pair1 = tmp_path / "a.csv", tmp_path / "am.csv"
         pair2 = tmp_path / "b.csv", tmp_path / "bm.csv"
