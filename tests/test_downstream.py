@@ -210,6 +210,79 @@ class TestSplitSearchOracle:
         assert _saved_bytes(train_gbdt(X, y, cfg)) == _saved_bytes(reference_train_gbdt(X, y, cfg))
 
 
+def filtered_best_split(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight):
+    """train_gbdt's column-block search with no shortcut: every node, the root too, filters
+    its rows out of the blocks, and a node whose rows share one (g, h) pair is searched too."""
+    g_tot, h_tot = g[idx].sum(), h[idx].sum()
+    parent = g_tot * g_tot / (h_tot + lam)
+    member = np.zeros(g.size, dtype=bool)
+    member[idx] = True
+    in_node = member[sorted_rows]
+    shape = (sorted_rows.shape[0], idx.size)
+    order = sorted_rows[in_node].reshape(shape)
+    xs = sorted_values[in_node].reshape(shape)
+    gl = np.cumsum(g[order], axis=1)[:, :-1]
+    hl = np.cumsum(h[order], axis=1)[:, :-1]
+    gain = downstream._split_gain(gl, hl, g_tot, h_tot, lam, parent)
+    valid = (xs[:, 1:] > xs[:, :-1]) & (hl >= min_child_weight) & (h_tot - hl >= min_child_weight)
+    gain[~valid] = -np.inf
+    best = int(np.argmax(gain))
+    if gain.flat[best] <= 1e-12:
+        return None
+    f, c = np.unravel_index(best, gain.shape)
+    return int(f), 0.5 * (xs[f, c] + xs[f, c + 1])
+
+
+def shortcut_case(name, request):
+    """(X, labels, rounds): the desk fleet's frozen training features, whose trees are
+    stumps, or a random 300 x 20 matrix, as drawn or rounded to one decimal."""
+    if name == "desk":
+        train = request.getfixturevalue("default_fleet")[0]
+        return extract_features(request.getfixturevalue("pretrain_run")["params"], train), train.labels, 200
+    rng = np.random.default_rng(30)
+    X = rng.normal(size=(300, 20))
+    if name == "random":
+        return X, (rng.random(300) < 0.4).astype(np.float64), 40
+    X = np.round(X, 1)
+    return X, (X[:, 0] + X[:, 1] > 0.3).astype(np.float64), 40
+
+
+class TestPureNodeShortcut:
+    def test_pure_node_returns_before_it_reads_the_blocks(self):
+        g, h, idx = np.full(10, 0.3), np.full(10, 0.21), np.arange(2, 9)
+        assert downstream._best_split(None, None, g, h, idx, 1.0, 1e-6) is None
+        with pytest.raises(AttributeError):  # at reg_lambda 0 the search runs, on no blocks
+            downstream._best_split(None, None, g, h, idx, 0.0, 1e-6)
+
+    @pytest.mark.parametrize("min_child_weight", [1e-6, 5.0])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["desk", "random", "rounded"])
+    def test_matches_the_unshortened_search_bytes(self, request, monkeypatch, name, reg_lambda,
+                                                  min_child_weight):
+        X, y, rounds = shortcut_case(name, request)
+        cfg = GbdtConfig(rounds=rounds, reg_lambda=reg_lambda, min_child_weight=min_child_weight)
+        grown = _saved_bytes(train_gbdt(X, y, cfg))
+        monkeypatch.setattr(downstream, "_best_split", filtered_best_split)
+        assert grown == _saved_bytes(train_gbdt(X, y, cfg))
+
+    @pytest.mark.parametrize("name", ["desk", "rounded"])
+    def test_pure_nodes_are_searched_for_nothing(self, request, monkeypatch, name):
+        # the shortcut's cases: nodes whose rows share one (g, h) pair, where the search finds
+        # no cut, and there are some of them in the matrices above
+        X, y, rounds = shortcut_case(name, request)
+        pure = []
+
+        def spy(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight):
+            split = filtered_best_split(sorted_rows, sorted_values, g, h, idx, lam, min_child_weight)
+            if len(set(zip(g[idx], h[idx]))) == 1:
+                pure.append(split)
+            return split
+
+        monkeypatch.setattr(downstream, "_best_split", spy)
+        train_gbdt(X, y, GbdtConfig(rounds=rounds))
+        assert pure and not any(pure)
+
+
 def _document_proba(doc, X):
     """Fault probability of each row of X by the trees of a saved classifier document.
 
