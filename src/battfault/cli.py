@@ -213,10 +213,16 @@ def cmd_tsne(args) -> int:
         mode = "embedding"
 
     coords, kl = evalkit.tsne(X, cfg.eval.tsne_perplexity, cfg.eval.tsne_iterations, cfg.seed)
-    score = evalkit.mixing_score(X, ds_n.vehicle_ids)
+    # mixing is scored over the vehicles that keep 2 or more points; a subsample may keep 1
+    vehicles = np.asarray(ds_n.vehicle_ids)
+    _, group, counts = np.unique(vehicles, return_inverse=True, return_counts=True)
+    scored, n_scored = counts[group] >= 2, int((counts >= 2).sum())
+    score = (f"{evalkit.mixing_score(X[scored], vehicles[scored]):.4f} over {n_scored} vehicles"
+             if n_scored >= 2 else
+             f"n/a ({n_scored} of {len(counts)} vehicles keep 2 or more points; mixing needs 2)")
     os.makedirs(args.out, exist_ok=True)
     evalkit.write_tsne_outputs(coords, ds_n.vehicle_ids, ds_n.labels, args.out, f"tsne_{mode}")
-    print(f"mode={mode} points={n} mixing_score={score:.4f} final_kl={kl[-1]:.4f}")
+    print(f"mode={mode} points={n} mixing_score={score} final_kl={kl[-1]:.4f}")
     return 0
 
 

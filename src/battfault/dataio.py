@@ -13,19 +13,16 @@ CSV formats (UTF-8, '.' decimals, LF or CRLF):
   A snippet or vehicle id holds no comma, double quote, CR or LF, so every
   CSV output that names it (the fleet files, tsne_*.csv) keeps its columns.
 
-load_csv reads a snippet file in two ways. The array path parses it in
-blocks of CSV_BLOCK_LINES lines with np.loadtxt (ids as strings, steps as
-int64, channels as float64) and checks the whole file with array
-expressions. A file it cannot take as regular (a quoted cell, a ragged row,
-a step or channel cell numpy does not parse, any broken rule) goes unchanged
-to the row reader, the general path: csv.reader, int and float, and the only
-code that names a bad file:line (numpy's row numbers skip blank lines, so
-no message comes from a numpy error). Both give the same FleetDataset, bit
-for bit. Blocks bound the parser's working set. On the desk fleet (20,480
-rows) a load took 20-22 ms with 256 to 2048 lines a block, against 41-47
-ms row by row; a fresh process's peak RSS rose over the row reader's by
-1.3 MB at 256 lines, 1.6 MB at 1024, 2.3 MB at 2048, 5.3 MB at 8192 and
-7.4 MB for the whole file at once.
+load_csv reads a snippet file in one of two ways, and _build_fleet checks
+every snippet and fleet rule on what either reads. The array path parses a
+regular file with np.loadtxt, CSV_BLOCK_LINES lines at a time; any other file
+(a quoted or padded id, a ragged row, a cell numpy does not read as a finite
+number) goes to the row reader, the only code that names a bad cell's
+file:line (numpy's row numbers skip blank lines). A parsed line holds about
+300 B, as does a row that the row reader holds until its snippet ends, so
+128-line blocks keep the array path under the row reader: on the desk fleet
+(20,480 rows, 0.49 MB of channels) they peak at 0.64 and 0.65 MB traced, and a
+load takes 26 ms against 63 ms row by row (1024-line blocks: 23 ms, 0.91 MB).
 
 Every file the package writes goes through write_text (UTF-8, LF line ends),
 every JSON document through json_text (the one canonical form) and every CSV
@@ -50,17 +47,17 @@ from .numcore import SeededRng
 STD_FLOOR = 1e-8
 META_NAMES = ["mileage_km", "cycle_count"]
 CSV_UNSAFE = (",", '"', "\r", "\n")  # what an unquoted CSV cell cannot hold
-CSV_BLOCK_LINES = 1024  # snippet-file lines per np.loadtxt call of load_csv
+CSV_BLOCK_LINES = 128  # snippet-file lines per np.loadtxt call of load_csv; rows per csv_text chunk
 
 
 class ParseError(ValueError):
     """Malformed input file; message carries file/line context."""
 
 
-def write_text(path, text: str):
-    """Write text to path as UTF-8 with LF line ends."""
+def write_text(path, text):
+    """Write text, a str or an iterable of str chunks, to path as UTF-8 with LF line ends."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines((text,) if isinstance(text, str) else text)
 
 
 def json_text(doc) -> str:
@@ -77,15 +74,20 @@ def _refuse_csv_unsafe(cells, where: str, error):
         raise error(f"{where} {cell!r} holds a comma, a double quote, CR or LF")
 
 
-def csv_text(header, *columns) -> str:
-    """The header line of the names in ``header``, then one line per row of the columns.
-    A cell is its ``str``, so a float cell is its repr; a text cell holding a comma, a double
-    quote, CR or LF raises ValueError."""
+def csv_text(header, *columns):
+    """The header line of the names in ``header``, then one line per row of the columns (lists,
+    tuples or 1-D arrays), as text chunks of CSV_BLOCK_LINES lines made as they are read. A cell
+    is its ``str`` (of a Python number for an array), so a float cell is its repr. A text cell
+    holding a comma, a double quote, CR or LF raises ValueError before any chunk is made."""
     for name, column in zip(header, columns):
-        if column and isinstance(column[0], str):
-            _refuse_csv_unsafe(column, f"column {name!r} cell", ValueError)
+        if len(column) and isinstance(column[0], str):  # each distinct cell once
+            _refuse_csv_unsafe(dict.fromkeys(column), f"column {name!r} cell", ValueError)
     line = ",".join(["{}"] * len(header)) + "\n"  # format(cell, "") is str(cell)
-    return line.format(*header) + "".join(map(line.format, *columns))
+    chunks = ([c[a:a + CSV_BLOCK_LINES] for c in columns]
+              for a in range(0, min(map(len, columns), default=0), CSV_BLOCK_LINES))
+    return itertools.chain([line.format(*header)], (
+        "".join(map(line.format, *(c.tolist() if isinstance(c, np.ndarray) else c for c in cells)))
+        for cells in chunks))
 
 
 def read_document(path, what: str, read, version=None):
@@ -179,7 +181,9 @@ class FleetDataset:
                              f"match {n} snippets of {d} channels and {k} metadata fields")
         if len(set(self.snippet_ids)) != n:
             raise ValueError("duplicate snippet_id in dataset")
-        finite = np.isfinite(self.channels).all(axis=(1, 2)) & np.isfinite(self.meta).all(axis=1)
+        # max and min carry a NaN through, so both are finite only where every value is
+        finite = (np.isfinite(self.channels.max(axis=(1, 2), initial=0.0)) & np.isfinite(
+            self.channels.min(axis=(1, 2), initial=0.0)) & np.isfinite(self.meta).all(axis=1))
         if not finite.all():
             raise ValueError(f"snippet {self.snippet_ids[np.argmin(finite)]}: non-finite values")
 
@@ -211,15 +215,6 @@ class NormStats:
 # ---------------------------------------------------------------------------
 
 
-def _stack_snippets(snippets: list, channel_names, m: int) -> FleetDataset:
-    """The fleet of (snippet_id, vehicle_id, channels (m, D), meta (K,), label) tuples."""
-    sids, vids, channels, meta, labels = zip(*snippets) if snippets else ((),) * 5
-    return FleetDataset(np.array(channels, dtype=np.float64).reshape(-1, m, len(channel_names)),
-                        np.array(meta, dtype=np.float64).reshape(-1, len(META_NAMES)),
-                        np.array(labels, dtype=np.int64), sids, vids,
-                        tuple(channel_names), tuple(META_NAMES))
-
-
 def _parse_float(cell: str, path, line_no: int, col: str) -> float:
     try:
         value = float(cell)
@@ -230,7 +225,7 @@ def _parse_float(cell: str, path, line_no: int, col: str) -> float:
     return value
 
 
-def _resample(steps: list, channels: np.ndarray, target_len: int) -> np.ndarray:
+def _resample(steps: np.ndarray, channels: np.ndarray, target_len: int) -> np.ndarray:
     """Linear resample each column to target_len rows evenly spaced in step.
 
     The rows sit at their increasing integer ``steps``, so a snippet sampled
@@ -244,19 +239,20 @@ def _resample(steps: list, channels: np.ndarray, target_len: int) -> np.ndarray:
     return np.column_stack([np.interp(grid, s, channels[:, d]) for d in range(channels.shape[1])])
 
 
-def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
-    """Ingest snippet + metadata CSVs, resampling every snippet to target_len rows.
+class _Irregular(Exception):
+    """A snippet file that the array path leaves to the row reader."""
 
-    A regular snippet file is read in blocks by numpy's C parser; any other
-    file goes to the row reader, which parses it or names its bad line.
-    """
+
+def load_csv(data_path, meta_path, target_len: int) -> FleetDataset:
+    """Ingest snippet + metadata CSVs, resampling every snippet to target_len rows: a regular
+    snippet file by the array path, any other by the row reader, which names its bad line."""
     if target_len < 1:
         raise ValueError("target_len must be positive")
     meta_by_id = _read_meta(meta_path)
-    fleet = _read_snippet_blocks(data_path, meta_by_id, target_len)
-    if fleet is None:
-        fleet = _read_snippet_rows(data_path, meta_path, meta_by_id, target_len)
-    return fleet
+    try:
+        return _build_fleet(_read_snippet_blocks, data_path, meta_path, meta_by_id, target_len)
+    except _Irregular:
+        return _build_fleet(_read_snippet_rows, data_path, meta_path, meta_by_id, target_len)
 
 
 def _read_meta(meta_path) -> dict:
@@ -285,141 +281,134 @@ def _read_meta(meta_path) -> dict:
     return meta_by_id
 
 
-def _read_snippet_blocks(data_path, meta_by_id: dict, target_len: int):
-    """The fleet of a regular snippet file, parsed by ``np.loadtxt`` in blocks; None for any other.
-
-    Regular: no double quote anywhere, a plain header, the header's column
-    count on every non-blank line, ids that need no strip, steps that numpy
-    reads as int64, channels that it reads as finite float64, and every rule
-    of the row reader holding. numpy reads a subset of what ``int`` and
-    ``float`` take, to the same values, so such a file loads as the row
-    reader loads it. A block keeps only its snippets' first ids, not one per
-    row.
-    """
+def _build_fleet(read, data_path, meta_path, meta_by_id: dict, target_len: int) -> FleetDataset:
+    """The fleet of the snippet file at data_path, as ``read(fh, data_path)`` yields it: the
+    channel names, then a (snippet_id, vehicle ids, steps, channels, line numbers) tuple of
+    arrays per run of rows that share a snippet id. Here, and only here, the snippet and fleet
+    rules are checked, a broken one raising a ParseError that names file:line; each snippet
+    is resampled into the fleet's channels as it arrives."""
     with open(data_path, newline="", encoding="utf-8") as fh:
-        header = next(fh, "").rstrip("\r\n").split(",")
-        if ('"' in "".join(header) or len(header) < 4
-                or [h.strip() for h in header[:3]] != ["snippet_id", "vehicle_id", "step"]):
-            return None
-        dtype = np.dtype([("sid", object), ("vid", object), ("step", np.int64),
-                          ("x", np.float64, (len(header) - 3,))])
-        sids, vids, starts, steps, values = [], [], [], [], []
-        last_sid = last_vid = None  # the previous block's last row
-        n_rows = 0
-        while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
-            if '"' in "".join(lines):  # a quoted cell, which csv.reader unquotes
-                return None
-            if lines.count("\n") + lines.count("\r\n") + lines.count("\r"):
-                # blank lines, which csv.reader skips and np.loadtxt would not count
-                lines = [line for line in lines if line not in ("\n", "\r\n", "\r")]
-                if not lines:
-                    continue
-            try:
-                block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError:
-                return None
-            sid = np.concatenate(([last_sid], block["sid"]))
-            vid = np.concatenate(([last_vid], block["vid"]))
-            first = sid[1:] != sid[:-1]  # each row that starts a snippet
-            if (vid[1:] != vid[:-1])[~first].any():
-                return None
-            sids += sid[1:][first].tolist()
-            vids += vid[1:][first].tolist()
-            starts.append(n_rows + np.flatnonzero(first))
-            steps.append(block["step"].copy())  # copies, so the block and its ids go
-            values.append(block["x"].copy())
-            last_sid, last_vid = sid[-1], vid[-1]
-            n_rows += len(block)
-    # one snippet per metadata row; a metadata key is stripped, so a snippet
-    # id that needs a strip is none
-    if (not sids or len(set(sids)) != len(sids) or len(sids) != len(meta_by_id)
-            or not all(map(meta_by_id.__contains__, sids)) or any(v != v.strip() for v in vids)):
-        return None
-    vehicle_label = {}
-    if any(vehicle_label.setdefault(v, meta_by_id[s][0]) != meta_by_id[s][0]
-           for s, v in zip(sids, vids)):
-        return None
-    step, x = np.concatenate(steps), np.concatenate(values)
-    bounds = np.append(np.concatenate(starts), n_rows)
-    rising = step[1:] > step[:-1]
-    rising[bounds[1:-1] - 1] = True  # a snippet's first step follows nothing
-    if np.diff(bounds).min() < 2 or not rising.all() or not np.isfinite(x).all():
-        return None
-    return _stack_snippets([(s, v, _resample(step[a:b], x[a:b], target_len),
-                             meta_by_id[s][1], meta_by_id[s][0])
-                            for s, v, a, b in zip(sids, vids, bounds[:-1], bounds[1:])],
-                           [h.strip() for h in header[3:]], target_len)
-
-
-def _read_snippet_rows(data_path, meta_path, meta_by_id: dict, target_len: int) -> FleetDataset:
-    """The fleet of any snippet file, read row by row; a ParseError names its first bad line."""
-    snippets = []
-    with open(data_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 4 or [h.strip() for h in header[:3]] != ["snippet_id", "vehicle_id", "step"]:
-            raise ParseError(f"{data_path}:1: expected header snippet_id,vehicle_id,step,<channels...>")
-        channel_names = [h.strip() for h in header[3:]]
-        if not channel_names:
-            raise ParseError(f"{data_path}:1: no channel columns")
-
-        first_line_of = {}    # snippet_id -> line its rows start on
+        snippets = read(fh, data_path)
+        channel_names = next(snippets)
+        n = len(meta_by_id)  # a snippet per metadata row, or a ParseError
+        channels = np.empty((n, target_len, len(channel_names)))
+        meta, labels = np.empty((n, len(META_NAMES))), np.empty(n, dtype=np.int64)
+        first_line_of, vehicle_ids = {}, []  # snippet_id -> line its rows start on; their vehicles
         vehicle_label = {}    # vehicle_id -> (label, snippet_id that set it)
-        lines = ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
-        for sid, group in itertools.groupby(lines, key=lambda line: line[1][0].strip()):
-            steps, rows = [], []
-            for line_no, row in group:
-                if len(row) != len(header):
-                    raise ParseError(f"{data_path}:{line_no}: expected {len(header)} columns, got {len(row)}")
-                vid = row[1].strip()
-                if not steps:  # the snippet's first row
-                    if sid in first_line_of:
-                        raise ParseError(
-                            f"{data_path}:{line_no}: rows of snippet {sid!r} are not contiguous "
-                            f"(its first block starts at line {first_line_of[sid]})")
-                    _refuse_csv_unsafe((sid, vid), f"{data_path}:{line_no}: id", ParseError)
-                    first_line_of[sid] = first_line = line_no
-                    vehicle = vid
-                elif vid != vehicle:
+        for sid, vids, steps, values, lines in snippets:
+            first_line, vehicle = int(lines[0]), vids[0]
+            if sid in first_line_of:
+                raise ParseError(
+                    f"{data_path}:{first_line}: rows of snippet {sid!r} are not contiguous "
+                    f"(its first block starts at line {first_line_of[sid]})")
+            _refuse_csv_unsafe((sid, vehicle), f"{data_path}:{first_line}: id", ParseError)
+            # the first row that names another vehicle or whose step does not rise; a row's
+            # vehicle is checked before its step
+            bad = (vids[1:] != vehicle) | (steps[1:] <= steps[:-1])
+            if bad.any():
+                i = int(bad.argmax()) + 1
+                if vids[i] != vehicle:
                     raise ParseError(
-                        f"{data_path}:{line_no}: snippet {sid!r} row has vehicle {vid!r} "
+                        f"{data_path}:{lines[i]}: snippet {sid!r} row has vehicle {vids[i]!r} "
                         f"but its first row (line {first_line}) has vehicle {vehicle!r}")
-                try:
-                    step = int(row[2])
-                except ValueError:
-                    raise ParseError(f"{data_path}:{line_no}: step {row[2]!r} is not an integer") from None
-                if steps and step <= steps[-1]:
-                    raise ParseError(f"{data_path}:{line_no}: snippet {sid!r} step {step} "
-                                     f"does not follow its previous step {steps[-1]}")
-                steps.append(step)
-                # one pass over the row; only a row that fails it is parsed again cell by
-                # cell, to name the bad cell (or to pass finite cells whose sum overflowed)
-                try:
-                    values = list(map(float, row[3:]))
-                    ok = math.isfinite(sum(values))
-                except ValueError:
-                    ok = False
-                if not ok:
-                    values = [_parse_float(cell, data_path, line_no, name)
-                              for cell, name in zip(row[3:], channel_names)]
-                rows.append(values)
-            if len(rows) < 2:
+                raise ParseError(f"{data_path}:{lines[i]}: snippet {sid!r} step {steps[i]} "
+                                 f"does not follow its previous step {steps[i - 1]}")
+            if len(steps) < 2:
                 raise ParseError(f"{data_path}:{first_line}: snippet {sid!r} has fewer than 2 rows")
             if sid not in meta_by_id:
                 raise ParseError(f"{data_path}:{first_line}: snippet {sid!r} missing from metadata file")
-            label, meta, _ = meta_by_id[sid]
+            i = len(vehicle_ids)
+            label, meta[i], _ = meta_by_id[sid]
             v_label, v_sid = vehicle_label.setdefault(vehicle, (label, sid))
             if label != v_label:
                 raise ParseError(
                     f"{data_path}:{first_line}: snippet {sid!r} has label {label} in the metadata "
                     f"file but vehicle {vehicle!r} has label {v_label} from snippet {v_sid!r}")
-            channels = _resample(steps, np.array(rows, dtype=np.float64), target_len)
-            snippets.append((sid, vehicle, channels, meta, label))
+            labels[i], channels[i] = label, _resample(steps, values, target_len)
+            first_line_of[sid] = first_line
+            vehicle_ids.append(vehicle)
 
     for sid, (_, _, line_no) in meta_by_id.items():
         if sid not in first_line_of:
             raise ParseError(f"{meta_path}:{line_no}: snippet {sid!r} has no rows in {data_path}")
-    return _stack_snippets(snippets, channel_names, target_len)
+    return FleetDataset(channels, meta, labels, tuple(first_line_of), tuple(vehicle_ids),
+                        tuple(channel_names), tuple(META_NAMES))
+
+
+def _read_snippet_blocks(fh, data_path):
+    """Yields the channel names, then each snippet of a regular snippet file, parsed by
+    ``np.loadtxt`` CSV_BLOCK_LINES lines at a time; raises _Irregular for any other file.
+
+    Regular: a plain header, the header's column count on every non-blank line, ids with no
+    double quote and nothing to strip, int64 steps and finite float64 channels. numpy reads a
+    subset of what ``int`` and ``float`` take, to the same values, so these are the row
+    reader's snippets. A snippet goes on once the block it ends in is parsed."""
+    header = next(fh, "").rstrip("\r\n").split(",")
+    if ('"' in "".join(header) or len(header) < 4
+            or [h.strip() for h in header[:3]] != ["snippet_id", "vehicle_id", "step"]):
+        raise _Irregular
+    yield [h.strip() for h in header[3:]]
+    dtype = np.dtype([("sid", object), ("vid", object), ("step", np.int64),
+                      ("x", np.float64, (len(header) - 3,))])
+    # the next line; the open snippet's id, and its (vehicle ids, steps, channels, lines) by block
+    line_no, sid, carry = 2, None, []
+    while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
+        rows = np.arange(line_no, line_no + len(lines))
+        line_no += len(lines)
+        if lines.count("\n") + lines.count("\r\n") + lines.count("\r"):
+            # blank lines, which csv.reader skips and np.loadtxt would not count
+            kept = [line not in ("\n", "\r\n", "\r") for line in lines]
+            lines, rows = list(itertools.compress(lines, kept)), rows[kept]
+            if not lines:
+                continue
+        lines.reverse()  # numpy takes them from the end, so that each line goes once parsed
+        try:
+            block = np.loadtxt(map(lines.pop, itertools.repeat(-1, len(lines))), dtype, delimiter=",",
+                               comments=None, ndmin=1, max_rows=len(lines))
+        except ValueError:
+            raise _Irregular from None
+        sids, vids = block["sid"], block["vid"]
+        new_sid = sids[1:] != sids[:-1]
+        # csv.reader would unquote or strip an id: the first row's and each changed one are seen
+        seen = np.flatnonzero(new_sid | (vids[1:] != vids[:-1])) + 1
+        if not np.isfinite(block["x"]).all() or any(
+                cell != cell.strip() or '"' in cell for cell in (sids[0], vids[0], *sids[seen], *vids[seen])):
+            raise _Irregular
+        starts = (np.flatnonzero(new_sid) + 1).tolist()  # the rows after the first that start a snippet
+        for a, b in zip([0, *starts], [*starts, len(block)]):
+            if (a or sids[0] != sid) and carry:  # a snippet starts, so the open one is whole
+                yield sid, *map(np.concatenate, zip(*carry))
+                carry = []
+            sid = sids[a]
+            carry.append((vids[a:b], block["step"][a:b], block["x"][a:b], rows[a:b]))
+    if carry:
+        yield sid, *map(np.concatenate, zip(*carry))
+
+
+def _read_snippet_rows(fh, data_path):
+    """Yields the channel names, then each snippet of any snippet file, read row by row
+    with ``csv.reader``, ``int`` and ``float``; a ParseError names a bad cell's line."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None or len(header) < 4 or [h.strip() for h in header[:3]] != ["snippet_id", "vehicle_id", "step"]:
+        raise ParseError(f"{data_path}:1: expected header snippet_id,vehicle_id,step,<channels...>")
+    channel_names = [h.strip() for h in header[3:]]
+    yield channel_names
+    lines = ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+    for sid, group in itertools.groupby(lines, key=lambda line: line[1][0].strip()):
+        vids, steps, values, line_nos = [], [], [], []
+        for line_no, row in group:
+            if len(row) != len(header):
+                raise ParseError(f"{data_path}:{line_no}: expected {len(header)} columns, got {len(row)}")
+            try:
+                steps.append(int(row[2]))
+            except ValueError:
+                raise ParseError(f"{data_path}:{line_no}: step {row[2]!r} is not an integer") from None
+            vids.append(row[1].strip())
+            values.append([_parse_float(cell, data_path, line_no, name)
+                           for cell, name in zip(row[3:], channel_names)])
+            line_nos.append(line_no)
+        yield sid, np.array(vids, dtype=object), np.array(steps), np.array(values), line_nos
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +558,9 @@ class FleetConfig:
 
 
 CHANNEL_NAMES = ("voltage", "current", "temperature")
-# synth_fleet + write_csv peak per channel value: 119-132 B under tracemalloc
-SYNTH_BYTES_PER_VALUE = 132
+# synth_fleet + write_csv peak per channel value: 16.4-18.7 B under tracemalloc at 200-1000
+# vehicles and seq_len 16-128 (the channels, and write_csv's id and step columns)
+SYNTH_BYTES_PER_VALUE = 20
 
 
 def _synth_snippet(cfg: FleetConfig, m: int, rng: SeededRng, resistance: float,
@@ -618,7 +608,9 @@ def synth_fleet(cfg: FleetConfig, seed: int, seq_len: int, id_prefix: str = "ev"
     mi_lo, mi_hi = cfg.mileage_range
     cy_lo, cy_hi = cfg.cycle_range
 
-    snippets = []
+    k = cfg.snippets_per_vehicle
+    channels = np.empty((cfg.n_vehicles * k, seq_len, len(CHANNEL_NAMES)))
+    meta = []
     for vi in range(cfg.n_vehicles):
         v_rng = rng.spawn("vehicle", vi)
         faulty = vi in faulty_set
@@ -628,13 +620,15 @@ def synth_fleet(cfg: FleetConfig, seed: int, seq_len: int, id_prefix: str = "ev"
         bias = cfg.fault_meta_bias if faulty else 0.0
         mileage = mi_lo + (mi_hi - mi_lo) * min(v_rng.uniform(()) * (1 - bias) + bias, 1.0)
         cycles = cy_lo + (cy_hi - cy_lo) * min(v_rng.uniform(()) * (1 - bias) + bias, 1.0)
-        meta = [mileage, cycles]
-        vid = f"{id_prefix}{vi:04d}"
-        for si in range(cfg.snippets_per_vehicle):
-            channels = _synth_snippet(cfg, seq_len, v_rng.spawn("snippet", si), resistance, faulty)
-            snippets.append((f"{vid}_s{si:03d}", vid, channels, meta, int(faulty)))
+        meta.append([mileage, cycles])
+        for si in range(k):
+            channels[vi * k + si] = _synth_snippet(cfg, seq_len, v_rng.spawn("snippet", si), resistance, faulty)
 
-    return _stack_snippets(snippets, CHANNEL_NAMES, seq_len)
+    vids = [f"{id_prefix}{vi:04d}" for vi in range(cfg.n_vehicles)]
+    labels = np.array([vi in faulty_set for vi in range(cfg.n_vehicles)], dtype=np.int64)
+    return FleetDataset(channels, np.repeat(np.array(meta), k, axis=0), np.repeat(labels, k),
+                        tuple(f"{v}_s{si:03d}" for v in vids for si in range(k)),
+                        tuple(v for v in vids for _ in range(k)), CHANNEL_NAMES, tuple(META_NAMES))
 
 
 def merge_fleets(a: FleetDataset, b: FleetDataset) -> FleetDataset:
@@ -655,8 +649,8 @@ def write_csv(ds: FleetDataset, data_path, meta_path):
     """Write a dataset in the ingestion CSV formats (deterministic bytes)."""
     n, m, d = ds.channels.shape
     write_text(data_path, csv_text(("snippet_id", "vehicle_id", "step", *ds.channel_names),
-                                   [sid for sid in ds.snippet_ids for _ in range(m)],
-                                   [vid for vid in ds.vehicle_ids for _ in range(m)],
-                                   list(range(m)) * n, *ds.channels.reshape(n * m, d).T.tolist()))
+                                   np.repeat(np.array(ds.snippet_ids, dtype=object), m),
+                                   np.repeat(np.array(ds.vehicle_ids, dtype=object), m),
+                                   np.tile(np.arange(m), n), *ds.channels.reshape(n * m, d).T))
     write_text(meta_path, csv_text(("snippet_id", "label", *META_NAMES), ds.snippet_ids,
-                                   ds.labels.tolist(), *ds.meta.T.tolist()))
+                                   ds.labels, *ds.meta.T))

@@ -351,9 +351,8 @@ def scatter_svg(coords: np.ndarray, groups, labels) -> str:
 
 def write_tsne_outputs(coords: np.ndarray, vehicle_ids, labels, out_dir, stem: str):
     """Write <stem>.csv and the scatter <stem>.svg of coords (n, 2), each row's id and label."""
-    labels = np.asarray(labels, dtype=np.int64)
     write_text(os.path.join(out_dir, f"{stem}.csv"), csv_text(
-        ("x", "y", "vehicle_id", "label"), *coords.T.tolist(), vehicle_ids, labels.tolist()))
+        ("x", "y", "vehicle_id", "label"), *coords.T, vehicle_ids, labels))
     write_text(os.path.join(out_dir, f"{stem}.svg"), scatter_svg(coords, vehicle_ids, labels))
 
 
@@ -387,7 +386,7 @@ def emit_report(scores, labels: np.ndarray, vehicle_ids, aggregator: str,
     }
     os.makedirs(out_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "roc.csv"), csv_text(
-        ("threshold", "q_tp", "q_fp", "expected_cost_cny"), *np.vstack([*sweep, costs]).tolist()))
+        ("threshold", "q_tp", "q_fp", "expected_cost_cny"), *sweep, costs))
     write_text(os.path.join(out_dir, "roc.svg"), roc_svg(sweep))
     write_text(os.path.join(out_dir, "report.json"), json_text(report))
     return report

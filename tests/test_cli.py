@@ -354,6 +354,24 @@ class TestTsne:
         lines = (out / "tsne_embedding.csv").read_text().splitlines()[1:]
         assert [[float(v) for v in line.split(",")[:2]] for line in lines] == coords.tolist()
 
+    def test_subsample_that_leaves_a_vehicle_one_point_scores_the_others(self, workspace, tmp_path,
+                                                                          capsys):
+        # 12 of the 16 snippets leave 4 of the 8 vehicles a single point: mixing is scored
+        # over the other 4, and the outputs are written
+        out = tmp_path / "o"
+        assert main(["tsne", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--raw", "--subsample", "12", "--out", str(out)]) == 0
+        assert "points=12 mixing_score=1.0000 over 4 vehicles" in capsys.readouterr().out
+        assert (out / "tsne_raw.csv").is_file() and (out / "tsne_raw.svg").is_file()
+        # 4 points at perplexity 1 leave only 1 of their 3 vehicles with 2: no score
+        config = tmp_path / "perplexity1.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], tsne_perplexity=1.0))))
+        assert main(["tsne", "--config", str(config), "--data", str(workspace["data"]), "--raw",
+                     "--subsample", "4", "--out", str(tmp_path / "o4")]) == 0
+        assert ("points=4 mixing_score=n/a (1 of 3 vehicles keep 2 or more points; mixing needs 2)"
+                in capsys.readouterr().out)
+        assert (tmp_path / "o4" / "tsne_raw.csv").is_file()
+
     def test_embedding_mode_requires_checkpoint(self, workspace, tmp_path):
         assert main(["tsne", "--config", str(workspace["config"]),
                      "--data", str(workspace["data"]),

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,11 +316,16 @@ def _fleet_bits(ds):
 
 def _row_reader(data, meta, target_len):
     """load_csv with the array path left out: the row reader on the same files."""
-    return dataio._read_snippet_rows(data, meta, dataio._read_meta(meta), target_len)
+    return dataio._build_fleet(dataio._read_snippet_rows, data, meta, dataio._read_meta(meta), target_len)
 
 
 def _array_path(data, meta, target_len):
-    return dataio._read_snippet_blocks(data, dataio._read_meta(meta), target_len)
+    """load_csv's array path alone: its fleet, or None where it leaves the file to the row reader."""
+    try:
+        return dataio._build_fleet(dataio._read_snippet_blocks, data, meta, dataio._read_meta(meta),
+                                   target_len)
+    except dataio._Irregular:
+        return None
 
 
 def _edit_cell(data, line, column, cell):
@@ -328,6 +335,11 @@ def _edit_cell(data, line, column, cell):
     cols[column] = cell
     lines[line - 1] = ",".join(cols)
     data.write_text("\n".join(lines) + "\n")
+
+
+def _flip_label(meta_line):
+    sid, label, rest = meta_line.split(",", 2)
+    return ",".join([sid, "1" if label == "0" else "0", rest])
 
 
 def _crlf(lines):
@@ -367,7 +379,7 @@ ODD_FLEET = synth_fleet(FleetConfig(n_vehicles=2, snippets_per_vehicle=2), 5, 10
 class TestArrayPath:
     """load_csv's array path against its row reader: the same fleet, bit for bit."""
 
-    @pytest.mark.parametrize("n_vehicles", [8, 40])
+    @pytest.mark.parametrize("n_vehicles", [1, 8, 40])
     @pytest.mark.parametrize("edit", [None, _crlf, _blank_lines, _gapped_steps, _fourth_channel])
     @pytest.mark.parametrize("target_len", [30, 17])
     def test_gives_the_row_readers_fleet(self, tmp_path, n_vehicles, edit, target_len):
@@ -377,8 +389,8 @@ class TestArrayPath:
         write_csv(fleet, data, meta)
         if edit is not None:
             data.write_text("\n".join(edit(data.read_text().splitlines())) + "\n", newline="")
-        # 8 vehicles fit in one block; 40 take several
-        assert (n_vehicles * 4 * 30 > 2 * dataio.CSV_BLOCK_LINES) == (n_vehicles == 40)
+        # 1 vehicle fits in one block; 8 and 40 take several
+        assert (n_vehicles * 4 * 30 > dataio.CSV_BLOCK_LINES) == (n_vehicles > 1)
         fast = _array_path(data, meta, target_len)
         assert fast is not None
         assert _fleet_bits(fast) == _fleet_bits(_row_reader(data, meta, target_len))
@@ -430,22 +442,62 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("edit, message", [
         # a line of spaces: csv.reader reads one cell
-        (lambda lines: [*lines[:9], "   ", *lines[9:]], r"snippets\.csv:10: expected 6 columns, got 1"),
+        (lambda lines, meta: ([*lines[:9], "   ", *lines[9:]], meta),
+         r"snippets\.csv:10: expected 6 columns, got 1"),
         # the first snippet cut to one row
-        (lambda lines: [lines[0], lines[1], *lines[33:]], r"snippets\.csv:2: .* has fewer than 2 rows"),
+        (lambda lines, meta: ([lines[0], lines[1], *lines[33:]], meta),
+         r"snippets\.csv:2: .* has fewer than 2 rows"),
         # the third snippet's rows under the first one's id: as many snippets as metadata rows
-        (lambda lines: [*lines[:65], *(line.replace("_s002,", "_s000,") for line in lines[65:97]),
-                        *lines[97:]], r"snippets\.csv:66: rows of snippet 'ev0000_s000' are not contiguous"),
-        (lambda lines: [*lines[:9], lines[10], lines[9], *lines[11:]],
+        (lambda lines, meta: ([*lines[:65], *(line.replace("_s002,", "_s000,") for line in lines[65:97]),
+                               *lines[97:]], meta),
+         r"snippets\.csv:66: rows of snippet 'ev0000_s000' are not contiguous"),
+        (lambda lines, meta: ([*lines[:9], lines[10], lines[9], *lines[11:]], meta),
          r"snippets\.csv:11: .* step 8 does not follow its previous step 9"),
+        # every rule again on ev0001_s001, the fifth snippet, after a blank line: its rows
+        # are lines[129:161] and start on line 131
+        (lambda lines, meta: ([*lines[:129], "", *lines[129:160], *lines[161:193], lines[160],
+                               *lines[193:]], meta),
+         r"snippets\.csv:194: rows of snippet 'ev0001_s001' are not contiguous \(its first block "
+         r"starts at line 131\)$"),
+        (lambda lines, meta: ([*lines[:129], "", *lines[129:133], lines[133].replace(",ev0001,", ",ev0007,"),
+                               *lines[134:]], meta),
+         r"snippets\.csv:135: snippet 'ev0001_s001' row has vehicle 'ev0007' but its first row "
+         r"\(line 131\) has vehicle 'ev0001'$"),
+        (lambda lines, meta: ([*lines[:129], "", lines[129], *lines[161:]], meta),
+         r"snippets\.csv:131: snippet 'ev0001_s001' has fewer than 2 rows$"),
+        (lambda lines, meta: ([*lines[:129], "", *lines[129:139], lines[139].replace(",10,", ",9,"),
+                               *lines[140:]], meta),
+         r"snippets\.csv:141: snippet 'ev0001_s001' step 9 does not follow its previous step 9$"),
+        (lambda lines, meta: ([*lines[:129], "", *lines[129:]],
+                              [*meta[:5], _flip_label(meta[5]), *meta[6:]]),
+         r"snippets\.csv:131: snippet 'ev0001_s001' has label \d in the metadata file but vehicle "
+         r"'ev0001' has label \d from snippet 'ev0001_s000'$"),
+        (lambda lines, meta: ([*lines[:129], "", *lines[129:]], [*meta[:5], *meta[6:]]),
+         r"snippets\.csv:131: snippet 'ev0001_s001' missing from metadata file$"),
+        (lambda lines, meta: ([*lines[:129], "", *lines[161:]], meta),
+         r"meta\.csv:6: snippet 'ev0001_s001' has no rows in .*snippets\.csv$"),
     ])
     def test_file_that_breaks_a_rule_fails_as_in_the_row_reader(self, small_fleet, tmp_path, edit, message):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
         write_csv(small_fleet, data, meta)
-        data.write_text("\n".join(edit(data.read_text().splitlines())) + "\n")
-        assert _array_path(data, meta, 32) is None
-        with pytest.raises(ParseError, match=message):
-            load_csv(data, meta, 32)
+        lines, meta_lines = edit(data.read_text().splitlines(), meta.read_text().splitlines())
+        data.write_text("\n".join(lines) + "\n")
+        meta.write_text("\n".join(meta_lines) + "\n")
+
+        def error(read):
+            try:
+                read(data, meta, 32)
+            except ParseError as exc:
+                return str(exc)
+
+        expected = error(_row_reader)
+        assert expected is not None and re.search(message, expected), expected
+        assert error(load_csv) == expected
+        # the array path names a broken rule itself; a line numpy cannot read it leaves to the
+        # row reader
+        assert error(_array_path) == (None if "columns" in message else expected)
+        if "columns" in message:
+            assert _array_path(data, meta, 32) is None
 
     def test_extra_cell_names_its_line(self, small_fleet, tmp_path):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
@@ -482,6 +534,38 @@ class TestArrayPath:
                 return str(exc)
 
         assert outcome(load_csv) == outcome(_row_reader)
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of ``fn(*args)``, after one untraced call that fills the caches a
+    first call allocates."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The CSV reader holds a block, not the file; the writer, a chunk, not the text."""
+
+    def test_load_and_write_hold_about_a_block_of_the_desk_fleet(self, tmp_path):
+        fleet = synth_fleet(FleetConfig(n_vehicles=40), 7, 128)
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(fleet, data, meta)
+        # at the parent, 2.18 MB against 1.18 MB: the array path held every row's numbers
+        assert _traced_peak(load_csv, data, meta, 128) <= _traced_peak(_row_reader, data, meta, 128)
+        # 6.80 MB at the parent, for a 1.58 MB file whose channels take 0.49 MB
+        assert _traced_peak(write_csv, fleet, data, meta) <= 6.80e6 / 2
+
+    def test_csv_text_makes_chunks_of_at_most_a_block_of_lines(self):
+        n = 2 * dataio.CSV_BLOCK_LINES + 1
+        chunks = list(dataio.csv_text(("i", "x"), list(range(n)), np.arange(n) / 4))
+        assert [chunk.count("\n") for chunk in chunks] == [1, dataio.CSV_BLOCK_LINES,
+                                                           dataio.CSV_BLOCK_LINES, 1]
+        assert "".join(chunks) == "i,x\n" + "".join(f"{i},{i / 4!r}\n" for i in range(n))
 
 
 class TestNormalization:

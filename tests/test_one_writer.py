@@ -162,7 +162,7 @@ def test_no_other_function_builds_csv_lines():
 
 
 def test_csv_text_writes_a_float_as_its_repr():
-    assert csv_text(("x", "id", "n"), [0.1, float("inf")], ("a", "b"), [1, 2]) == (
+    assert "".join(csv_text(("x", "id", "n"), [0.1, float("inf")], ("a", "b"), [1, 2])) == (
         "x,id,n\n0.1,a,1\ninf,b,2\n")
 
 
