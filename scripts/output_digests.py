@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+import battfault
 from battfault import dataio
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,27 +36,9 @@ CORENAME_CALLS = ("scipy_openblas_get_corename64_", "openblas_get_corename")
 
 
 def _openblas_corename():
-    """The core OpenBLAS picked for this CPU, or None where it cannot be asked.
-
-    The library is found by name in the process's memory map, as pretrain
-    finds its thread setter; numpy, imported above, has loaded it.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in CORENAME_CALLS:
-            call = getattr(lib, name, None)
-            if call is not None:
-                call.argtypes, call.restype = (), ctypes.c_char_p
-                return call().decode()
-    return None
+    """The core OpenBLAS picked for this CPU, or None where it cannot be asked."""
+    corename = battfault.openblas_call(CORENAME_CALLS, (), ctypes.c_char_p)
+    return None if corename is None else corename().decode()
 
 
 def host_fingerprint() -> dict:

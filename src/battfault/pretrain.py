@@ -14,7 +14,6 @@ or decoding it is one bulk copy per tensor rather than one decimal per value.
 from __future__ import annotations
 
 import base64
-import ctypes
 import functools
 import os
 import zlib
@@ -22,52 +21,21 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import ONE_BLAS_THREAD
 from .dataio import FleetDataset, json_text, read_document, read_value, write_text
 from .model import (MICRO_BATCH, ModelConfig, ModelParams, embed_dropout, float32_copy, init_params,
                     msm_backward, msm_forward, param_shapes)
 from .numcore import NonFiniteError, SeededRng
 
-# the thread-count getters and setters of numpy's own OpenBLAS build and of a system one
-OPENBLAS_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                         ("openblas_get_num_threads", "openblas_set_num_threads"))
-
-
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count, or None where they cannot be found.
-
-    The library is found by name in the process's memory map, which only
-    Linux has; numpy, imported above, has loaded it. Nothing is called here.
-    """
-    try:
-        # surrogateescape hands a path's undecodable bytes back to CDLL as they were
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone, "<path> (deleted)"
-            continue
-        for get_name, set_name in OPENBLAS_THREAD_CALLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
-    return None
-
-
-OPENBLAS_THREADS = _openblas_threads()
 # The most snippets that the encoder passes in flight hold at once: the one
 # 8-snippet pass of a step whose passes ran one at a time.
 SNIPPETS_IN_FLIGHT = 8
 # The encoder passes that run at once, one per usable CPU up to that budget
-# (2 of MICRO_BATCH snippets). Where OpenBLAS's thread count cannot be set,
-# its threads would contend with the pool's, and the passes run one at a
-# time, inline.
+# (2 of MICRO_BATCH snippets). Where importing battfault could not set
+# OpenBLAS to one thread, its threads would contend with the pool's, and the
+# passes run one at a time, inline.
 WORKERS = (min(len(os.sched_getaffinity(0)), SNIPPETS_IN_FLIGHT // MICRO_BATCH)
-           if OPENBLAS_THREADS is not None else 1)
+           if ONE_BLAS_THREAD else 1)
 CHECKPOINT_VERSION = 3
 # the byte order and width of a checkpoint tensor's data, on every platform
 TENSOR_DTYPE = np.dtype("<f8")
@@ -262,24 +230,17 @@ def _in_pass_order(run_pass, n_items: int):
 
     Passes run on the thread pool, at most WORKERS at once, and Executor.map
     yields their results in submission order; when a pass raises or the
-    caller stops early, the passes not yet started are cancelled. Meanwhile
-    OpenBLAS runs on one thread, and it gets its own count back once the
-    passes are done: two passes on a two-thread OpenBLAS ran a step loop
-    slower than one pass at a time. With one worker every pass runs inline,
-    on OpenBLAS's own count.
+    caller stops early, the passes not yet started are cancelled. Each pass
+    runs on the one OpenBLAS thread that importing battfault set: two passes
+    on a two-thread OpenBLAS ran a step loop slower than one pass at a time.
+    With one worker every pass runs inline.
     """
     passes = range(-(-n_items // MICRO_BATCH))
     if min(WORKERS, len(passes)) == 1:
         for c in passes:
             yield run_pass(c)
         return
-    get_blas_threads, set_blas_threads = OPENBLAS_THREADS
-    blas_threads = get_blas_threads()
-    set_blas_threads(1)
-    try:
-        yield from _pool().map(run_pass, passes)
-    finally:
-        set_blas_threads(blas_threads)
+    yield from _pool().map(run_pass, passes)
 
 
 def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dropout_rng: SeededRng):
@@ -357,7 +318,8 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     BERT pretraining, Devlin et al. 2019, arXiv:1810.04805); the validation
     forward runs in such passes too and builds no caches. The passes run on
     WORKERS threads, one per usable CPU up to SNIPPETS_IN_FLIGHT //
-    MICRO_BATCH, and their results are summed in pass order, so the loop
+    MICRO_BATCH, each pass on the one OpenBLAS thread that importing
+    battfault set, and their results are summed in pass order, so the loop
     holds at most SNIPPETS_IN_FLIGHT snippets' activations at a time and its
     bytes do not depend on the CPU count.
     """

@@ -5,10 +5,12 @@ pretraining) are session-scoped so the acceptance criteria that examine the
 same run (training curve, detection pipeline) pay for it once.
 """
 
+import ctypes
 import time
 
 import pytest
 
+import battfault
 from battfault import dataio, model
 from battfault.numcore import SeededRng
 from battfault.pretrain import PretrainConfig, run_pretrain
@@ -16,6 +18,11 @@ from battfault.pretrain import PretrainConfig, run_pretrain
 FLEET_SEED = 7
 SPLIT_SEED = 8
 INIT_SEED = 1
+
+# the thread-count getter of numpy's own OpenBLAS build and of a system one,
+# found the way battfault finds the setter; None where it cannot be found
+GET_BLAS_THREADS_CALLS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+get_blas_threads = battfault.openblas_call(GET_BLAS_THREADS_CALLS, (), ctypes.c_int)
 
 # the whole pipeline at toy size, for the CLI tests and the reproducibility criterion
 TINY_CONFIG = {

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import battfault
 from battfault import dataio, pretrain
 from battfault.dataio import ParseError
 from battfault.downstream import extract_features
@@ -39,7 +41,7 @@ from battfault.pretrain import (
     save_checkpoint,
     transfer_init,
 )
-from conftest import SMALL_PRETRAIN_CONFIG
+from conftest import SMALL_PRETRAIN_CONFIG, get_blas_threads
 
 TINY = ModelConfig(D=3, H=16, L=1, A=2, FF=32, M_max=17, dropout_rate=0.1, K=2)
 ROOT = Path(__file__).resolve().parent.parent
@@ -381,45 +383,44 @@ def _cli_pretrain(root, threads, cpus=None):
 
 
 def test_pretrain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # where pretrain.OPENBLAS_THREADS is found and 2 or more CPUs are usable,
-    # both runs make their passes on one BLAS thread. They differ in the BLAS
-    # threads of a pass only where OpenBLAS's count cannot be set (MKL or
+    # wherever importing battfault can set OpenBLAS's thread count, it sets
+    # it to one, so both runs make their passes on one BLAS thread. They
+    # differ in the BLAS threads of a pass only where it cannot (MKL or
     # Accelerate, say) and the passes run inline. There every weight gradient
     # sums its samples in index order (model._outer_sum), so a BLAS that
     # splits a long inner axis across threads cannot reorder the rounding
     assert _cli_pretrain(tmp_path / "one", 1) == _cli_pretrain(tmp_path / "two", 2)
 
 
-@pytest.mark.skipif(pretrain.OPENBLAS_THREADS is None,
-                    reason="needs an OpenBLAS whose thread count can be set")
+@pytest.mark.skipif(not battfault.ONE_BLAS_THREAD or get_blas_threads is None,
+                    reason="needs an OpenBLAS whose thread count can be read and set")
 def test_pretrain_bytes_do_not_depend_on_the_blas_threads_of_a_pass(monkeypatch):
-    # inline passes on a two-thread OpenBLAS against pool passes, which run
-    # on one BLAS thread; the backward passes record the count they ran on
-    get_threads, set_threads = pretrain.OPENBLAS_THREADS
+    # inline passes on a two-thread OpenBLAS against pool passes on the one
+    # thread that importing battfault set; the backward passes record the
+    # count they ran on
+    set_blas_threads = battfault.openblas_call(battfault.OPENBLAS_SET_THREADS, (ctypes.c_int,), None)
     fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=10), 31, 64)
     train, val, _ = dataio.vehicle_split(fleet, 0.7, 31)
     seen = []
 
     def recording_backward(*args):
-        seen.append(get_threads())
+        seen.append(get_blas_threads())
         return msm_backward(*args)
 
     def run(workers):
         monkeypatch.setattr(pretrain, "WORKERS", workers)
         seen.clear()
-        set_threads(2)
         params = init_params(ModelConfig.desk_default(), SeededRng(9, ("init",)))
         provenance, history = run_pretrain(train, val, params, PretrainConfig(epochs=1), seed=9)
-        # the pool hands OpenBLAS its own count back when its passes are done
-        assert get_threads() == 2
         return checkpoint_document(params, provenance), history, set(seen)
 
     monkeypatch.setattr(pretrain, "msm_backward", recording_backward)
-    before = get_threads()
+    set_blas_threads(2)
     try:
-        inline, pooled = run(1), run(2)
+        inline = run(1)
     finally:
-        set_threads(before)
+        set_blas_threads(1)
+    pooled = run(2)
     assert inline[2] == {2} and pooled[2] == {1}
     assert inline[:2] == pooled[:2]
 
