@@ -107,7 +107,7 @@ def _load_dataset(cfg: RunConfig, data_dir):
 def _load_encoder(path, ds: dataio.FleetDataset) -> model.ModelParams:
     """The checkpoint at path; its D and K must match the dataset's, its M_max hold a snippet."""
     params, _ = pretrain.load_checkpoint(path)
-    (_, M, D), K = ds.channels.shape, len(ds.meta_names)
+    (_, M, D), K = ds.channels.shape, ds.meta.shape[1]
     if (params.cfg.D, params.cfg.K) != (D, K) or params.cfg.M_max < M + 1:
         raise ConfigError(f"checkpoint {path} dims (D={params.cfg.D}, K={params.cfg.K}, M_max="
                           f"{params.cfg.M_max}) incompatible with data (D={D}, K={K}, M+1={M + 1})")

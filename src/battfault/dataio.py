@@ -14,11 +14,12 @@ CSV formats (UTF-8, '.' decimals, LF or CRLF):
   CSV output that names it (the fleet files, tsne_*.csv) keeps its columns.
 
 load_csv reads a snippet file in one of two ways, and _build_fleet checks
-every snippet and fleet rule on what either reads. The array path parses a
-regular file with np.loadtxt, CSV_BLOCK_LINES lines at a time; any other file
-(a quoted or padded id, a ragged row, a cell numpy does not read as a finite
-number) goes to the row reader, the only code that names a bad cell's
-file:line (numpy's row numbers skip blank lines). A parsed line holds about
+every snippet and fleet rule on what either reads, as _channel_names checks
+the header of both. The array path parses a regular file with np.loadtxt,
+CSV_BLOCK_LINES lines at a time; any other file (a quoted header or id, a
+padded id, a ragged row, a cell numpy does not read as a finite number) goes to
+the row reader, the only code that names a bad cell's file:line (numpy's row
+numbers skip blank lines). A parsed line holds about
 300 B, as does a row that the row reader holds until its snippet ends, so
 128-line blocks keep the array path under the row reader: on the desk fleet
 (20,480 rows, 0.49 MB of channels) they peak at 0.64 and 0.65 MB traced, and a
@@ -45,7 +46,9 @@ import numpy as np
 from .numcore import SeededRng
 
 STD_FLOOR = 1e-8
-META_NAMES = ["mileage_km", "cycle_count"]
+META_NAMES = ("mileage_km", "cycle_count")
+SNIPPET_KEYS = ("snippet_id", "vehicle_id", "step")  # the snippet file's columns before the channels
+META_KEYS = (SNIPPET_KEYS[0], "label", *META_NAMES)  # the metadata file's columns
 CSV_UNSAFE = (",", '"', "\r", "\n")  # what an unquoted CSV cell cannot hold
 CSV_BLOCK_LINES = 128  # snippet-file lines per np.loadtxt call of load_csv; rows per csv_text chunk
 
@@ -159,8 +162,8 @@ def read_value(value, kind, name: str, key_name: str = "{} key {!r}"):
 class FleetDataset:
     """A fleet as arrays, one row per charge snippet.
 
-    ``channels`` is (N, M, D) and ``meta`` (N, K), both float64; ``labels``
-    (N,) holds each snippet's vehicle label, 0 normal and 1 fault.
+    ``channels`` is (N, M, D) and ``meta`` (N, K) of META_NAMES, both float64;
+    ``labels`` (N,) holds each snippet's vehicle label, 0 normal and 1 fault.
     ``snippet_ids`` and ``vehicle_ids`` name each row.
     """
 
@@ -170,10 +173,9 @@ class FleetDataset:
     snippet_ids: tuple
     vehicle_ids: tuple
     channel_names: tuple
-    meta_names: tuple
 
     def __post_init__(self):
-        n, d, k = len(self.snippet_ids), len(self.channel_names), len(self.meta_names)
+        n, d, k = len(self.snippet_ids), len(self.channel_names), len(META_NAMES)
         if (self.channels.ndim != 3 or self.channels.shape[::2] != (n, d) or self.meta.shape != (n, k)
                 or self.labels.shape != (n,) or len(self.vehicle_ids) != n):
             raise ValueError(f"channels {self.channels.shape}, meta {self.meta.shape}, labels "
@@ -260,14 +262,14 @@ def _read_meta(meta_path) -> dict:
     meta_by_id = {}
     with open(meta_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["snippet_id", "label", "mileage_km", "cycle_count"]:
+        header = next(reader, [])
+        if tuple(h.strip() for h in header[:len(META_KEYS)]) != META_KEYS:
             raise ParseError(f"{meta_path}:1: expected header snippet_id,label,mileage_km,cycle_count")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < 4:
-                raise ParseError(f"{meta_path}:{line_no}: expected 4 columns, got {len(row)}")
+            if len(row) < len(META_KEYS):
+                raise ParseError(f"{meta_path}:{line_no}: expected {len(META_KEYS)} columns, got {len(row)}")
             sid = row[0].strip()
             _refuse_csv_unsafe((sid,), f"{meta_path}:{line_no}: id", ParseError)
             label = row[1].strip()
@@ -276,7 +278,7 @@ def _read_meta(meta_path) -> dict:
             if sid in meta_by_id:
                 raise ParseError(f"{meta_path}:{line_no}: snippet {sid!r} is already listed "
                                  f"on line {meta_by_id[sid][2]}")
-            meta = [_parse_float(row[i], meta_path, line_no, META_NAMES[i - 2]) for i in (2, 3)]
+            meta = [_parse_float(cell, meta_path, line_no, name) for cell, name in zip(row[2:], META_NAMES)]
             meta_by_id[sid] = (int(label), meta, line_no)
     return meta_by_id
 
@@ -332,24 +334,32 @@ def _build_fleet(read, data_path, meta_path, meta_by_id: dict, target_len: int) 
         if sid not in first_line_of:
             raise ParseError(f"{meta_path}:{line_no}: snippet {sid!r} has no rows in {data_path}")
     return FleetDataset(channels, meta, labels, tuple(first_line_of), tuple(vehicle_ids),
-                        tuple(channel_names), tuple(META_NAMES))
+                        tuple(channel_names))
+
+
+def _channel_names(header, data_path) -> list:
+    """The stripped channel names of the header cells ``SNIPPET_KEYS, channel, ...``; else a ParseError."""
+    cells = [h.strip() for h in header]
+    if tuple(cells[:3]) != SNIPPET_KEYS or len(cells) == 3:
+        raise ParseError(f"{data_path}:1: expected header snippet_id,vehicle_id,step,<channels...>")
+    return cells[3:]
 
 
 def _read_snippet_blocks(fh, data_path):
     """Yields the channel names, then each snippet of a regular snippet file, parsed by
     ``np.loadtxt`` CSV_BLOCK_LINES lines at a time; raises _Irregular for any other file.
 
-    Regular: a plain header, the header's column count on every non-blank line, ids with no
-    double quote and nothing to strip, int64 steps and finite float64 channels. numpy reads a
-    subset of what ``int`` and ``float`` take, to the same values, so these are the row
-    reader's snippets. A snippet goes on once the block it ends in is parsed."""
-    header = next(fh, "").rstrip("\r\n").split(",")
-    if ('"' in "".join(header) or len(header) < 4
-            or [h.strip() for h in header[:3]] != ["snippet_id", "vehicle_id", "step"]):
+    Regular: a header with no double quote (its cells are then csv.reader's), the header's column
+    count on every non-blank line, ids with no double quote and nothing to strip, int64 steps and
+    finite float64 channels. numpy reads a subset of what ``int`` and ``float`` take, to the same
+    values, so these are the row reader's snippets. A snippet goes on once its block is parsed."""
+    header = next(fh, "").rstrip("\r\n")
+    if '"' in header:
         raise _Irregular
-    yield [h.strip() for h in header[3:]]
+    channel_names = _channel_names(header.split(","), data_path)
+    yield channel_names
     dtype = np.dtype([("sid", object), ("vid", object), ("step", np.int64),
-                      ("x", np.float64, (len(header) - 3,))])
+                      ("x", np.float64, (len(channel_names),))])
     # the next line; the open snippet's id, and its (vehicle ids, steps, channels, lines) by block
     line_no, sid, carry = 2, None, []
     while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
@@ -389,10 +399,8 @@ def _read_snippet_rows(fh, data_path):
     """Yields the channel names, then each snippet of any snippet file, read row by row
     with ``csv.reader``, ``int`` and ``float``; a ParseError names a bad cell's line."""
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or len(header) < 4 or [h.strip() for h in header[:3]] != ["snippet_id", "vehicle_id", "step"]:
-        raise ParseError(f"{data_path}:1: expected header snippet_id,vehicle_id,step,<channels...>")
-    channel_names = [h.strip() for h in header[3:]]
+    header = next(reader, [])
+    channel_names = _channel_names(header, data_path)
     yield channel_names
     lines = ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
     for sid, group in itertools.groupby(lines, key=lambda line: line[1][0].strip()):
@@ -435,8 +443,6 @@ def apply_norm(ds: FleetDataset, stats: NormStats) -> FleetDataset:
     """Z-score channels and metadata with previously fit statistics."""
     if ds.channels.shape[2] != stats.mean.shape[0]:
         raise ValueError(f"channel count {ds.channels.shape[2]} != stats D {stats.mean.shape[0]}")
-    if ds.meta.shape[1] != stats.meta_mean.shape[0]:
-        raise ValueError(f"meta length {ds.meta.shape[1]} != stats K {stats.meta_mean.shape[0]}")
     return replace(ds, channels=(ds.channels - stats.mean) / stats.std,
                    meta=(ds.meta - stats.meta_mean) / stats.meta_std)
 
@@ -463,30 +469,10 @@ def vehicle_split(ds: FleetDataset, ratio: float, seed: int):
     for v, label in vehicles.items():
         by_label.setdefault(label, []).append(v)
 
-    total_train = int(round(ratio * len(vehicles)))
-    train_ids = set()
-    # allocate per label group, keeping at least one vehicle of each group in
-    # val (and train) whenever the group is large enough
     groups = sorted(by_label.items())
-    alloc = {}
-    for label, group in groups:
-        n_tr = int(round(ratio * len(group)))
-        if len(group) >= 2:
-            n_tr = min(max(n_tr, 1), len(group) - 1)
-        alloc[label] = n_tr
-    # nudge the largest group so totals match round(ratio * V) when possible
-    diff = total_train - sum(alloc.values())
-    if diff != 0:
-        label_big = max(groups, key=lambda kv: len(kv[1]))[0]
-        group = by_label[label_big]
-        lo = 1 if len(group) >= 2 else 0
-        hi = len(group) - 1 if len(group) >= 2 else len(group)
-        alloc[label_big] = min(max(alloc[label_big] + diff, lo), hi)
-
-    for label, group in groups:
-        order = rng.spawn(label).permutation(len(group))
-        shuffled = [group[i] for i in order]
-        train_ids.update(shuffled[:alloc[label]])
+    alloc = _train_counts({label: len(group) for label, group in groups}, ratio)
+    train_ids = {group[i] for label, group in groups
+                 for i in rng.spawn(label).permutation(len(group))[:alloc[label]]}
 
     if not 0 < len(train_ids) < len(vehicles):
         raise ValueError(f"split ratio {ratio} leaves an empty side for {len(vehicles)} vehicles")
@@ -495,6 +481,17 @@ def vehicle_split(ds: FleetDataset, ratio: float, seed: int):
     train, val = ds.take(np.flatnonzero(in_train)), ds.take(np.flatnonzero(~in_train))
     stats = fit_norm(train)
     return apply_norm(train, stats), apply_norm(val, stats), stats
+
+
+def _train_counts(sizes: dict, ratio: float) -> dict:
+    """label -> training vehicles of each label group (``sizes``: label -> vehicles): round(ratio *
+    size), the largest group's (the first of equals) nudged toward a total of round(ratio * V).
+    Both go through one clamp: a group of 2 or more keeps a vehicle on each side."""
+    clamp = lambda n, size: min(max(n, int(size >= 2)), size - int(size >= 2))
+    counts = {label: clamp(round(ratio * size), size) for label, size in sizes.items()}
+    big = max(sizes, key=sizes.get)
+    counts[big] = clamp(counts[big] + round(ratio * sum(sizes.values())) - sum(counts.values()), sizes[big])
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +625,16 @@ def synth_fleet(cfg: FleetConfig, seed: int, seq_len: int, id_prefix: str = "ev"
     labels = np.array([vi in faulty_set for vi in range(cfg.n_vehicles)], dtype=np.int64)
     return FleetDataset(channels, np.repeat(np.array(meta), k, axis=0), np.repeat(labels, k),
                         tuple(f"{v}_s{si:03d}" for v in vids for si in range(k)),
-                        tuple(v for v in vids for _ in range(k)), CHANNEL_NAMES, tuple(META_NAMES))
+                        tuple(v for v in vids for _ in range(k)), CHANNEL_NAMES)
 
 
 def merge_fleets(a: FleetDataset, b: FleetDataset) -> FleetDataset:
-    """Concatenate two fleets sharing the same channel/meta layout."""
-    if a.channel_names != b.channel_names or a.meta_names != b.meta_names:
-        raise ValueError("fleets have different channel or meta layouts")
+    """Concatenate two fleets sharing the same channels."""
+    if a.channel_names != b.channel_names:
+        raise ValueError("fleets have different channel layouts")
     return FleetDataset(np.concatenate([a.channels, b.channels]), np.concatenate([a.meta, b.meta]),
                         np.concatenate([a.labels, b.labels]), a.snippet_ids + b.snippet_ids,
-                        a.vehicle_ids + b.vehicle_ids, a.channel_names, a.meta_names)
+                        a.vehicle_ids + b.vehicle_ids, a.channel_names)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +645,9 @@ def merge_fleets(a: FleetDataset, b: FleetDataset) -> FleetDataset:
 def write_csv(ds: FleetDataset, data_path, meta_path):
     """Write a dataset in the ingestion CSV formats (deterministic bytes)."""
     n, m, d = ds.channels.shape
-    write_text(data_path, csv_text(("snippet_id", "vehicle_id", "step", *ds.channel_names),
+    write_text(data_path, csv_text((*SNIPPET_KEYS, *ds.channel_names),
                                    np.repeat(np.array(ds.snippet_ids, dtype=object), m),
                                    np.repeat(np.array(ds.vehicle_ids, dtype=object), m),
                                    np.tile(np.arange(m), n), *ds.channels.reshape(n * m, d).T))
-    write_text(meta_path, csv_text(("snippet_id", "label", *META_NAMES), ds.snippet_ids,
+    write_text(meta_path, csv_text(META_KEYS, ds.snippet_ids,
                                    ds.labels, *ds.meta.T))

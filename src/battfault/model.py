@@ -7,11 +7,11 @@ are learned absolute embeddings. Backward passes are hand-written per block;
 the architecture is static so no general autodiff tape is needed.
 
 The forward and backward passes are batched over a leading axis. Any one
-parameter array may also carry a leading P axis of variants; the forward then
-broadcasts to P outputs from the first stage that reads that array on, and
-the stages before it run once. This is how the gradient check runs P
-perturbed copies of the network through the encoder forward that training
-uses, on every row.
+parameter array may also carry a leading P axis of variants (a vector's are
+(P, 1, n), which broadcast as they are); the forward then broadcasts to P
+outputs from the first stage that reads that array on, and the stages before
+it run once. This is how the gradient check runs P perturbed copies of the
+network through the encoder forward that training uses, on every row.
 
 A forward pass keeps the per-layer caches a backward pass reads only for a
 caller that will run one, and applies dropout only when handed a dropout
@@ -201,17 +201,12 @@ def init_params(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _vec(w: np.ndarray) -> np.ndarray:
-    # lift a possibly P-stacked vector for broadcasting against (P, T, H)
-    return w if w.ndim == 1 else w[:, None, :]
-
-
 def _dense(X: np.ndarray, W: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """X @ W + b over the last axis, in a new array.
 
     numpy runs a (B, T, K) @ (K, N) product as B GEMMs; a 2-D W takes the
     flattened (B*T, K) rows in one. A P-stacked W keeps the broadcasting
-    product. A vector b adds in place; a P-stacked one broadcasts.
+    product. A vector b adds in place; a (P, 1, N) stacked one broadcasts.
     """
     if W.ndim == 2:
         Y = (X.reshape(-1, X.shape[-1]) @ W).reshape(X.shape[:-1] + W.shape[1:])
@@ -219,10 +214,7 @@ def _dense(X: np.ndarray, W: np.ndarray, b: np.ndarray | None = None) -> np.ndar
         Y = X @ W
     if b is None:
         return Y
-    if b.ndim == 1:
-        Y += b
-        return Y
-    return Y + _vec(b)
+    return np.add(Y, b, out=Y if b.ndim == 1 else None)
 
 
 def embed_dropout(X: np.ndarray, cfg: ModelConfig, rng: SeededRng) -> np.ndarray | None:
@@ -250,13 +242,13 @@ def _embed_fwd(X: np.ndarray, a: dict, cfg: ModelConfig, dropout: np.ndarray | N
         raise DimensionError(f"sequence length {M}+1 exceeds M_max={cfg.M_max}")
     pos = a["embed.pos"]
     data = _dense(X, a["embed.W_e"], a["embed.b_e"]) + pos[..., 1:M + 1, :]
-    row0 = (a["embed.cls"] + pos[..., 0, :])[..., None, :]
+    row0 = a["embed.cls"] + pos[..., :1, :]
     # B rows, or P when the summary row alone is P-stacked
     pre = np.empty(np.broadcast_shapes(data.shape[:1], row0.shape[:-2]) + (M + 1, cfg.H),
                    dtype=data.dtype)
     pre[:, :1, :] = row0
     pre[:, 1:, :] = data
-    normed, ln_cache = layer_norm_fwd(pre, _vec(a["embed.ln_g"]), _vec(a["embed.ln_b"]))
+    normed, ln_cache = layer_norm_fwd(pre, a["embed.ln_g"], a["embed.ln_b"])
     if dropout is not None:
         normed = normed * dropout
     return normed, (X, ln_cache, dropout)
@@ -353,13 +345,13 @@ def _layer_fwd(X: np.ndarray, a: dict, p: str, cfg: ModelConfig, caches: list | 
     if caches is None:
         attn_cache = None
     R1 += X if rows is None else X[_at(rows)]
-    X1, ln1_cache = layer_norm_fwd(R1, _vec(a[p + "ln1_g"]), _vec(a[p + "ln1_b"]))
+    X1, ln1_cache = layer_norm_fwd(R1, a[p + "ln1_g"], a[p + "ln1_b"])
     F1 = _dense(X1, a[p + "W1"], a[p + "b1"])
     G, tanh_term = gelu_fwd(F1)
     R2 = _dense(G, a[p + "W2"], a[p + "b2"])
     del G
     R2 += X1
-    X2, ln2_cache = layer_norm_fwd(R2, _vec(a[p + "ln2_g"]), _vec(a[p + "ln2_b"]))
+    X2, ln2_cache = layer_norm_fwd(R2, a[p + "ln2_g"], a[p + "ln2_b"])
     if caches is not None:
         caches += [attn_cache, (ln1_cache, X1, F1, tanh_term, ln2_cache)]
     return X2
@@ -509,10 +501,10 @@ def msm_backward(cache, params: ModelParams, cfg: ModelConfig) -> dict:
     dpre, dg, db = layer_norm_bwd(dE, ln_cache)
     grads["embed.ln_g"] += dg
     grads["embed.ln_b"] += db
-    M = X.shape[1]
-    grads["embed.cls"] += dpre[:, 0, :].sum(axis=0)
-    grads["embed.pos"][0] += dpre[:, 0, :].sum(axis=0)
-    grads["embed.pos"][1:M + 1] += dpre[:, 1:, :].sum(axis=0)
+    d_row0 = dpre[:, 0, :].sum(axis=0)  # the summary row is cls + pos[0]
+    grads["embed.cls"] += d_row0
+    grads["embed.pos"][0] += d_row0
+    grads["embed.pos"][1:X.shape[1] + 1] += dpre[:, 1:, :].sum(axis=0)
     grads["embed.W_e"] += _outer_sum(X, dpre[:, 1:, :])
     grads["embed.b_e"] += dpre[:, 1:, :].sum(axis=(0, 1))
     return grads
@@ -580,7 +572,7 @@ def msm_grad_check(params: ModelParams, X_corrupt: np.ndarray, X_target: np.ndar
             idx = np.arange(start, min(start + GRAD_CHECK_CHUNK, n))
             m = idx.size
             P = 4 * m
-            stacked = np.broadcast_to(base, (P,) + base.shape).copy()
+            stacked = np.broadcast_to(base, (P,) + (1,) * (base.ndim == 1) + base.shape).copy()
             stacked.reshape(P, -1)[np.arange(P), np.repeat(idx, 4)] += np.tile(stencil, m)
             arrays = dict(base_arrays)
             arrays[name] = stacked

@@ -86,10 +86,7 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     xhat *= inv_std
     y = gamma * xhat
     # a P-stacked beta broadcasts y to P rows, so only a vector adds in place
-    if np.ndim(beta) == 1:
-        y += beta
-    else:
-        y = y + beta
+    y = np.add(y, beta, out=y if np.ndim(beta) == 1 else None)
     return y, (xhat, inv_std, gamma)
 
 

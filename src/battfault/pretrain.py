@@ -226,21 +226,17 @@ def _pool():
 
 
 def _in_pass_order(run_pass, n_items: int):
-    """Yield run_pass(c) for each MICRO_BATCH-item pass c over n_items, in pass order.
+    """Yield run_pass(part) for the slice ``part`` of each MICRO_BATCH-item pass, in pass order.
 
     Passes run on the thread pool, at most WORKERS at once, and Executor.map
     yields their results in submission order; when a pass raises or the
     caller stops early, the passes not yet started are cancelled. Each pass
     runs on the one OpenBLAS thread that importing battfault set: two passes
     on a two-thread OpenBLAS ran a step loop slower than one pass at a time.
-    With one worker every pass runs inline.
+    With one worker, or a single pass, the passes run inline through ``map``.
     """
-    passes = range(-(-n_items // MICRO_BATCH))
-    if min(WORKERS, len(passes)) == 1:
-        for c in passes:
-            yield run_pass(c)
-        return
-    yield from _pool().map(run_pass, passes)
+    passes = [slice(a, a + MICRO_BATCH) for a in range(0, n_items, MICRO_BATCH)]
+    yield from (map if min(WORKERS, len(passes)) == 1 else _pool().map)(run_pass, passes)
 
 
 def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dropout_rng: SeededRng):
@@ -258,8 +254,7 @@ def _step_gradients(work: ModelParams, batch: np.ndarray, masks: np.ndarray, dro
     masks32 = masks.astype(np.float32)
     dropout = embed_dropout(batch, cfg, dropout_rng)
 
-    def run_pass(c):
-        part = slice(c * MICRO_BATCH, (c + 1) * MICRO_BATCH)
+    def run_pass(part):
         X, m = batch[part], masks32[part]
         loss, cache = msm_forward(work, cfg, corrupt(X, m), X, m,
                                   None if dropout is None else dropout[part])
@@ -286,8 +281,7 @@ def _validation_loss(work: ModelParams, X_val: np.ndarray, val_masks: np.ndarray
     """Masked MSE over the validation set, MICRO_BATCH snippets per cacheless forward."""
     cells = val_masks.sum(dtype=np.float64)
 
-    def run_pass(c):
-        part = slice(c * MICRO_BATCH, (c + 1) * MICRO_BATCH)
+    def run_pass(part):
         X, m = X_val[part], val_masks[part]
         loss, _ = msm_forward(work, work.cfg, corrupt(X, m), X, m, keep_cache=False)
         return loss * (m.sum(dtype=np.float64) / cells)
@@ -323,8 +317,9 @@ def run_pretrain(train: FleetDataset, val: FleetDataset, params: ModelParams,
     holds at most SNIPPETS_IN_FLIGHT snippets' activations at a time and its
     bytes do not depend on the CPU count.
     """
-    if not len(val):
-        raise ValueError("run_pretrain needs at least one validation snippet")
+    for side, ds in (("training", train), ("validation", val)):
+        if not len(ds):
+            raise ValueError(f"run_pretrain needs at least one {side} snippet")
     X_train, X_val = train.channels.astype(np.float32), val.channels.astype(np.float32)
     n, M, D = X_train.shape
     rng = SeededRng(seed, ("pretrain",))

@@ -196,6 +196,16 @@ class TestPretrain:
                      "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    # the overflowing step makes numpy warn before the loss is found non-finite
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exits_4(self, workspace, tmp_path, capsys):
+        config = tmp_path / "huge_step.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, pretrain=dict(TINY_CONFIG["pretrain"],
+                                                                     learning_rate=1e300))))
+        assert main(["pretrain", "--config", str(config), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.splitlines()[-1] == "error: non-finite loss at epoch 1, batch 4"
+
     def test_warm_start_prints_transfer_report(self, workspace, tmp_path, capsys):
         out = tmp_path / "warm"
         code = main(["pretrain", "--config", str(workspace["config"]),

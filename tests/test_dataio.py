@@ -19,6 +19,7 @@ from battfault.dataio import (
     vehicle_split,
     write_csv,
 )
+from battfault.numcore import SeededRng
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,6 @@ class TestCsvRoundTrip:
         write_csv(small_fleet, data, meta)
         back = load_csv(data, meta, 32)
         assert back.channel_names == small_fleet.channel_names
-        assert back.meta_names == small_fleet.meta_names
         assert (back.snippet_ids, back.vehicle_ids) == (small_fleet.snippet_ids, small_fleet.vehicle_ids)
         np.testing.assert_array_equal(back.labels, small_fleet.labels)
         np.testing.assert_array_equal(back.channels, small_fleet.channels)
@@ -310,7 +310,7 @@ class TestCsvRoundTrip:
 
 
 def _fleet_bits(ds):
-    return (ds.snippet_ids, ds.vehicle_ids, ds.channel_names, ds.meta_names,
+    return (ds.snippet_ids, ds.vehicle_ids, ds.channel_names,
             *((a.dtype, a.shape, a.tobytes()) for a in (ds.channels, ds.meta, ds.labels)))
 
 
@@ -499,6 +499,48 @@ class TestArrayPath:
         if "columns" in message:
             assert _array_path(data, meta, 32) is None
 
+    @pytest.mark.parametrize("header", [None, "", "snippet_id,vehicle,step,voltage",
+                                        "snippet_id,vehicle_id,step", " snippet_id , vehicle_id,stp,v"])
+    def test_bad_unquoted_header_fails_in_the_array_path_as_in_the_row_reader(
+            self, small_fleet, tmp_path, monkeypatch, header):
+        # None: an empty file; "": a blank first line
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = data.read_text().splitlines()
+        data.write_text("" if header is None else "\n".join([header, *lines[1:]]) + "\n")
+        with pytest.raises(ParseError) as in_row_reader:
+            _row_reader(data, meta, 32)
+
+        def refuse(*args):
+            raise AssertionError("the row reader ran on a file with an unquoted header")
+
+        monkeypatch.setattr(dataio, "_read_snippet_rows", refuse)
+        with pytest.raises(ParseError, match=r"snippets\.csv:1: expected header "
+                                             r"snippet_id,vehicle_id,step,<channels\.\.\.>$") as loaded:
+            load_csv(data, meta, 32)
+        assert str(loaded.value) == str(in_row_reader.value)
+
+    def test_quoted_header_goes_to_the_row_reader(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(['"snippet_id",vehicle_id,step,voltage,"current",temperature',
+                                   *lines[1:]]) + "\n")
+        assert _array_path(data, meta, 32) is None
+        assert _fleet_bits(load_csv(data, meta, 32)) == _fleet_bits(small_fleet)
+        data.write_text("\n".join(['"snippet_id",vehicle,step,voltage', *lines[1:]]) + "\n")
+        with pytest.raises(ParseError, match=r"snippets\.csv:1: expected header snippet_id,vehicle_id"):
+            load_csv(data, meta, 32)
+
+    def test_bad_metadata_header_names_the_expected_one(self, small_fleet, tmp_path):
+        data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
+        write_csv(small_fleet, data, meta)
+        lines = meta.read_text().splitlines()
+        meta.write_text("\n".join(["snippet_id,label,mileage,cycle_count", *lines[1:]]) + "\n")
+        with pytest.raises(ParseError, match=r"meta\.csv:1: expected header "
+                                             r"snippet_id,label,mileage_km,cycle_count$"):
+            load_csv(data, meta, 32)
+
     def test_extra_cell_names_its_line(self, small_fleet, tmp_path):
         data, meta = tmp_path / "snippets.csv", tmp_path / "meta.csv"
         write_csv(small_fleet, data, meta)
@@ -585,7 +627,64 @@ class TestNormalization:
         np.testing.assert_allclose(normed.channels[0], expected, atol=1e-12)
 
 
+def _allocation_before(sizes, ratio):
+    """label -> training vehicles as vehicle_split counted them before its one clamp (the oracle)."""
+    groups = sorted(sizes.items())
+    total_train = int(round(ratio * sum(sizes.values())))
+    alloc = {}
+    for label, size in groups:
+        n_tr = int(round(ratio * size))
+        if size >= 2:
+            n_tr = min(max(n_tr, 1), size - 1)
+        alloc[label] = n_tr
+    diff = total_train - sum(alloc.values())
+    if diff != 0:
+        label_big = max(groups, key=lambda kv: kv[1])[0]
+        size = sizes[label_big]
+        lo = 1 if size >= 2 else 0
+        hi = size - 1 if size >= 2 else size
+        alloc[label_big] = min(max(alloc[label_big] + diff, lo), hi)
+    return alloc
+
+
+def _train_vehicles_before(ds, ratio, seed):
+    """The training vehicles that vehicle_split chose before its one clamp (the oracle)."""
+    rng = SeededRng(seed, ("vehicle_split",))
+    by_label = {}
+    for v, label in ds.vehicle_labels().items():
+        by_label.setdefault(label, []).append(v)
+    alloc = _allocation_before({label: len(group) for label, group in by_label.items()}, ratio)
+    train_ids = set()
+    for label, group in sorted(by_label.items()):
+        order = rng.spawn(label).permutation(len(group))
+        train_ids.update([group[i] for i in order][:alloc[label]])
+    return train_ids
+
+
+# k/61 never puts ratio * size on a tie of round(); k/8 (exact in binary) and k/20 put it on or
+# next to one, for the groups and for the total
+SPLIT_RATIOS = sorted({k / 61 for k in range(1, 61)} | {k / 20 for k in range(1, 20)}
+                      | {k / 8 for k in range(1, 8)})
+
+
 class TestVehicleSplit:
+    def test_allocation_is_the_one_before_its_one_clamp(self):
+        for n_neg in range(30):
+            for n_pos in range(30):
+                sizes = {label: n for label, n in ((0, n_neg), (1, n_pos)) if n}
+                if n_neg + n_pos < 2:
+                    continue
+                for ratio in SPLIT_RATIOS:
+                    assert dataio._train_counts(sizes, ratio) == _allocation_before(sizes, ratio), \
+                        (n_neg, n_pos, ratio)
+
+    @pytest.mark.parametrize("seed", [7, 1357])
+    @pytest.mark.parametrize("ratio", [0.5, 0.75, 0.8])
+    def test_training_vehicles_are_the_ones_before_its_one_clamp(self, seed, ratio):
+        ds = synth_fleet(FleetConfig(), seed, 8)
+        train, _, _ = vehicle_split(ds, ratio, seed)
+        assert set(train.vehicle_ids) == _train_vehicles_before(ds, ratio, seed)
+
     def test_no_vehicle_straddles(self, small_fleet):
         train, val, _ = vehicle_split(small_fleet, 0.75, 4)
         assert set(train.vehicle_ids).isdisjoint(val.vehicle_ids)

@@ -295,7 +295,8 @@ class TestStackedForward:
         Xc, X, mask = random_instance(cfg, 14)
         base = params.arrays[name]
         P = 3
-        stacked = base + 1e-2 * SeededRng(15, (name,)).normal((P,) + base.shape)
+        # a vector's variants are (P, 1, n), as the gradient check stacks them
+        stacked = base + 1e-2 * SeededRng(15, (name,)).normal((P,) + (1,) * (base.ndim == 1) + base.shape)
         a = dict(params.arrays, **{name: stacked})
         E, _ = _embed_fwd(Xc, a, cfg)
         Hs = _encoder_fwd(E, a, cfg)
@@ -303,7 +304,7 @@ class TestStackedForward:
         losses = (mask[0] * diff * diff).sum(axis=(1, 2)) / mask[0].sum()
         assert losses.shape == (P,)
         for p in range(P):
-            variant = ModelParams(cfg, dict(params.arrays, **{name: stacked[p]}))
+            variant = ModelParams(cfg, dict(params.arrays, **{name: stacked[p].reshape(base.shape)}))
             expected = msm_forward(variant, cfg, Xc, X, mask)[0]
             assert losses[p] == pytest.approx(expected, rel=1e-12, abs=0)
 

@@ -228,6 +228,18 @@ class TestRunPretrain:
         with pytest.raises(ValueError, match="validation"):
             run_pretrain(fleet, fleet.take(np.arange(0)), params, PretrainConfig(epochs=1), seed=9)
 
+    def test_an_empty_training_side_is_refused_before_a_mask_is_drawn(self, monkeypatch):
+        # it would run no step, then divide by its zero masked cells
+        fleet = dataio.synth_fleet(dataio.FleetConfig(n_vehicles=4, snippets_per_vehicle=2), 31, 16)
+        params = init_params(TINY, SeededRng(9, ("init",)))
+
+        def refuse(*args):
+            raise AssertionError("a mask was drawn")
+
+        monkeypatch.setattr(pretrain, "sample_mask", refuse)
+        with pytest.raises(ValueError, match="at least one training snippet"):
+            run_pretrain(fleet.take(np.arange(0)), fleet, params, PretrainConfig(epochs=1), seed=9)
+
 
 def _desk_step(n, seed):
     """(desk float32 working weights, n float32 snippets, their float64 masks) for one step."""
